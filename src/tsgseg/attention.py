@@ -5,17 +5,21 @@ decoder return an :class:`AttentionBundle` alongside their features, because
 downstream gating consumes the maps themselves. The cross-attention layer
 can additionally renormalize its logits over the class axis, producing a
 second bundle used only for gating; the feature path is unaffected.
+
+All heads run as one product over a (..., heads, tokens, head_dim) stack, so
+a layer's graph size depends on neither its head count nor the batch size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .module import LayerNorm, Linear, Mlp, Module
-from .tensor import ShapeError, Tensor, concat, matmul, narrow, scale, softmax, transpose
+from .tensor import (ShapeError, Tensor, concat, matmul, narrow, permute, reshape, scale,
+                     softmax)
 
 # Which axis of each stored map was softmax-normalized.
 SELF_KIND = "self"            # N x N, rows sum to 1 (axis 1, over keys)
@@ -41,28 +45,60 @@ class MhaConfig:
         return self.model_dim // self.heads
 
 
-@dataclass
 class AttentionBundle:
-    """Per-head attention maps retained for gate computation.
+    """Attention maps of every head, retained for gate computation.
 
-    ``grid`` records the spatial layout of the row axis for self-attention
-    maps (rows correspond to grid cells); cross maps have class-indexed rows
-    and carry no grid.
+    ``stacked`` holds all heads as one (..., heads, R, K) tensor; leading
+    axes are batch axes. ``maps`` may be given as that tensor or as a list
+    of per-head (..., R, K) maps, which are stacked. ``softmax_axis`` names
+    the normalized axis of one head's R x K map (1: over keys, 0: over
+    rows). ``grid`` records the spatial layout of the row axis for
+    self-attention maps (rows correspond to grid cells); cross maps have
+    class-indexed rows and carry no grid.
     """
 
-    maps: list[Tensor]
-    softmax_axis: int
-    kind: str
-    source: str = ""
-    grid: tuple[int, int] | None = field(default=None)
+    def __init__(self, maps: Tensor | list[Tensor], softmax_axis: int, kind: str,
+                 source: str = "", grid: tuple[int, int] | None = None):
+        if not isinstance(maps, Tensor):
+            maps = concat([reshape(m, m.shape[:-2] + (1,) + m.shape[-2:]) for m in maps],
+                          axis=-3)
+        self.stacked = maps
+        self.softmax_axis = softmax_axis
+        self.kind = kind
+        self.source = source
+        self.grid = grid
 
     @property
     def heads(self) -> int:
-        return len(self.maps)
+        return self.stacked.shape[-3]
+
+    @property
+    def maps(self) -> list[Tensor]:
+        """Per-head (..., R, K) maps, each a differentiable slice of ``stacked``."""
+        shape = self.stacked.shape[:-3] + self.stacked.shape[-2:]
+        return [reshape(narrow(self.stacked, -3, h, 1), shape) for h in range(self.heads)]
 
 
-def _per_head(t: Tensor, head: int, head_dim: int) -> Tensor:
-    return narrow(t, 1, head * head_dim, head_dim)
+def _split_heads(t: Tensor, heads: int, keys: bool = False) -> Tensor:
+    """(..., N, heads * d_h) -> (..., heads, N, d_h), or (..., heads, d_h, N)
+    with ``keys``, ready to be the right operand of the logit product."""
+    t = reshape(t, t.shape[:-1] + (heads, t.shape[-1] // heads))
+    return permute(t, (1, 2, 0) if keys else (1, 0, 2))
+
+
+def concat_heads(stack: Tensor, axes: tuple[int, int, int] = (1, 0, 2)) -> Tensor:
+    """Permute a (..., heads, R, K) stack by ``axes``, by default to
+    (..., R, heads, K), and flatten the last two axes: the head maps
+    concatenated along their column axis."""
+    t = permute(stack, axes)
+    return reshape(t, t.shape[:-2] + (t.shape[-2] * t.shape[-1],))
+
+
+def _logits(q: Tensor, k: Tensor, cfg: MhaConfig) -> Tensor:
+    """Per-head scaled dot products (..., heads, N_q, N_k); ``q`` is scaled
+    by 1/sqrt(d_h) before the product, which costs N_q x d, not N_q x N_k."""
+    q = scale(q, 1.0 / math.sqrt(cfg.head_dim))
+    return matmul(_split_heads(q, cfg.heads), _split_heads(k, cfg.heads, keys=True))
 
 
 class MultiheadSelfAttention(Module):
@@ -78,25 +114,14 @@ class MultiheadSelfAttention(Module):
 
     def __call__(self, tokens: Tensor, source: str = "") -> tuple[Tensor, AttentionBundle]:
         cfg = self.cfg
-        if tokens.shape[1] != cfg.model_dim:
+        if tokens.shape[-1] != cfg.model_dim:
             raise ShapeError(
                 f"self-attention: token width {tokens.shape} != model_dim {cfg.model_dim}"
             )
-        q = self.wq(tokens)
-        k = self.wk(tokens)
-        v = self.wv(tokens)
-        inv = 1.0 / math.sqrt(cfg.head_dim)
-        maps: list[Tensor] = []
-        mixed: list[Tensor] = []
-        for i in range(cfg.heads):
-            qi = _per_head(q, i, cfg.head_dim)
-            ki = _per_head(k, i, cfg.head_dim)
-            vi = _per_head(v, i, cfg.head_dim)
-            att = softmax(scale(matmul(qi, transpose(ki)), inv), axis=1)
-            maps.append(att)
-            mixed.append(matmul(att, vi))
-        out = self.wo(concat(mixed, axis=1))
-        bundle = AttentionBundle(maps=maps, softmax_axis=1, kind=SELF_KIND, source=source)
+        att = softmax(_logits(self.wq(tokens), self.wk(tokens), cfg), axis=-1)
+        mixed = matmul(att, _split_heads(self.wv(tokens), cfg.heads))
+        out = self.wo(concat_heads(mixed))
+        bundle = AttentionBundle(att, softmax_axis=1, kind=SELF_KIND, source=source)
         return out, bundle
 
 
@@ -121,35 +146,20 @@ class MultiheadCrossAttention(Module):
         source: str = "",
     ) -> tuple[Tensor, AttentionBundle, AttentionBundle | None]:
         cfg = self.cfg
-        if queries.shape[1] != cfg.model_dim or memory.shape[1] != cfg.model_dim:
+        if queries.shape[-1] != cfg.model_dim or memory.shape[-1] != cfg.model_dim:
             raise ShapeError(
                 f"cross-attention: queries {queries.shape} / memory {memory.shape} "
                 f"must both have width {cfg.model_dim}"
             )
-        q = self.wq(queries)
-        k = self.wk(memory)
-        v = self.wv(memory)
-        inv = 1.0 / math.sqrt(cfg.head_dim)
-        maps: list[Tensor] = []
-        gated_maps: list[Tensor] = []
-        mixed: list[Tensor] = []
-        for j in range(cfg.heads):
-            qj = _per_head(q, j, cfg.head_dim)
-            kj = _per_head(k, j, cfg.head_dim)
-            vj = _per_head(v, j, cfg.head_dim)
-            logits = scale(matmul(qj, transpose(kj)), inv)
-            att = softmax(logits, axis=1)
-            maps.append(att)
-            mixed.append(matmul(att, vj))
-            if gate_softmax:
-                gated_maps.append(softmax(logits, axis=0))
-        out = self.wo(concat(mixed, axis=1))
-        bundle = AttentionBundle(maps=maps, softmax_axis=1, kind=CROSS_KIND, source=source)
+        logits = _logits(self.wq(queries), self.wk(memory), cfg)
+        att = softmax(logits, axis=-1)
+        mixed = matmul(att, _split_heads(self.wv(memory), cfg.heads))
+        out = self.wo(concat_heads(mixed))
+        bundle = AttentionBundle(att, softmax_axis=1, kind=CROSS_KIND, source=source)
         gated = None
         if gate_softmax:
-            gated = AttentionBundle(
-                maps=gated_maps, softmax_axis=0, kind=CROSS_GATED_KIND, source=source
-            )
+            gated = AttentionBundle(softmax(logits, axis=-2), softmax_axis=0,
+                                    kind=CROSS_GATED_KIND, source=source)
         return out, bundle, gated
 
 

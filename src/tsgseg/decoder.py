@@ -40,13 +40,13 @@ class QuerySet:
 class SegLogits:
     """Per-patch class scores (rows sum to 1) on the given patch grid."""
 
-    p: Tensor  # N x C, post-softmax
+    p: Tensor  # (..., N, C), post-softmax
     spatial: tuple[int, int]
 
     def __post_init__(self):
-        if self.p.shape[0] != self.spatial[0] * self.spatial[1]:
+        if self.p.shape[-2] != self.spatial[0] * self.spatial[1]:
             raise ShapeError(
-                f"scores have {self.p.shape[0]} rows for grid {self.spatial}"
+                f"scores have {self.p.shape[-2]} rows for grid {self.spatial}"
             )
 
 
@@ -159,20 +159,20 @@ class Decoder(Module):
 
 def predict_scores(f_dec_last: Tensor, y: Tensor) -> Tensor:
     """Pre-softmax patch-class scores F Y^T / sqrt(d); the training target."""
-    if f_dec_last.shape[1] != y.shape[1]:
+    if f_dec_last.shape[-1] != y.shape[-1]:
         raise ShapeError(
-            f"feature width {f_dec_last.shape[1]} != query width {y.shape[1]}"
+            f"feature width {f_dec_last.shape[-1]} != query width {y.shape[-1]}"
         )
-    return scale(matmul(f_dec_last, transpose(y)), 1.0 / np.sqrt(y.shape[1]))
+    return scale(matmul(f_dec_last, transpose(y)), 1.0 / np.sqrt(y.shape[-1]))
 
 
 def predict(f_dec_last: Tensor, y: Tensor, spatial: tuple[int, int]) -> SegLogits:
     """Score every patch against every class: softmax(F Y^T / sqrt(d))."""
-    return SegLogits(p=softmax(predict_scores(f_dec_last, y), axis=1), spatial=spatial)
+    return SegLogits(p=softmax(predict_scores(f_dec_last, y), axis=-1), spatial=spatial)
 
 
 def logits_to_mask(p: SegLogits, image_size: tuple[int, int]) -> np.ndarray:
-    """Per-patch argmax, replicated to pixel resolution.
+    """Per-patch argmax, replicated to pixel resolution: (..., H, W) labels.
 
     Ties go to the lowest class index. ``image_size`` must be a whole
     multiple of the patch grid on both axes.
@@ -181,5 +181,5 @@ def logits_to_mask(p: SegLogits, image_size: tuple[int, int]) -> np.ndarray:
     ih, iw = image_size
     if ih % h or iw % w:
         raise ShapeError(f"image {ih}x{iw} is not a multiple of patch grid {h}x{w}")
-    labels = np.argmax(p.p.data, axis=1).reshape(h, w)
-    return np.repeat(np.repeat(labels, ih // h, axis=0), iw // w, axis=1)
+    labels = np.argmax(p.p.data, axis=-1).reshape(p.p.shape[:-2] + (h, w))
+    return np.repeat(np.repeat(labels, ih // h, axis=-2), iw // w, axis=-1)

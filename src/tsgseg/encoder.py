@@ -25,7 +25,7 @@ import numpy as np
 from .attention import AttentionBundle, EncoderBlock, MhaConfig
 from .module import Linear, Module, Parameter
 from .scale_gate import ScaleGates, TsgHead, gated_sum
-from .tensor import ShapeError, Tensor, concat, take, upsample_bilinear
+from .tensor import ShapeError, Tensor, permute, reshape, upsample_bilinear
 
 FUSION_KINDS = ("tsg", "fpn", "none", "single")
 
@@ -34,15 +34,15 @@ FUSION_KINDS = ("tsg", "fpn", "none", "single")
 class FeatureMap:
     """Per-stage patch features with their grid shape."""
 
-    data: Tensor  # (h * w) x d, row-major over the grid
+    data: Tensor  # (..., h * w, d), row-major over the grid
     h: int
     w: int
     stage: int
 
     def __post_init__(self):
-        if self.data.shape[0] != self.h * self.w:
+        if self.data.ndim < 2 or self.data.shape[-2] != self.h * self.w:
             raise ShapeError(
-                f"feature map rows {self.data.shape[0]} != grid {self.h}x{self.w}"
+                f"feature map {self.data.shape} does not have {self.h}x{self.w} rows"
             )
 
     @property
@@ -72,35 +72,17 @@ class EncoderConfig:
         return self.patch_size * 2 ** (self.num_stages - 1)
 
 
-def _patch_indices(h: int, w: int, p: int, channels: int = 3) -> np.ndarray:
-    """Flat pixel indices grouping an (h, w, channels) image into patches.
+def _cells_to_rows(x: Tensor, lead: tuple[int, ...], h: int, w: int, k: int) -> Tensor:
+    """Group each k x k cell of a row-major (h, w) grid of channel vectors
+    into one row: (..., h/k * w/k, k * k * channels).
 
-    Row r of the result lists, in row-major pixel-then-channel order, the
-    flattened positions belonging to patch r of the (h/p, w/p) grid.
+    ``x`` holds the grid as (*lead, h, w, channels) or (*lead, h * w,
+    channels). Cells are ordered row-major over the coarse grid; a row
+    lists its k * k positions row-major, channels innermost.
     """
-    gh, gw = h // p, w // p
-    idx = np.arange(h * w * channels).reshape(h, w, channels)
-    rows = []
-    for i in range(gh):
-        for j in range(gw):
-            block = idx[i * p:(i + 1) * p, j * p:(j + 1) * p, :]
-            rows.append(block.reshape(-1))
-    return np.stack(rows)
-
-
-def _merge_indices(h: int, w: int, d: int) -> np.ndarray:
-    """Flat indices grouping each 2x2 token neighborhood of an (h*w) x d map.
-
-    Neighbors are ordered row-major within the 2x2 block, so the merged row
-    is [top-left | top-right | bottom-left | bottom-right] features.
-    """
-    idx = np.arange(h * w * d).reshape(h, w, d)
-    rows = []
-    for i in range(h // 2):
-        for j in range(w // 2):
-            block = idx[2 * i:2 * i + 2, 2 * j:2 * j + 2, :]
-            rows.append(block.reshape(-1))
-    return np.stack(rows)
+    c = x.shape[-1]
+    grid = reshape(x, lead + (h // k, k, w // k, k, c))
+    return reshape(permute(grid, (0, 2, 1, 3, 4)), lead + ((h // k) * (w // k), k * k * c))
 
 
 class PatchEmbed(Module):
@@ -123,16 +105,17 @@ class PatchEmbed(Module):
 
     def __call__(self, image: Tensor) -> FeatureMap:
         p = self.patch_size
-        if image.ndim != 3 or image.shape[2] != 3:
-            raise ShapeError(f"patch_embed: expected an H x W x 3 image, got {image.shape}")
-        h, w, _ = image.shape
-        if (h // p, w // p) != self.grid:
+        if image.ndim < 3 or image.shape[-1] != 3:
+            raise ShapeError(
+                f"patch_embed: expected an (..., H, W, 3) image, got {image.shape}"
+            )
+        h, w = image.shape[-3:-1]
+        if (h // p, w // p) != self.grid or h % p or w % p:
             raise ShapeError(
                 f"patch_embed: image {h}x{w} does not match configured grid "
                 f"{self.grid} at patch size {p}"
             )
-        patches = take(image, _patch_indices(h, w, p))
-        tokens = self.proj(patches)
+        tokens = self.proj(_cells_to_rows(image, image.shape[:-3], h, w, p))
         if self.pos is not None:
             tokens = tokens + self.pos
         return FeatureMap(data=tokens, h=h // p, w=w // p, stage=1)
@@ -149,7 +132,7 @@ class PatchMerge(Module):
     def __call__(self, fm: FeatureMap) -> FeatureMap:
         if fm.h % 2 or fm.w % 2:
             raise ShapeError(f"patch_merge: odd grid {fm.h}x{fm.w} cannot be halved")
-        merged = take(fm.data, _merge_indices(fm.h, fm.w, self.dim_in))
+        merged = _cells_to_rows(fm.data, fm.data.shape[:-2], fm.h, fm.w, 2)
         return FeatureMap(
             data=self.proj(merged), h=fm.h // 2, w=fm.w // 2, stage=fm.stage + 1
         )
@@ -215,9 +198,9 @@ def upsample_attention(bundle: AttentionBundle, target: tuple[int, int]) -> Atte
         raise ShapeError("upsample_attention: bundle carries no grid metadata")
     if bundle.grid == tuple(target):
         return bundle
-    maps = [upsample_bilinear(m, bundle.grid, target) for m in bundle.maps]
     return AttentionBundle(
-        maps=maps, softmax_axis=bundle.softmax_axis, kind=bundle.kind,
+        upsample_bilinear(bundle.stacked, bundle.grid, target),
+        softmax_axis=bundle.softmax_axis, kind=bundle.kind,
         source=bundle.source, grid=tuple(target),
     )
 

@@ -111,13 +111,17 @@ class SegModel(Module):
         self.target_grid = cfg.stage_grids()[0]
 
     def __call__(self, image: Tensor, forced_gates=None) -> ForwardResult:
-        """Segment one image; ``forced_gates`` pins all gate entries."""
+        """Segment an (H, W, 3) image, or a (B, H, W, 3) batch in one graph.
+
+        Scores are (N, C) for one image and (B, N, C) for a batch.
+        ``forced_gates`` pins all gate entries.
+        """
         features, bundles = self.backbone(image)
         refined, enc_gates = self.fusion(features, bundles, forced_gates=forced_gates)
         y, dec_gates, f_dec = self.decoder(refined, self.target_grid,
                                            forced_gates=forced_gates)
         scores = predict_scores(f_dec, y)
-        logits = SegLogits(p=softmax(scores, axis=1), spatial=self.target_grid)
+        logits = SegLogits(p=softmax(scores, axis=-1), spatial=self.target_grid)
         return ForwardResult(logits=logits, scores=scores, encoder_gates=enc_gates,
                              decoder_gates=dec_gates)
 

@@ -9,6 +9,9 @@ distribution over candidate scales. Evidence arrives in one of two forms:
 - class-normalized cross-attention maps, transposed to patch-major layout,
   concatenated over heads and projected with one linear.
 
+A head stack (..., heads, R, K) becomes the (..., R, heads * K) integrator
+input by one permute and one reshape; leading axes are batch axes.
+
 The integrated map goes through layernorm, a two-layer MLP and a softmax
 over the scale axis. The final MLP layer is zero-initialized so a fresh
 head emits uniform gates, which makes an untrained model equivalent to
@@ -21,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import CROSS_GATED_KIND, AttentionBundle
+from .attention import CROSS_GATED_KIND, AttentionBundle, concat_heads
 from .module import LayerNorm, Linear, Mlp, Module
-from .tensor import ShapeError, Tensor, concat, mul, narrow, softmax, transpose
+from .tensor import ShapeError, Tensor, mul, narrow, softmax
 
 __all__ = ["ScaleGates", "TsgHead", "gated_sum"]
 
@@ -37,7 +40,7 @@ class ScaleGates:
 
     def column(self, s: int) -> Tensor:
         """The s-th scale's gate as an N x 1 column, for broadcasting."""
-        return narrow(self.gates, 1, s, 1)
+        return narrow(self.gates, -1, s, 1)
 
 
 class TsgHead(Module):
@@ -70,17 +73,15 @@ class TsgHead(Module):
                 f"gate head has {len(self.integrators)} sources, "
                 f"got {len(bundles)} starting at {start}"
             )
-        rows = bundles[0].maps[0].shape[0]
+        rows = bundles[0].stacked.shape[-2]
         total: Tensor | None = None
         for i, bundle in enumerate(bundles):
-            for m in bundle.maps:
-                if m.shape[0] != rows:
-                    raise ShapeError(
-                        f"integrate_self: row-count mismatch, {m.shape[0]} vs {rows}; "
-                        "upsample all bundles to the fusion resolution first"
-                    )
-            stacked = concat(bundle.maps, axis=1)
-            proj = self.integrators[start + i](stacked)
+            if bundle.stacked.shape[-2] != rows:
+                raise ShapeError(
+                    f"integrate_self: row-count mismatch, {bundle.stacked.shape[-2]} vs "
+                    f"{rows}; upsample all bundles to the fusion resolution first"
+                )
+            proj = self.integrators[start + i](concat_heads(bundle.stacked))
             total = proj if total is None else total + proj
         assert total is not None
         return total
@@ -97,33 +98,32 @@ class TsgHead(Module):
                 "integrate_cross: bundle must carry class-axis-normalized maps, "
                 f"got kind={bundle.kind!r} softmax_axis={bundle.softmax_axis}"
             )
-        stacked = concat([transpose(m) for m in bundle.maps], axis=1)
-        return self.integrators[0](stacked)
+        return self.integrators[0](concat_heads(bundle.stacked, (2, 0, 1)))
 
     def gate(self, a: Tensor) -> ScaleGates:
         """Predict gates from an integrated map: softmax(MLP(norm(a)))."""
         logits = self.mlp(self.norm(a))
-        return ScaleGates(gates=softmax(logits, axis=1), num_scales=self.num_scales)
+        return ScaleGates(gates=softmax(logits, axis=-1), num_scales=self.num_scales)
 
 
 def gated_sum(features: list[Tensor], gates: Tensor) -> Tensor:
     """Per-patch convex combination: sum_s gates[:, s] * features[s].
 
-    ``gates`` is N x S with one column per feature map. Callers may pass a
+    ``gates`` is (..., N, S) with one column per feature map. Callers may pass a
     constant (non-stochastic) gate matrix, e.g. all-ones to recover a plain
     unweighted sum.
     """
-    if gates.shape[1] != len(features):
+    if gates.shape[-1] != len(features):
         raise ShapeError(
-            f"gated_sum: {len(features)} feature maps vs gate width {gates.shape[1]}"
+            f"gated_sum: {len(features)} feature maps vs gate width {gates.shape[-1]}"
         )
     total: Tensor | None = None
     for s, f in enumerate(features):
-        if f.shape[0] != gates.shape[0]:
+        if f.shape[-2] != gates.shape[-2]:
             raise ShapeError(
-                f"gated_sum: feature rows {f.shape[0]} != gate rows {gates.shape[0]}"
+                f"gated_sum: feature rows {f.shape[-2]} != gate rows {gates.shape[-2]}"
             )
-        term = mul(narrow(gates, 1, s, 1), f)
+        term = mul(narrow(gates, -1, s, 1), f)
         total = term if total is None else total + term
     assert total is not None
     return total

@@ -239,7 +239,7 @@ def iou_from_confusion(counts: np.ndarray) -> tuple[list, float]:
         if union[c] == 0:
             per_class.append(None)
         else:
-            v = tp[c] / union[c]
+            v = float(tp[c] / union[c])
             per_class.append(v)
             defined.append(v)
     mean = float(np.mean(defined)) if defined else float("nan")

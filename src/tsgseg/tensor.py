@@ -10,6 +10,10 @@ Conventions:
 
 - float64 is the default dtype; float32 is supported for faster training
   (tolerances quoted in the test suite assume float64).
+- Leading axes are batch axes: every op acts on the trailing axes it names
+  (matrix ops on the last two, row ops on the last one) and carries the
+  rest through, broadcasting where numpy does. One sample and a (B, ...)
+  batch of samples run through the same code.
 - Spatial fields are stored flattened, one row per grid cell in row-major
   order, with the grid shape carried separately by the caller.
 - Gradients accumulate. Repeated ``backward()`` calls without zeroing add
@@ -20,6 +24,7 @@ Conventions:
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -40,9 +45,12 @@ __all__ = [
     "concat",
     "narrow",
     "take",
+    "reshape",
+    "permute",
     "tsum",
     "upsample_bilinear",
     "cross_entropy",
+    "no_grad",
 ]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
@@ -115,8 +123,8 @@ class Tensor:
     def backward(self) -> None:
         """Populate ``grad`` of every requires_grad tensor reachable from here.
 
-        The tensor must be scalar (0-d). Contributions accumulate into any
-        grads already present.
+        The tensor must be scalar (0-d). Contributions accumulate into leaf
+        grads; an intermediate's grad is dropped once passed on.
         """
         if self.data.ndim != 0:
             raise ShapeError(
@@ -141,19 +149,38 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad``. A first contribution is kept, not copied, so
+    a closure must pass an array (or a view of its own node's grad) that no
+    other tensor keeps."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g.astype(t.data.dtype, copy=False)
+    else:
+        t.grad += g
+
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording a graph: outputs are constants."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _node(data: np.ndarray, children: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    out.requires_grad = any(c.requires_grad for c in children)
+    out.requires_grad = _grad_enabled and any(c.requires_grad for c in children)
     if out.requires_grad:
         out._children = children
         out._backward = backward
@@ -179,8 +206,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
 
     def backward(g):
+        # a may keep g itself, so b gets a copy
         _accumulate(a, _unbroadcast(g, a.shape).astype(a.dtype, copy=False))
-        _accumulate(b, _unbroadcast(g, b.shape).astype(b.dtype, copy=False))
+        _accumulate(b, _unbroadcast(g, b.shape).astype(b.dtype, copy=a.requires_grad))
 
     return _node(data, (a, b), backward)
 
@@ -211,28 +239,33 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul: rank-2 operands required, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product over the last two axes; leading axes broadcast."""
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul: rank >= 2 operands required, got {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    data = a.data @ b.data
+    try:
+        data = a.data @ b.data
+    except ValueError:
+        raise ShapeError(f"matmul: leading axes of {a.shape} and {b.shape} do not broadcast")
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _node(data, (a, b), backward)
 
 
 def transpose(x: Tensor) -> Tensor:
-    """Swap the two axes of a rank-2 tensor."""
-    if x.ndim != 2:
-        raise ShapeError(f"transpose: rank-2 tensor required, got {x.shape}")
-    data = x.data.T.copy()
+    """Swap the last two axes, as a contiguous copy."""
+    if x.ndim < 2:
+        raise ShapeError(f"transpose: tensor of rank >= 2 required, got {x.shape}")
+    data = np.ascontiguousarray(np.swapaxes(x.data, -1, -2))
 
     def backward(g):
-        _accumulate(x, g.T)
+        _accumulate(x, np.swapaxes(g, -1, -2))
 
     return _node(data, (x,), backward)
 
@@ -241,13 +274,16 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     """Normalized exponentials along ``axis``, max-shifted for stability."""
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    # in place after the first subtraction: attention maps are the largest
+    # arrays the model makes
+    data = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
-        _accumulate(x, data * (g - inner))
+        grad = g - (g * data).sum(axis=axis, keepdims=True)
+        grad *= data
+        _accumulate(x, grad)
 
     return _node(data, (x,), backward)
 
@@ -255,12 +291,12 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row standardization followed by an affine map.
 
-    ``x`` is N x d; ``gamma`` and ``beta`` are length-d vectors. Variance is
+    ``x`` is (..., d); ``gamma`` and ``beta`` are length-d vectors. Variance is
     the biased per-row estimate; ``eps`` keeps zero-variance rows finite.
     """
-    if x.ndim != 2:
-        raise ShapeError(f"layernorm: rank-2 input required, got {x.shape}")
-    d = x.shape[1]
+    if x.ndim < 1:
+        raise ShapeError(f"layernorm: input of rank >= 1 required, got {x.shape}")
+    d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(
             f"layernorm: gamma/beta must have shape ({d},), "
@@ -268,20 +304,20 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
         )
     if eps <= 0:
         raise ValueError("layernorm: eps must be positive")
-    mu = x.data.mean(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     data = xhat * gamma.data + beta.data
 
     def backward(g):
         gg = g * gamma.data
-        m1 = gg.mean(axis=1, keepdims=True)
-        m2 = (gg * xhat).mean(axis=1, keepdims=True)
+        m1 = gg.mean(axis=-1, keepdims=True)
+        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
         _accumulate(x, (gg - m1 - xhat * m2) * inv)
-        _accumulate(gamma, (g * xhat).sum(axis=0))
-        _accumulate(beta, g.sum(axis=0))
+        _accumulate(gamma, (g * xhat).reshape(-1, d).sum(axis=0))
+        _accumulate(beta, g.reshape(-1, d).sum(axis=0))
 
     return _node(data, (x, gamma, beta), backward)
 
@@ -307,18 +343,21 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` with the bias broadcast over rows."""
-    if x.ndim != 2 or w.ndim != 2:
-        raise ShapeError(f"linear: rank-2 x and w required, got {x.shape}, {w.shape}")
-    if x.shape[1] != w.shape[0]:
+    """Affine map ``x @ w + b`` on the last axis; leading axes fold into rows."""
+    if x.ndim < 1 or w.ndim != 2:
+        raise ShapeError(f"linear: x and rank-2 w required, got {x.shape}, {w.shape}")
+    if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: x columns {x.shape} do not match w rows {w.shape}")
     if b.shape != (w.shape[1],):
         raise ShapeError(f"linear: bias shape {b.shape} does not match w {w.shape}")
-    data = x.data @ w.data + b.data
+    rows = x.data.reshape(-1, x.shape[-1])
+    data = (rows @ w.data + b.data).reshape(x.shape[:-1] + b.shape)
 
     def backward(g):
-        _accumulate(x, g @ w.data.T)
-        _accumulate(w, x.data.T @ g)
+        g = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            _accumulate(x, (g @ w.data.T).reshape(x.shape))
+        _accumulate(w, rows.T @ g)
         _accumulate(b, g.sum(axis=0))
 
     return _node(data, (x, w, b), backward)
@@ -388,6 +427,37 @@ def take(x: Tensor, indices: np.ndarray) -> Tensor:
     return _node(data, (x,), backward)
 
 
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """The same entries, in row-major order, under a new shape."""
+    try:
+        data = x.data.reshape(shape)
+    except ValueError:
+        raise ShapeError(f"reshape: cannot view {x.shape} as {tuple(shape)}")
+
+    def backward(g):
+        _accumulate(x, g.reshape(x.shape))
+
+    return _node(data, (x,), backward)
+
+
+def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
+    """Reorder the last ``len(axes)`` axes as ``np.transpose`` does, counting
+    axes within that tail; leading axes stay. The result is contiguous."""
+    k = len(axes)
+    if k > x.ndim or sorted(axes) != list(range(k)):
+        raise ShapeError(f"permute: {tuple(axes)} is not a permutation of the last "
+                         f"axes of {x.shape}")
+    lead = x.ndim - k
+    order = tuple(range(lead)) + tuple(lead + a for a in axes)
+    data = np.ascontiguousarray(x.data.transpose(order))
+    inverse = tuple(np.argsort(order))
+
+    def backward(g):
+        _accumulate(x, g.transpose(inverse))
+
+    return _node(data, (x,), backward)
+
+
 def tsum(x: Tensor) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
     data = np.asarray(x.data.sum(), dtype=x.data.dtype)
@@ -436,14 +506,14 @@ def upsample_matrix(src_hw: tuple[int, int], dst_hw: tuple[int, int]) -> np.ndar
 def upsample_bilinear(
     x: Tensor, src_hw: tuple[int, int], dst_hw: tuple[int, int]
 ) -> Tensor:
-    """Channelwise bilinear upsampling of a flattened (H*W) x d field.
+    """Channelwise bilinear upsampling of a flattened (..., H*W, d) field.
 
     Uses the align-corners=false convention. Only enlargement is supported;
     equal sizes return the input unchanged.
     """
     h, w = src_hw
     h2, w2 = dst_hw
-    if x.ndim != 2 or x.shape[0] != h * w:
+    if x.ndim < 2 or x.shape[-2] != h * w:
         raise ShapeError(
             f"upsample_bilinear: expected {h * w} rows for grid {src_hw}, got {x.shape}"
         )
@@ -459,15 +529,19 @@ def upsample_bilinear(
 def cross_entropy(logits: Tensor, labels, ignore_index: int = -1) -> Tensor:
     """Mean negative log-softmax probability of the true class.
 
-    ``labels`` is an integer vector, one entry per logits row; entries equal
-    to ``ignore_index`` are excluded from the mean.
+    ``logits`` is (..., C) and ``labels`` holds one integer per logits row,
+    shaped like the leading axes; entries equal to ``ignore_index`` are
+    excluded from the mean, which runs over every row of every sample.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
+    if logits.ndim < 2 or labels.shape != logits.shape[:-1]:
         raise ShapeError(
             f"cross_entropy: logits {logits.shape} incompatible with labels {labels.shape}"
         )
-    n, c = logits.shape
+    c = logits.shape[-1]
+    flat = logits.data.reshape(-1, c)
+    labels = labels.reshape(-1)
+    n = flat.shape[0]
     valid = labels != ignore_index
     n_valid = int(valid.sum())
     if n_valid == 0:
@@ -476,7 +550,7 @@ def cross_entropy(logits: Tensor, labels, ignore_index: int = -1) -> Tensor:
     if lab.min() < 0 or lab.max() >= c:
         raise ValueError(f"cross_entropy: label outside [0, {c})")
 
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    shifted = flat - flat.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logz
     data = np.asarray(-logp[valid, lab].sum() / n_valid, dtype=logits.dtype)
@@ -486,6 +560,6 @@ def cross_entropy(logits: Tensor, labels, ignore_index: int = -1) -> Tensor:
         grad = p.copy()
         grad[np.arange(n)[valid], lab] -= 1.0
         grad[~valid] = 0.0
-        _accumulate(logits, grad * (float(g) / n_valid))
+        _accumulate(logits, (grad * (float(g) / n_valid)).reshape(logits.shape))
 
     return _node(data, (logits,), backward)

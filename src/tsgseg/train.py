@@ -39,7 +39,7 @@ from .segbench import (
     patch_labels,
     sample_seed,
 )
-from .tensor import Tensor, cross_entropy, scale
+from .tensor import Tensor, cross_entropy, no_grad
 
 
 class TrainAbort(RuntimeError):
@@ -48,6 +48,9 @@ class TrainAbort(RuntimeError):
 
 METRICS_HEADER = "step,lr,loss,mIoU"
 ABLATE_HEADER = "model,seed,mIoU,small,medium,large"
+# Images per forward when scoring without gradients: a whole batch per
+# graph, small enough that evaluation never holds more than a training step.
+EVAL_CHUNK = 4
 
 
 def build_split(cfg: RunConfig, split: str) -> list[SegSample]:
@@ -73,13 +76,25 @@ def _param_norm_table(model: SegModel) -> str:
     return "\n".join(lines)
 
 
+def _images(samples: list[SegSample], dtype) -> Tensor:
+    """One (B, H, W, 3) batch; samples of different sizes cannot share one."""
+    sizes = sorted({s.image.shape for s in samples})
+    if len(sizes) > 1:
+        raise ValueError(f"images of sizes {sizes} cannot be scored together")
+    return Tensor(np.stack([s.image for s in samples]), dtype=dtype)
+
+
+def _chunks(items: list) -> list[list]:
+    return [items[lo:lo + EVAL_CHUNK] for lo in range(0, len(items), EVAL_CHUNK)]
+
+
 def patch_accuracy(model: SegModel, samples, labels_flat, dtype) -> float:
     hits = total = 0
-    for sample, lab in zip(samples, labels_flat):
-        res = model(Tensor(sample.image, dtype=dtype))
-        pred = np.argmax(res.scores.data, axis=1)
-        hits += int((pred == lab).sum())
-        total += lab.size
+    with no_grad():
+        for chunk, labels in zip(_chunks(samples), _chunks(labels_flat)):
+            pred = np.argmax(model(_images(chunk, dtype)).scores.data, axis=-1)
+            hits += int((pred == np.stack(labels)).sum())
+            total += pred.size
     return hits / total
 
 
@@ -87,27 +102,31 @@ def evaluate_model(model: SegModel, samples: list[SegSample], dtype=np.float64) 
     """Pixel-level metrics over a sample list (confusions summed, then IoU).
 
     Size buckets aggregate the bucket-restricted confusion counts across
-    samples before the IoU division.
+    samples before the IoU division. Images are scored EVAL_CHUNK at a time,
+    without recording a graph.
     """
     if not samples:
         raise ValueError("evaluate: empty dataset")
     c = model.cfg.num_classes
-    total = np.zeros((c, c), dtype=np.int64)
-    per_bucket = {b: np.zeros((c, c), dtype=np.int64)
-                  for b in ("small", "medium", "large")}
     for sample in samples:
         if sample.meta.get("num_classes", c) != c:
             raise ValueError(
                 f"dataset has {sample.meta['num_classes']} classes, model has {c}"
             )
-        res = model(Tensor(sample.image, dtype=dtype))
-        mask = logits_to_mask(res.logits, sample.labels.shape)
-        total += confusion_matrix(mask, sample.labels, c)
-        for bucket, bmask in bucket_masks(sample.meta).items():
-            if bmask.any():
-                per_bucket[bucket] += confusion_matrix(
-                    mask[bmask], sample.labels[bmask], c
-                )
+    total = np.zeros((c, c), dtype=np.int64)
+    per_bucket = {b: np.zeros((c, c), dtype=np.int64)
+                  for b in ("small", "medium", "large")}
+    for chunk in _chunks(samples):
+        with no_grad():
+            res = model(_images(chunk, dtype))
+        masks = logits_to_mask(res.logits, chunk[0].labels.shape)
+        for sample, mask in zip(chunk, masks):
+            total += confusion_matrix(mask, sample.labels, c)
+            for bucket, bmask in bucket_masks(sample.meta).items():
+                if bmask.any():
+                    per_bucket[bucket] += confusion_matrix(
+                        mask[bmask], sample.labels[bmask], c
+                    )
     per_class, mean = iou_from_confusion(total)
     report = {"mIoU": mean, "per_class": per_class}
     for bucket, conf in per_bucket.items():
@@ -119,7 +138,11 @@ def evaluate_model(model: SegModel, samples: list[SegSample], dtype=np.float64) 
 
 
 def train_run(cfg: RunConfig, out_dir) -> tuple[SegModel, dict]:
-    """Train per config; write config.resolved, metrics.csv, model.ckpt."""
+    """Train per config; write config.resolved, metrics.csv, model.ckpt.
+
+    Each step sends its whole batch through one graph. The validation report
+    of the last step, which always evaluates, is the summary's report.
+    """
     os.makedirs(out_dir, exist_ok=True)
     dtype = np.float64 if cfg.precision == "double" else np.float32
     model = build_model(model_config(cfg), seed=cfg.seed, dtype=dtype)
@@ -137,20 +160,16 @@ def train_run(cfg: RunConfig, out_dir) -> tuple[SegModel, dict]:
     for step in range(cfg.steps):
         lr = poly_lr(step, cfg.steps, cfg.lr0, cfg.poly_power)
         idx = rng.integers(0, len(train_samples), size=cfg.batch_size)
-        terms = []
+        batch, labels = [], []
         for i in idx:
             sample, lab = train_samples[i], labels_flat[i]
             if cfg.flip and rng.random() < 0.5:
-                flipped = flip_sample(sample)
-                sample = flipped
-                lab = patch_labels(flipped.labels, cfg.patch_size,
+                sample = flip_sample(sample)
+                lab = patch_labels(sample.labels, cfg.patch_size,
                                    cfg.num_classes).ravel()
-            res = model(Tensor(sample.image, dtype=dtype))
-            terms.append(cross_entropy(res.scores, lab))
-        loss = terms[0]
-        for t in terms[1:]:
-            loss = loss + t
-        loss = scale(loss, 1.0 / len(terms))
+            batch.append(sample)
+            labels.append(lab)
+        loss = cross_entropy(model(_images(batch, dtype)).scores, np.stack(labels))
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
             table = _param_norm_table(model)
@@ -175,10 +194,9 @@ def train_run(cfg: RunConfig, out_dir) -> tuple[SegModel, dict]:
         fh.write("\n".join(rows) + "\n")
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     save_model(ckpt_path, model)
-    final_report = evaluate_model(model, val_samples, dtype)
     summary = {
         "final_loss": loss_history[-1], "loss_history": loss_history,
-        "report": final_report, "ckpt": ckpt_path,
+        "report": report, "ckpt": ckpt_path,
         "train_samples": train_samples, "val_samples": val_samples,
         "labels_flat": labels_flat, "dtype": dtype,
     }
@@ -238,7 +256,8 @@ def dump_gates(ckpt_path, sample_path, out_dir) -> list[str]:
             f"model expects {cfg.height}x{cfg.width}"
         )
     dtype = np.float64 if cfg.precision == "double" else np.float32
-    res = model(Tensor(image, dtype=dtype))
+    with no_grad():
+        res = model(Tensor(image, dtype=dtype))
     os.makedirs(out_dir, exist_ok=True)
     gh, gw = model.target_grid
     written: list[str] = []

@@ -17,6 +17,9 @@ from tsgseg.tensor import (
     matmul,
     mul,
     narrow,
+    no_grad,
+    permute,
+    reshape,
     scale,
     softmax,
     take,
@@ -330,6 +333,101 @@ class TestTake:
             take(Tensor(np.zeros((2, 2))), np.array([4]))
 
 
+class TestReshapePermute:
+    def test_reshape_values_and_grad(self):
+        rng = np.random.default_rng(40)
+        x0 = rng.normal(size=(2, 6))
+        np.testing.assert_array_equal(reshape(Tensor(x0), (3, 4)).data, x0.reshape(3, 4))
+        w = rng.normal(size=(3, 4))
+        check_grad(lambda t: tsum(mul(reshape(t, (3, 4)), Tensor(w))), x0)
+
+    def test_reshape_size_mismatch(self):
+        with pytest.raises(ShapeError, match="reshape"):
+            reshape(Tensor(np.zeros((2, 3))), (4, 2))
+
+    def test_permute_acts_on_trailing_axes(self):
+        rng = np.random.default_rng(41)
+        x0 = rng.normal(size=(2, 3, 4, 5))
+        out = permute(Tensor(x0), (2, 0, 1))
+        np.testing.assert_array_equal(out.data, x0.transpose(0, 3, 1, 2))
+        assert out.data.flags["C_CONTIGUOUS"]
+        w = rng.normal(size=out.shape)
+        check_grad(lambda t: tsum(mul(permute(t, (2, 0, 1)), Tensor(w))), x0)
+
+    def test_permute_rejects_non_permutation(self):
+        with pytest.raises(ShapeError, match="permute"):
+            permute(Tensor(np.zeros((2, 3))), (0, 0))
+        with pytest.raises(ShapeError, match="permute"):
+            permute(Tensor(np.zeros((2, 3))), (2, 0, 1))
+
+
+class TestLeadingAxes:
+    """A stacked op equals the op applied to each sample; gradients through
+    the stacked op match finite differences."""
+
+    def test_matmul_broadcasts_leading_axes(self):
+        rng = np.random.default_rng(42)
+        a0 = rng.normal(size=(2, 3, 4, 5))
+        b0 = rng.normal(size=(3, 5, 2))
+        out = matmul(Tensor(a0), Tensor(b0)).data
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_allclose(out[i, j], a0[i, j] @ b0[j], atol=1e-12)
+        check_grad(lambda t: tsum(mul(matmul(t, Tensor(b0)), Tensor(out))), a0)
+        check_grad(lambda t: tsum(mul(matmul(Tensor(a0), t), Tensor(out))), b0)
+
+    def test_matmul_leading_axes_must_broadcast(self):
+        with pytest.raises(ShapeError):
+            matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 2))))
+
+    def test_transpose_swaps_last_two_axes(self):
+        x0 = np.random.default_rng(43).normal(size=(2, 3, 4))
+        np.testing.assert_array_equal(transpose(Tensor(x0)).data, x0.transpose(0, 2, 1))
+        check_grad(lambda t: tsum(mul(transpose(t), transpose(t))), x0)
+
+    def test_row_ops_match_per_sample(self):
+        rng = np.random.default_rng(44)
+        x0 = rng.normal(size=(3, 4, 5))
+        w0, b0 = rng.normal(size=(5, 2)), rng.normal(size=2)
+        g0, be0 = rng.normal(size=5), rng.normal(size=5)
+        ops = [
+            lambda t: linear(t, Tensor(w0), Tensor(b0)),
+            lambda t: layernorm(t, Tensor(g0), Tensor(be0)),
+            lambda t: softmax(t, axis=-1),
+            gelu,
+        ]
+        for op in ops:
+            batched = op(Tensor(x0)).data
+            for i in range(3):
+                np.testing.assert_allclose(batched[i], op(Tensor(x0[i])).data, atol=1e-12)
+            w = rng.normal(size=batched.shape)
+            check_grad(lambda t: tsum(mul(op(t), Tensor(w))), x0)
+        check_grad(lambda t: tsum(linear(Tensor(x0), t, Tensor(b0))), w0)
+        check_grad(lambda t: tsum(mul(layernorm(Tensor(x0), t, Tensor(be0)),
+                                      Tensor(x0))), g0)
+
+    def test_cross_entropy_is_mean_over_all_rows(self):
+        rng = np.random.default_rng(45)
+        x0 = rng.normal(size=(3, 4, 5))
+        labels = rng.integers(0, 5, size=(3, 4))
+        batched = float(cross_entropy(Tensor(x0), labels).data)
+        per_sample = [float(cross_entropy(Tensor(x0[i]), labels[i]).data) for i in range(3)]
+        np.testing.assert_allclose(batched, np.mean(per_sample), atol=1e-12)
+        check_grad(lambda t: cross_entropy(t, labels), x0)
+        with pytest.raises(ShapeError):
+            cross_entropy(Tensor(x0), labels.reshape(-1))
+
+    def test_upsample_rows_of_stacked_fields(self):
+        rng = np.random.default_rng(46)
+        x0 = rng.normal(size=(2, 3, 4, 5))
+        out = upsample_bilinear(Tensor(x0), (2, 2), (4, 4)).data
+        assert out.shape == (2, 3, 16, 5)
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_allclose(
+                    out[i, j], oracles.upsample_rows(x0[i, j], (2, 2), (4, 4)), atol=1e-12)
+
+
 class TestUpsampleBilinear:
     def test_identity_same_size(self):
         x = Tensor(np.arange(8.0).reshape(4, 2))
@@ -435,6 +533,16 @@ class TestBackward:
         with pytest.raises(ShapeError):
             Tensor(np.zeros(3), requires_grad=True).backward()
 
+    def test_second_backward_on_one_graph_doubles_leaf_grad(self):
+        # Intermediate grads are dropped once passed on, so the second call
+        # adds exactly what the first one did.
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        loss = tsum(mul(x, x))
+        loss.backward()
+        np.testing.assert_allclose(x.grad, [2.0, 4.0])
+        loss.backward()
+        np.testing.assert_allclose(x.grad, [4.0, 8.0])
+
     def test_accumulation_without_zeroing(self):
         x = Tensor(np.ones(3), requires_grad=True)
         tsum(x).backward()
@@ -453,3 +561,23 @@ class TestBackward:
         tsum(mul(x, c)).backward()
         np.testing.assert_allclose(x.grad, np.full(3, 2.0))
         assert c.grad is None
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with no_grad():
+            out = tsum(mul(linear(x, Tensor(np.ones((3, 2))), Tensor(np.zeros(2))),
+                           Tensor(np.ones((2, 2)))))
+        assert not out.requires_grad
+        assert out._children == () and out._backward is None
+        np.testing.assert_allclose(out.data, 12.0)
+        # recording resumes after the block
+        assert tsum(mul(x, x)).requires_grad
+
+    def test_state_restored_after_error(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("boom")
+        assert tsum(x).requires_grad

@@ -6,11 +6,14 @@ import os
 import numpy as np
 import pytest
 
+import tsgseg.train as train_module
 from tsgseg.checkpoint import save_model
 from tsgseg.config import format_config, load_config_file, model_config, resolve_config
+from tsgseg.decoder import logits_to_mask
 from tsgseg.model import build_model
 from tsgseg.netpbm import read_pgm
-from tsgseg.segbench import sample_seed, save_sample
+from tsgseg.segbench import confusion_matrix, iou_from_confusion, sample_seed, save_sample
+from tsgseg.tensor import Tensor
 from tsgseg.train import (
     ABLATE_HEADER,
     METRICS_HEADER,
@@ -107,6 +110,25 @@ class TestTrainRun:
         assert "parameter norms:" in report
         assert "decoder.queries" in report
 
+    def test_last_step_evaluates_once(self, tmp_path, monkeypatch):
+        # The in-loop report of the last step is the summary's report; the
+        # unchanged model is not scored a second time.
+        calls = []
+        real = train_module.evaluate_model
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "evaluate_model", counting)
+        cfg = tiny_config(steps=3, eval_interval=3)
+        model, summary = train_run(cfg, tmp_path)
+        assert len(calls) == 1
+        again = real(model, summary["val_samples"], summary["dtype"])
+        assert summary["report"] == again
+        last = (tmp_path / "metrics.csv").read_text().splitlines()[-1]
+        assert last.endswith(f",{summary['report']['mIoU']!r}")
+
     def test_flip_augmentation_changes_trajectory(self, tmp_path):
         plain = train_run(tiny_config(), tmp_path / "plain")[1]
         flipped = train_run(tiny_config(flip=True), tmp_path / "flip")[1]
@@ -148,6 +170,33 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="classes"):
             evaluate_model(model, samples)
 
+    def test_chunked_scoring_matches_one_image_at_a_time(self):
+        # Five images span a full chunk and a partial one; the pooled
+        # confusion must equal the one built from unbatched forwards.
+        cfg = tiny_config(val_samples=5)
+        model = build_model(model_config(cfg), seed=4)
+        rng = np.random.default_rng(0)
+        for p in model.parameters():  # break the uniform fresh-model scores
+            p.data = p.data + 0.2 * rng.standard_normal(p.shape)
+        samples = build_split(cfg, "val")
+        assert len(samples) > train_module.EVAL_CHUNK
+        conf = np.zeros((cfg.num_classes,) * 2, dtype=np.int64)
+        for s in samples:
+            mask = logits_to_mask(model(Tensor(s.image)).logits, s.labels.shape)
+            conf += confusion_matrix(mask, s.labels, cfg.num_classes)
+        per_class, mean = iou_from_confusion(conf)
+        report = evaluate_model(model, samples)
+        assert report["per_class"] == per_class
+        assert report["mIoU"] == mean
+
+    def test_mixed_image_sizes_rejected(self):
+        cfg = tiny_config()
+        model = build_model(model_config(cfg), seed=0)
+        samples = build_split(cfg, "val")
+        samples[1] = build_split(tiny_config(height=32, width=32), "val")[1]
+        with pytest.raises(ValueError, match="sizes"):
+            evaluate_model(model, samples)
+
     def test_patch_accuracy_fresh_model(self):
         cfg = tiny_config()
         from tsgseg.segbench import patch_labels
@@ -179,6 +228,10 @@ class TestEvaluateCheckpoint:
         assert len(class_lines) == cfg.num_classes
         for bucket in ("small", "medium", "large"):
             assert any(l.startswith(f"iou_{bucket},") for l in lines)
+        # every value is a plain number or empty (an absent class or bucket)
+        for line in lines[1:]:
+            _, value = line.split(",")
+            assert value == "" or np.isfinite(float(value)), line
 
     def test_missing_config_rejected(self, tmp_path):
         cfg = tiny_config()
