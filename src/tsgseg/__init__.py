@@ -8,16 +8,16 @@ CLI with ablation suites.
 
 from .tensor import ShapeError, Tensor
 from .module import Linear, LayerNorm, Mlp, Module, Parameter
-from .model import ModelConfig, SegModel, build_model
-from .segbench import DatasetConfig, SegSample, generate, miou, size_bucketed_iou
+from .model import SegModel, build_model
+from .segbench import SegSample, generate
 from .config import RunConfig, resolve_config
 from .train import ablate, evaluate_model, train_run
 
 __all__ = [
     "ShapeError", "Tensor",
     "Linear", "LayerNorm", "Mlp", "Module", "Parameter",
-    "ModelConfig", "SegModel", "build_model",
-    "DatasetConfig", "SegSample", "generate", "miou", "size_bucketed_iou",
+    "SegModel", "build_model",
+    "SegSample", "generate",
     "RunConfig", "resolve_config",
     "ablate", "evaluate_model", "train_run",
 ]

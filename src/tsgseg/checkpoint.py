@@ -9,6 +9,7 @@ model round-trips bit-identically only after its first save/load.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -34,36 +35,41 @@ def save_checkpoint(path, named_arrays: dict[str, np.ndarray]) -> None:
             fh.write(arr.tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return data
-
-
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
+    """Parse a checkpoint. Every length in a header is checked against the
+    bytes left in the file before anything is allocated for it."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError(
-                f"bad magic {magic!r}: not a checkpoint or unsupported version"
-            )
-        while True:
-            head = fh.read(8)
-            if not head:
-                break
-            if len(head) != 8:
-                raise CheckpointError("truncated checkpoint while reading name length")
-            (name_len,) = struct.unpack("<Q", head)
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
-            (rank,) = struct.unpack("<Q", _read_exact(fh, 8, f"rank of {name}"))
-            dims = struct.unpack(
-                f"<{rank}Q", _read_exact(fh, 8 * rank, f"dims of {name}")
-            )
-            count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            raw = _read_exact(fh, 4 * count, f"values of {name}")
+        data = memoryview(fh.read())
+    if data[:len(MAGIC)] != MAGIC:
+        raise CheckpointError(
+            f"bad magic {bytes(data[:len(MAGIC)])!r}: not a checkpoint or unsupported version"
+        )
+    pos = len(MAGIC)
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal pos
+        if n > len(data) - pos:
+            raise CheckpointError(f"truncated checkpoint while reading {what}")
+        pos += n
+        return data[pos - n:pos]
+
+    def u64s(count: int, what: str) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}Q", take(8 * count, what))
+
+    out: dict[str, np.ndarray] = {}
+    while pos < len(data):
+        (name_len,) = u64s(1, "name length")
+        try:
+            name = str(take(name_len, "name"), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"parameter name is not UTF-8: {exc}") from None
+        (rank,) = u64s(1, f"rank of {name}")
+        dims = u64s(rank, f"dims of {name}")
+        raw = take(4 * math.prod(dims), f"values of {name}")
+        try:
             out[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        except (ValueError, OverflowError) as exc:  # empty arrays with huge dims
+            raise CheckpointError(f"bad dims {dims} of {name}: {exc}") from None
     return out
 
 

@@ -13,7 +13,7 @@ import os
 import sys
 
 from .config import load_config_file, resolve_config
-from .segbench import DatasetConfig, generate, sample_seed, save_sample
+from .segbench import generate, sample_seed, save_sample
 from .train import ablate, dump_gates, evaluate_checkpoint, train_run
 
 
@@ -32,7 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--preset", choices=("desk", "paper"), default="desk")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
 
@@ -60,22 +59,16 @@ def main(argv=None) -> int:
 
     if args.command == "gen-data":
         overrides = load_config_file(args.config) if args.config else {}
-        cfg = resolve_config("desk", overrides)
-        dcfg = DatasetConfig(
-            height=cfg.height, width=cfg.width, num_classes=cfg.num_classes,
-            n_objects_range=(cfg.n_objects_min, cfg.n_objects_max),
-            size_mix=tuple(cfg.size_mix), noise=cfg.noise,
-        )
+        cfg = resolve_config(overrides=overrides)
         os.makedirs(args.out, exist_ok=True)
         for i in range(args.count):
-            save_sample(args.out, i, generate(sample_seed(args.seed, i), dcfg))
+            save_sample(args.out, i, generate(sample_seed(args.seed, i), cfg))
         print(f"wrote {args.count} samples to {args.out}")
         return 0
 
     if args.command == "train":
         overrides = load_config_file(args.config) if args.config else {}
-        preset = overrides.pop("preset", args.preset)
-        cfg = resolve_config(preset, overrides, seed=args.seed)
+        cfg = resolve_config(overrides=overrides, seed=args.seed)
         _, summary = train_run(cfg, args.out)
         report = summary["report"]
         print(f"final loss {summary['final_loss']:.4f}  "

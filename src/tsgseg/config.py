@@ -1,30 +1,39 @@
-"""Run configuration: presets, a strict flat key=value format, persistence.
+"""Run configuration: the one settings class, a strict flat key=value format,
+persistence.
 
 Config files hold one ``key = value`` per line with ``#`` comments. Every
 key must be a known RunConfig field; anything else is rejected so typos
 cannot silently fall back to defaults. The resolved configuration is
 written next to every run's outputs in the same format it is read from.
 
-Two presets ship: ``desk`` (small enough to train on a laptop CPU in
-minutes) and ``paper`` (full-scale configuration; documented reference
-only, far too heavy for the test suite). Paper-scale entries that no
-published recipe pins (step budget, batch size, image size) are explicit
-placeholders.
+``RunConfig`` is read directly by the model, the dataset generator and the
+training loop. It is frozen and checks itself when built, so every
+RunConfig that exists describes a model, a dataset and a loop that can run.
+
+One preset ships: ``desk``, small enough to train on a laptop CPU in
+minutes. Published-scale settings are not offered: global attention over
+the finest stage of a 512x512 image needs over a gigabyte per head per
+attention map, and the gate integrators widen with image area.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .model import ModelConfig
-from .segbench import DatasetConfig
+import numpy as np
+
+from .decoder import DECODER_FUSIONS
+from .encoder import FUSION_KINDS
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
-@dataclass
+PRESETS = ("desk",)
+
+
+@dataclass(frozen=True)
 class RunConfig:
     preset: str = "desk"
     seed: int = 0
@@ -42,9 +51,9 @@ class RunConfig:
     tsg_hidden: int = 64
     decoder_blocks: int = 3
     decoder_heads: int = 4
-    num_classes: int = 5
-    encoder_fusion: str = "tsg"
-    decoder_fusion: str = "tsg"
+    num_classes: int = 5  # includes background class 0
+    encoder_fusion: str = "tsg"  # tsg | fpn | none | single
+    decoder_fusion: str = "tsg"  # tsg | sum
     single_stage: int | None = None
     shared_tsg: bool = False
     integration_bias: bool = True
@@ -55,7 +64,7 @@ class RunConfig:
     n_objects_min: int = 2
     n_objects_max: int = 5
     noise: float = 0.04
-    size_mix: tuple[float, float, float] = (0.45, 0.2, 0.35)
+    size_mix: tuple[float, float, float] = (0.45, 0.2, 0.35)  # small, medium, large
     flip: bool = False
     # optimization
     steps: int = 600
@@ -66,21 +75,75 @@ class RunConfig:
     precision: str = "double"  # double | single
     eval_interval: int = 100
 
+    def __post_init__(self):
+        if self.preset not in PRESETS:
+            raise ConfigError(f"unknown preset {self.preset!r} (choose from {PRESETS})")
+        if self.precision not in ("double", "single"):
+            raise ConfigError(
+                f"precision must be double or single, got {self.precision!r}")
+        for key in ("steps", "batch_size", "eval_interval", "patch_size"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        for key in ("seed", "data_seed"):  # numpy seeds and Philox keys are non-negative
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
+        if not len(self.stage_dims) == len(self.stage_heads) == len(self.stage_blocks):
+            raise ConfigError("stage_dims, stage_heads, stage_blocks must have equal length")
+        if not self.stage_dims:
+            raise ConfigError("stage_dims must list at least one stage")
+        div = self.patch_size * 2 ** (self.num_stages - 1)
+        for key in ("height", "width"):
+            if getattr(self, key) < div or getattr(self, key) % div:
+                raise ConfigError(
+                    f"{key} {getattr(self, key)} must be a positive multiple of {div} "
+                    f"(patch_size {self.patch_size} with {self.num_stages} stages)")
+        for s, (dim, heads) in enumerate(zip(self.stage_dims, self.stage_heads)):
+            if heads < 1 or dim % heads:
+                raise ConfigError(
+                    f"stage_heads: stage {s + 1} width {dim} does not divide "
+                    f"into {heads} heads")
+        if self.decoder_heads < 1 or self.d_f % self.decoder_heads:
+            raise ConfigError(
+                f"decoder_heads: d_f {self.d_f} does not divide into "
+                f"{self.decoder_heads} heads")
+        if self.num_classes < 2:
+            raise ConfigError(
+                f"num_classes must be at least 2 (background plus one object "
+                f"class), got {self.num_classes}")
+        if self.encoder_fusion not in FUSION_KINDS:
+            raise ConfigError(
+                f"encoder_fusion must be one of {FUSION_KINDS}, got {self.encoder_fusion!r}")
+        if self.decoder_fusion not in DECODER_FUSIONS:
+            raise ConfigError(
+                f"decoder_fusion must be one of {DECODER_FUSIONS}, "
+                f"got {self.decoder_fusion!r}")
+        if self.encoder_fusion == "single" and self.single_stage is None:
+            raise ConfigError("encoder_fusion=single requires single_stage")
+        if self.encoder_fusion == "single" and not 1 <= self.single_stage <= self.num_stages:
+            raise ConfigError(
+                f"single_stage must be in [1, {self.num_stages}], got {self.single_stage}")
+        if self.n_objects_min > self.n_objects_max:
+            raise ConfigError("n_objects_min exceeds n_objects_max")
+        if (len(self.size_mix) != 3 or min(self.size_mix) < 0
+                or abs(sum(self.size_mix) - 1.0) > 1e-9):
+            raise ConfigError(
+                f"size_mix must be 3 non-negative weights (small, medium, large) "
+                f"summing to 1, got {self.size_mix}")
 
-_PAPER_OVERRIDES = {
-    # placeholders: height/width, stage layout, steps, batch_size
-    "height": 512, "width": 512, "patch_size": 4,
-    "stage_dims": (96, 192, 384, 768), "stage_heads": (3, 6, 12, 24),
-    "stage_blocks": (2, 2, 6, 2), "mlp_ratio": 4.0,
-    "d_f": 512, "d_a": 512, "tsg_hidden": 512,
-    "decoder_blocks": 3, "decoder_heads": 8, "num_classes": 150,
-    "steps": 160000, "batch_size": 16,
-    "lr0": 6e-5, "weight_decay": 0.01, "poly_power": 0.9,
-    "precision": "single", "eval_interval": 2000,
-    "train_samples": 20000, "val_samples": 2000,
-}
+    @property
+    def num_stages(self) -> int:
+        return len(self.stage_dims)
 
-PRESETS = ("desk", "paper")
+    def stage_grids(self) -> list[tuple[int, int]]:
+        """Patch grid of every backbone stage, finest first."""
+        h = self.height // self.patch_size
+        w = self.width // self.patch_size
+        return [(h >> s, w >> s) for s in range(self.num_stages)]
+
+    @property
+    def dtype(self):
+        return np.float64 if self.precision == "double" else np.float32
+
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
 
@@ -96,8 +159,7 @@ def _parse_bool(text: str) -> bool:
 
 def _convert(key: str, text: str):
     text = text.strip()
-    f = _FIELDS[key]
-    tp = f.type
+    tp = _FIELDS[key].type
     if key == "single_stage":
         return None if text.lower() in ("none", "") else int(text)
     if tp == "int":
@@ -134,36 +196,24 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def resolve_config(preset: str = "desk", overrides: dict[str, str] | None = None,
+def resolve_config(preset: str = "desk", overrides: dict | None = None,
                    seed: int | None = None) -> RunConfig:
-    """Preset defaults plus overrides, fully typed and validated."""
-    if preset not in PRESETS:
-        raise ConfigError(f"unknown preset {preset!r} (choose from {PRESETS})")
-    cfg = RunConfig(preset=preset)
-    if preset == "paper":
-        for key, value in _PAPER_OVERRIDES.items():
-            setattr(cfg, key, value)
+    """Preset defaults plus overrides, fully typed and validated.
+
+    String overrides are converted to the field's type; other values are
+    taken as they are. ``seed`` wins over an override of the same key.
+    """
+    values = {"preset": preset}
     for key, text in (overrides or {}).items():
         if key not in _FIELDS:
             raise ConfigError(f"unknown key {key!r}")
-        setattr(cfg, key, _convert(key, text) if isinstance(text, str) else text)
+        try:
+            values[key] = _convert(key, text) if isinstance(text, str) else text
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
     if seed is not None:
-        cfg.seed = seed
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    if cfg.precision not in ("double", "single"):
-        raise ConfigError(f"precision must be double or single, got {cfg.precision!r}")
-    if not len(cfg.stage_dims) == len(cfg.stage_heads) == len(cfg.stage_blocks):
-        raise ConfigError("stage_dims, stage_heads, stage_blocks must have equal length")
-    if cfg.encoder_fusion == "single" and cfg.single_stage is None:
-        raise ConfigError("encoder_fusion=single requires single_stage")
-    if cfg.n_objects_min > cfg.n_objects_max:
-        raise ConfigError("n_objects_min exceeds n_objects_max")
-    if cfg.batch_size < 1 or cfg.steps < 1:
-        raise ConfigError("batch_size and steps must be positive")
+        values["seed"] = seed
+    return RunConfig(**values)
 
 
 def _format_value(value) -> str:
@@ -187,23 +237,11 @@ def load_config_file(path) -> dict[str, str]:
         return parse_config_text(fh.read())
 
 
-def model_config(cfg: RunConfig) -> ModelConfig:
-    return ModelConfig(
-        image_hw=(cfg.height, cfg.width), patch_size=cfg.patch_size,
-        stage_dims=tuple(cfg.stage_dims), stage_heads=tuple(cfg.stage_heads),
-        stage_blocks=tuple(cfg.stage_blocks), positional=cfg.positional,
-        mlp_ratio=cfg.mlp_ratio, d_f=cfg.d_f, d_a=cfg.d_a,
-        tsg_hidden=cfg.tsg_hidden, decoder_blocks=cfg.decoder_blocks,
-        decoder_heads=cfg.decoder_heads, num_classes=cfg.num_classes,
-        encoder_fusion=cfg.encoder_fusion, decoder_fusion=cfg.decoder_fusion,
-        single_stage=cfg.single_stage, shared_tsg=cfg.shared_tsg,
-        integration_bias=cfg.integration_bias,
-    )
+def model_config(cfg: RunConfig) -> RunConfig:
+    """The settings a model is built from: the run config itself."""
+    return cfg
 
 
-def dataset_config(cfg: RunConfig) -> DatasetConfig:
-    return DatasetConfig(
-        height=cfg.height, width=cfg.width, num_classes=cfg.num_classes,
-        n_objects_range=(cfg.n_objects_min, cfg.n_objects_max),
-        size_mix=tuple(cfg.size_mix), noise=cfg.noise,
-    )
+def dataset_config(cfg: RunConfig) -> RunConfig:
+    """The settings a dataset is drawn from: the run config itself."""
+    return cfg

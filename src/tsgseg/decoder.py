@@ -17,23 +17,9 @@ import numpy as np
 from .attention import AttentionBundle, DecoderBlock, MhaConfig
 from .module import Module, Parameter
 from .scale_gate import ScaleGates, TsgHead, gated_sum
-from .tensor import ShapeError, Tensor, matmul, scale, softmax, transpose, upsample_bilinear
+from .tensor import ShapeError, Tensor, matmul, scale, transpose, upsample_bilinear
 
 DECODER_FUSIONS = ("tsg", "sum")
-
-
-@dataclass
-class QuerySet:
-    """One learnable token per class; token c scores patches for class c."""
-
-    tokens: Tensor  # C x d
-    class_ids: list[int]
-
-    def __post_init__(self):
-        if self.tokens.shape[0] != len(self.class_ids):
-            raise ShapeError(
-                f"{self.tokens.shape[0]} query tokens for {len(self.class_ids)} classes"
-            )
 
 
 @dataclass
@@ -119,9 +105,6 @@ class Decoder(Module):
                     for _ in range(num_blocks - 1)
                 ]
 
-    def query_set(self) -> QuerySet:
-        return QuerySet(tokens=self.queries, class_ids=list(range(self.num_classes)))
-
     def __call__(self, features, target_grid: tuple[int, int], forced_gates=None):
         """Run all blocks; return final queries, per-block gates, last memory.
 
@@ -164,11 +147,6 @@ def predict_scores(f_dec_last: Tensor, y: Tensor) -> Tensor:
             f"feature width {f_dec_last.shape[-1]} != query width {y.shape[-1]}"
         )
     return scale(matmul(f_dec_last, transpose(y)), 1.0 / np.sqrt(y.shape[-1]))
-
-
-def predict(f_dec_last: Tensor, y: Tensor, spatial: tuple[int, int]) -> SegLogits:
-    """Score every patch against every class: softmax(F Y^T / sqrt(d))."""
-    return SegLogits(p=softmax(predict_scores(f_dec_last, y), axis=-1), spatial=spatial)
 
 
 def logits_to_mask(p: SegLogits, image_size: tuple[int, int]) -> np.ndarray:

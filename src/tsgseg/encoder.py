@@ -18,7 +18,8 @@ compatible with the gated model:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,6 +27,9 @@ from .attention import AttentionBundle, EncoderBlock, MhaConfig
 from .module import Linear, Module, Parameter
 from .scale_gate import ScaleGates, TsgHead, gated_sum
 from .tensor import ShapeError, Tensor, permute, reshape, upsample_bilinear
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 FUSION_KINDS = ("tsg", "fpn", "none", "single")
 
@@ -48,28 +52,6 @@ class FeatureMap:
     @property
     def grid(self) -> tuple[int, int]:
         return self.h, self.w
-
-
-@dataclass
-class StageSpec:
-    blocks: int
-    dim: int
-    heads: int
-
-
-@dataclass
-class EncoderConfig:
-    patch_size: int = 4
-    stages: list[StageSpec] = field(default_factory=list)
-    positional: bool = True
-    mlp_ratio: float = 2.0
-
-    @property
-    def num_stages(self) -> int:
-        return len(self.stages)
-
-    def required_divisor(self) -> int:
-        return self.patch_size * 2 ** (self.num_stages - 1)
 
 
 def _cells_to_rows(x: Tensor, lead: tuple[int, ...], h: int, w: int, k: int) -> Tensor:
@@ -139,34 +121,28 @@ class PatchMerge(Module):
 
 
 class Backbone(Module):
-    """Stage pyramid producing per-stage features and final attention maps."""
+    """Stage pyramid producing per-stage features and final attention maps.
 
-    def __init__(self, cfg: EncoderConfig, image_hw: tuple[int, int],
-                 rng: np.random.Generator, dtype=np.float64):
-        h, w = image_hw
-        div = cfg.required_divisor()
-        if h % div or w % div:
-            raise ShapeError(
-                f"backbone: image {h}x{w} must be divisible by {div} "
-                f"(patch {cfg.patch_size} with {cfg.num_stages} stages)"
-            )
-        self.cfg = cfg
-        self.image_hw = image_hw
-        grid = (h // cfg.patch_size, w // cfg.patch_size)
-        self.embed = PatchEmbed(cfg.patch_size, cfg.stages[0].dim, grid, rng,
-                                cfg.positional, dtype)
+    Built from the run config's first ``num_stages`` stages; the config
+    guarantees that its image size halves cleanly through all of them.
+    """
+
+    def __init__(self, cfg: RunConfig, num_stages: int, rng: np.random.Generator,
+                 dtype=np.float64):
+        if not 1 <= num_stages <= cfg.num_stages:
+            raise ValueError(f"backbone: cannot keep {num_stages} of {cfg.num_stages} stages")
+        dims = cfg.stage_dims[:num_stages]
+        grid = cfg.stage_grids()[0]
+        self.embed = PatchEmbed(cfg.patch_size, dims[0], grid, rng, cfg.positional, dtype)
         self.stages: list[list[EncoderBlock]] = []
         self.merges: list[PatchMerge] = []
-        for s, spec in enumerate(cfg.stages):
-            mha = MhaConfig(heads=spec.heads, model_dim=spec.dim)
-            mlp_dim = max(1, int(round(spec.dim * cfg.mlp_ratio)))
-            self.stages.append(
-                [EncoderBlock(mha, mlp_dim, rng, dtype) for _ in range(spec.blocks)]
-            )
-            if s + 1 < cfg.num_stages:
-                self.merges.append(
-                    PatchMerge(spec.dim, cfg.stages[s + 1].dim, rng, dtype)
-                )
+        for s, (blocks, dim, heads) in enumerate(
+                zip(cfg.stage_blocks, dims, cfg.stage_heads)):
+            mha = MhaConfig(heads=heads, model_dim=dim)
+            mlp_dim = max(1, int(round(dim * cfg.mlp_ratio)))
+            self.stages.append([EncoderBlock(mha, mlp_dim, rng, dtype) for _ in range(blocks)])
+            if s + 1 < num_stages:
+                self.merges.append(PatchMerge(dim, dims[s + 1], rng, dtype))
 
     def __call__(self, image: Tensor) -> tuple[list[FeatureMap], list[AttentionBundle]]:
         fm = self.embed(image)

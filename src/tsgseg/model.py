@@ -1,6 +1,6 @@
 """Full segmentation model: backbone, cross-scale fusion, query decoder.
 
-``ModelConfig`` pins every structural choice, including the fusion variant
+The run config pins every structural choice, including the fusion variant
 pair used by the ablation baselines. Models are built for one image size:
 the gate heads consume flattened attention maps whose width depends on the
 patch grid.
@@ -12,52 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .decoder import Decoder, SegLogits, predict_scores
-from .encoder import (
-    Backbone,
-    EncoderConfig,
-    StageSpec,
-    TsgeFusion,
-    attention_map_widths,
-)
+from .encoder import Backbone, TsgeFusion, attention_map_widths
 from .module import Module
 from .scale_gate import ScaleGates
 from .tensor import ShapeError, Tensor, softmax
-
-
-@dataclass
-class ModelConfig:
-    image_hw: tuple[int, int] = (64, 64)
-    patch_size: int = 4
-    stage_dims: tuple[int, ...] = (32, 64, 128)
-    stage_heads: tuple[int, ...] = (2, 4, 4)
-    stage_blocks: tuple[int, ...] = (1, 1, 1)
-    positional: bool = True
-    mlp_ratio: float = 2.0
-    d_f: int = 64
-    d_a: int = 64
-    tsg_hidden: int = 64
-    decoder_blocks: int = 3
-    decoder_heads: int = 4
-    num_classes: int = 5
-    encoder_fusion: str = "tsg"  # tsg | fpn | none | single
-    decoder_fusion: str = "tsg"  # tsg | sum
-    single_stage: int | None = None
-    shared_tsg: bool = False
-    integration_bias: bool = True
-
-    def __post_init__(self):
-        if not len(self.stage_dims) == len(self.stage_heads) == len(self.stage_blocks):
-            raise ValueError("stage_dims, stage_heads, stage_blocks must align")
-
-    @property
-    def num_stages(self) -> int:
-        return len(self.stage_dims)
-
-    def stage_grids(self) -> list[tuple[int, int]]:
-        h = self.image_hw[0] // self.patch_size
-        w = self.image_hw[1] // self.patch_size
-        return [(h >> s, w >> s) for s in range(self.num_stages)]
 
 
 @dataclass
@@ -76,21 +36,10 @@ class SegModel(Module):
     unchanged and no parameter sits outside the gradient path.
     """
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator, dtype=np.float64):
         self.cfg = cfg
-        used = cfg.num_stages
-        if cfg.encoder_fusion == "single":
-            if cfg.single_stage is None:
-                raise ValueError("single-scale model needs single_stage set")
-            used = cfg.single_stage
-        specs = [
-            StageSpec(blocks=b, dim=d, heads=h)
-            for b, d, h in zip(cfg.stage_blocks[:used], cfg.stage_dims[:used],
-                               cfg.stage_heads[:used])
-        ]
-        enc_cfg = EncoderConfig(patch_size=cfg.patch_size, stages=specs,
-                                positional=cfg.positional, mlp_ratio=cfg.mlp_ratio)
-        self.backbone = Backbone(enc_cfg, cfg.image_hw, rng, dtype)
+        used = cfg.single_stage if cfg.encoder_fusion == "single" else cfg.num_stages
+        self.backbone = Backbone(cfg, used, rng, dtype)
         grids = cfg.stage_grids()[:used]
         widths = attention_map_widths(grids, list(cfg.stage_heads[:used]))
         self.fusion = TsgeFusion(
@@ -126,7 +75,7 @@ class SegModel(Module):
                              decoder_gates=dec_gates)
 
 
-def build_model(cfg: ModelConfig, seed: int, dtype=np.float64) -> SegModel:
+def build_model(cfg: RunConfig, seed: int, dtype=np.float64) -> SegModel:
     return SegModel(cfg, np.random.default_rng(seed), dtype)
 
 

@@ -9,7 +9,6 @@ format keys on, so attribute names double as the persistence schema.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
@@ -120,28 +119,3 @@ class Mlp(Module):
         from .tensor import gelu
 
         return self.fc2(gelu(self.fc1(x)))
-
-
-def iter_modules(root: Module) -> Iterator[Module]:
-    """Depth-first walk over unique child modules, root included."""
-    seen: set[int] = set()
-    stack = [root]
-    while stack:
-        m = stack.pop()
-        if id(m) in seen:
-            continue
-        seen.add(id(m))
-        yield m
-        for value in vars(m).values():
-            stack.extend(_child_modules(value))
-
-
-def _child_modules(value) -> list[Module]:
-    if isinstance(value, Module):
-        return [value]
-    if isinstance(value, (list, tuple)):
-        out: list[Module] = []
-        for item in value:
-            out.extend(_child_modules(item))
-        return out
-    return []

@@ -29,35 +29,36 @@ def write_pgm(path, gray: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
-def _read_header(fh, magic: bytes):
-    if fh.read(2) != magic:
-        raise NetpbmError(f"bad magic, expected {magic.decode()}")
-    fields = []
-    while len(fields) < 3:
-        line = fh.readline()
-        if not line:
-            raise NetpbmError("truncated header")
-        text = line.split(b"#", 1)[0]
-        fields.extend(int(tok) for tok in text.split())
-    w, h, maxval = fields[:3]
+def _read(path, magic: bytes, channels: int) -> np.ndarray:
+    """Header, then exactly the pixel bytes it announces; sizes are checked
+    against the bytes in the file before the array is built."""
+    with open(path, "rb") as fh:
+        if fh.read(2) != magic:
+            raise NetpbmError(f"bad magic, expected {magic.decode()}")
+        fields: list[bytes] = []
+        while len(fields) < 3:
+            line = fh.readline()
+            if not line:
+                raise NetpbmError("truncated header")
+            fields.extend(line.split(b"#", 1)[0].split())
+        raw = fh.read()
+    if not all(tok.isdigit() for tok in fields[:3]):
+        raise NetpbmError(f"header sizes must be non-negative integers, got {fields[:3]}")
+    w, h, maxval = (int(tok) for tok in fields[:3])
     if maxval != 255:
         raise NetpbmError(f"unsupported maxval {maxval}")
-    return w, h
+    if w < 1 or h < 1:
+        raise NetpbmError(f"image size {w}x{h} must be positive")
+    need = w * h * channels
+    if len(raw) < need:
+        raise NetpbmError("truncated pixel data")
+    shape = (h, w, channels) if channels > 1 else (h, w)
+    return np.frombuffer(raw[:need], dtype=np.uint8).reshape(shape)
 
 
 def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        w, h = _read_header(fh, b"P6")
-        raw = fh.read(w * h * 3)
-    if len(raw) != w * h * 3:
-        raise NetpbmError("truncated pixel data")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
+    return _read(path, b"P6", 3)
 
 
 def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        w, h = _read_header(fh, b"P5")
-        raw = fh.read(w * h)
-    if len(raw) != w * h:
-        raise NetpbmError("truncated pixel data")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w)
+    return _read(path, b"P5", 1)

@@ -38,10 +38,6 @@ class ScaleGates:
     gates: Tensor
     num_scales: int
 
-    def column(self, s: int) -> Tensor:
-        """The s-th scale's gate as an N x 1 column, for broadcasting."""
-        return narrow(self.gates, -1, s, 1)
-
 
 class TsgHead(Module):
     """Gate head: per-source integration linears, then norm -> MLP -> softmax.

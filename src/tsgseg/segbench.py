@@ -9,9 +9,9 @@ rendered labels can be re-derived from meta alone.
 Generation is keyed by a counter-based RNG, so a sample's content depends
 only on (seed, config), never on how many samples were drawn before it.
 
-The metrics here are plain confusion-matrix IoU plus a size-bucketed
-variant that restricts scoring to pixels owned by small, medium, or large
-objects, which is what the scale-ablation report is built on.
+The metrics here are plain confusion-matrix IoU plus the per-bucket pixel
+masks (pixels owned by small, medium, or large objects) that the
+size-bucketed columns of every evaluation report are scored on.
 """
 
 from __future__ import annotations
@@ -24,28 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 
 BUCKETS = ("small", "medium", "large")
 SMALL_FRAC = 0.03  # object area <= 3% of the image counts as small
 LARGE_FRAC = 0.20  # >= 20% counts as large
-
-
-@dataclass
-class DatasetConfig:
-    height: int = 64
-    width: int = 64
-    num_classes: int = 5  # includes background class 0
-    n_objects_range: tuple[int, int] = (2, 5)
-    size_mix: tuple[float, float, float] = (0.45, 0.2, 0.35)  # small, medium, large
-    noise: float = 0.04
-    max_retries: int = 10
-
-    def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError("need at least background plus one object class")
-        if abs(sum(self.size_mix) - 1.0) > 1e-9:
-            raise ValueError("size_mix must sum to 1")
+MAX_RETRIES = 10  # placement attempts per object before it is dropped
 
 
 @dataclass
@@ -91,7 +76,7 @@ def area_bucket(pixels: int, hw: tuple[int, int]) -> str:
     return "medium"
 
 
-def _draw_object(rng, cfg: DatasetConfig) -> dict | None:
+def _draw_object(rng, cfg: RunConfig) -> dict | None:
     """Sample one object's geometry; None when it cannot fit."""
     h, w = cfg.height, cfg.width
     cls = int(rng.integers(1, cfg.num_classes))
@@ -127,7 +112,7 @@ def _draw_object(rng, cfg: DatasetConfig) -> dict | None:
     return obj
 
 
-def generate(seed: int, cfg: DatasetConfig | None = None) -> SegSample:
+def generate(seed: int, cfg: RunConfig | None = None) -> SegSample:
     """Render one sample, fully determined by (seed, cfg).
 
     Larger objects are painted first, so smaller ones stay visible on top;
@@ -135,18 +120,18 @@ def generate(seed: int, cfg: DatasetConfig | None = None) -> SegSample:
     earlier ones). Objects that cannot fit after bounded retries are
     dropped and counted in ``meta["dropped"]``.
     """
-    cfg = cfg or DatasetConfig()
+    cfg = cfg or RunConfig()
     h, w = cfg.height, cfg.width
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     base_gray = rng.uniform(0.15, 0.35)
     grad = rng.uniform(-0.12, 0.12, size=2)
-    n_objects = int(rng.integers(cfg.n_objects_range[0], cfg.n_objects_range[1] + 1))
+    n_objects = int(rng.integers(cfg.n_objects_min, cfg.n_objects_max + 1))
     objects: list[dict] = []
     dropped = 0
     for _ in range(n_objects):
         obj = None
-        for _ in range(cfg.max_retries):
+        for _ in range(MAX_RETRIES):
             obj = _draw_object(rng, cfg)
             if obj is not None:
                 break
@@ -246,12 +231,6 @@ def iou_from_confusion(counts: np.ndarray) -> tuple[list, float]:
     return per_class, mean
 
 
-def miou(pred: np.ndarray, gt: np.ndarray, num_classes: int,
-         ignore_index: int | None = None) -> tuple[list, float]:
-    """Mean IoU over classes present in gt or pred; absent classes are None."""
-    return iou_from_confusion(confusion_matrix(pred, gt, num_classes, ignore_index))
-
-
 def bucket_masks(meta: dict) -> dict[str, np.ndarray]:
     """Pixel masks owned by the topmost object of each size bucket."""
     ids = id_map(meta)
@@ -259,19 +238,6 @@ def bucket_masks(meta: dict) -> dict[str, np.ndarray]:
     for i, obj in enumerate(meta["objects"]):
         buckets[obj["bucket"]] |= ids == i + 1
     return buckets
-
-
-def size_bucketed_iou(pred: np.ndarray, gt: np.ndarray, meta: dict) -> dict:
-    """Mean IoU restricted to each bucket's pixels; None for empty buckets."""
-    out: dict = {}
-    for bucket, mask in bucket_masks(meta).items():
-        if not mask.any():
-            out[bucket] = None
-            continue
-        num_classes = meta["num_classes"]
-        _, mean = miou(pred[mask], gt[mask], num_classes)
-        out[bucket] = mean
-    return out
 
 
 def patch_labels(labels: np.ndarray, patch: int, num_classes: int) -> np.ndarray:

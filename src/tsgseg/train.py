@@ -10,18 +10,12 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .checkpoint import load_model, save_model
-from .config import (
-    RunConfig,
-    dataset_config,
-    format_config,
-    load_config_file,
-    model_config,
-    resolve_config,
-)
+from .config import RunConfig, format_config, load_config_file, resolve_config
 from .decoder import logits_to_mask
 from .model import SegModel, build_model
 from .netpbm import read_ppm, write_pgm
@@ -55,14 +49,13 @@ EVAL_CHUNK = 4
 
 def build_split(cfg: RunConfig, split: str) -> list[SegSample]:
     """Deterministic train/val samples; val indices follow the train block."""
-    dcfg = dataset_config(cfg)
     if split == "train":
         lo, hi = 0, cfg.train_samples
     elif split == "val":
         lo, hi = cfg.train_samples, cfg.train_samples + cfg.val_samples
     else:
         raise ValueError(f"unknown split {split!r}")
-    return [generate(sample_seed(cfg.data_seed, i), dcfg) for i in range(lo, hi)]
+    return [generate(sample_seed(cfg.data_seed, i), cfg) for i in range(lo, hi)]
 
 
 def _patch_label_cache(samples: list[SegSample], patch: int, num_classes: int):
@@ -144,8 +137,8 @@ def train_run(cfg: RunConfig, out_dir) -> tuple[SegModel, dict]:
     of the last step, which always evaluates, is the summary's report.
     """
     os.makedirs(out_dir, exist_ok=True)
-    dtype = np.float64 if cfg.precision == "double" else np.float32
-    model = build_model(model_config(cfg), seed=cfg.seed, dtype=dtype)
+    dtype = cfg.dtype
+    model = build_model(cfg, seed=cfg.seed, dtype=dtype)
     train_samples = build_split(cfg, "train")
     val_samples = build_split(cfg, "val")
     labels_flat = _patch_label_cache(train_samples, cfg.patch_size, cfg.num_classes)
@@ -210,11 +203,8 @@ def _load_run_model(ckpt_path) -> tuple[SegModel, RunConfig]:
         raise FileNotFoundError(
             f"no config.resolved next to {ckpt_path}; cannot rebuild the model"
         )
-    raw = load_config_file(cfg_path)
-    preset = raw.pop("preset", "desk")
-    cfg = resolve_config(preset, raw)
-    dtype = np.float64 if cfg.precision == "double" else np.float32
-    model = build_model(model_config(cfg), seed=cfg.seed, dtype=dtype)
+    cfg = resolve_config(overrides=load_config_file(cfg_path))
+    model = build_model(cfg, seed=cfg.seed, dtype=cfg.dtype)
     load_model(ckpt_path, model)
     return model, cfg
 
@@ -226,8 +216,7 @@ def evaluate_checkpoint(ckpt_path, data_dir, report_path) -> dict:
     if n == 0:
         raise ValueError(f"no samples found in {data_dir}")
     samples = [load_sample(data_dir, i) for i in range(n)]
-    dtype = np.float64 if cfg.precision == "double" else np.float32
-    report = evaluate_model(model, samples, dtype)
+    report = evaluate_model(model, samples, cfg.dtype)
     lines = ["metric,value", f"mIoU,{report['mIoU']!r}"]
     for c, iou in enumerate(report["per_class"]):
         lines.append(f"iou_class_{c},{'' if iou is None else repr(iou)}")
@@ -255,9 +244,8 @@ def dump_gates(ckpt_path, sample_path, out_dir) -> list[str]:
             f"sample is {image.shape[0]}x{image.shape[1]}, "
             f"model expects {cfg.height}x{cfg.width}"
         )
-    dtype = np.float64 if cfg.precision == "double" else np.float32
     with no_grad():
-        res = model(Tensor(image, dtype=dtype))
+        res = model(Tensor(image, dtype=cfg.dtype))
     os.makedirs(out_dir, exist_ok=True)
     gh, gw = model.target_grid
     written: list[str] = []
@@ -310,33 +298,35 @@ ABLATE_STEPS = 300
 
 def ablate(suite: str, out_dir, seeds=(0, 1, 2), steps: int | None = None,
            overrides: dict | None = None) -> list[dict]:
-    """Train/evaluate the suite's model grid; write one summary CSV."""
+    """Train/evaluate the suite's model grid; write one summary CSV.
+
+    Every run's config is built, and so checked, before the first run
+    starts. ``steps`` defaults to ABLATE_STEPS.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r} (choose from {sorted(SUITES)})")
+    if steps is None:
+        steps = ABLATE_STEPS
+    base = resolve_config("desk", overrides or {})
+    # eval_interval = steps: final evaluation only
+    runs = [(name, seed, replace(base, seed=int(seed), precision="single", steps=steps,
+                                 eval_interval=steps, **variant))
+            for name, variant in SUITES[suite] for seed in seeds]
     os.makedirs(out_dir, exist_ok=True)
     results: list[dict] = []
     lines = [ABLATE_HEADER]
-    for name, variant in SUITES[suite]:
-        for seed in seeds:
-            cfg = resolve_config("desk", overrides or {})
-            cfg.seed = int(seed)
-            cfg.precision = "single"
-            cfg.steps = int(steps or ABLATE_STEPS)
-            cfg.eval_interval = cfg.steps  # final evaluation only
-            for key, value in variant.items():
-                setattr(cfg, key, value)
-            run_dir = os.path.join(out_dir, f"{name}_seed{seed}")
-            _, summary = train_run(cfg, run_dir)
-            report = summary["report"]
-            row = {"model": name, "seed": seed, "mIoU": report["mIoU"],
-                   "small": report["small"], "medium": report["medium"],
-                   "large": report["large"]}
-            results.append(row)
-            lines.append(
-                f"{name},{seed},{report['mIoU']!r},"
-                + ",".join("" if report[b] is None else repr(report[b])
-                           for b in ("small", "medium", "large"))
-            )
+    for name, seed, cfg in runs:
+        _, summary = train_run(cfg, os.path.join(out_dir, f"{name}_seed{seed}"))
+        report = summary["report"]
+        row = {"model": name, "seed": seed, "mIoU": report["mIoU"],
+               "small": report["small"], "medium": report["medium"],
+               "large": report["large"]}
+        results.append(row)
+        lines.append(
+            f"{name},{seed},{report['mIoU']!r},"
+            + ",".join("" if report[b] is None else repr(report[b])
+                       for b in ("small", "medium", "large"))
+        )
     with open(os.path.join(out_dir, "results.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return results

@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from tsgseg.attention import DecoderBlock, EncoderBlock
-from tsgseg.model import ModelConfig
-from tsgseg.module import LayerNorm, Linear, Mlp
+from tsgseg.config import RunConfig
+from tsgseg.module import LayerNorm, Linear, Mlp, Module
 from tsgseg.scale_gate import TsgHead
 
 
@@ -52,17 +52,17 @@ def head_params(head: TsgHead) -> dict:
             "norm": norm_params(head.norm), "mlp": mlp_params(head.mlp)}
 
 
-def tiny_model_config(**overrides) -> ModelConfig:
+def tiny_model_config(**overrides) -> RunConfig:
     """Smallest config exercising all three stages and gated fusion."""
     base = dict(
-        image_hw=(16, 16), patch_size=4, stage_dims=(4, 6, 8),
+        height=16, width=16, patch_size=4, stage_dims=(4, 6, 8),
         stage_heads=(2, 2, 2), stage_blocks=(1, 1, 1), positional=True,
         mlp_ratio=1.0, d_f=8, d_a=6, tsg_hidden=6, decoder_blocks=3,
         decoder_heads=2, num_classes=4, encoder_fusion="tsg",
         decoder_fusion="tsg",
     )
     base.update(overrides)
-    return ModelConfig(**base)
+    return RunConfig(**base)
 
 
 def randomize_gate_mlps(root, rng: np.random.Generator, std: float = 0.3):
@@ -71,10 +71,33 @@ def randomize_gate_mlps(root, rng: np.random.Generator, std: float = 0.3):
     Fresh heads emit uniform gates by construction; tests that need
     input-dependent gates perturb them first.
     """
-    from tsgseg.module import iter_modules
-
-    for module in iter_modules(root):
+    for module in _modules(root):
         if isinstance(module, TsgHead):
             fc2 = module.mlp.fc2
             fc2.w.data = rng.normal(0.0, std, size=fc2.w.shape).astype(fc2.w.dtype)
             fc2.b.data = rng.normal(0.0, std, size=fc2.b.shape).astype(fc2.b.dtype)
+
+
+def _modules(root: Module):
+    """Depth-first walk over unique modules, root included.
+
+    The visiting order fixes the order of the random draws above.
+    """
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        m = stack.pop()
+        if id(m) in seen:
+            continue
+        seen.add(id(m))
+        yield m
+        for value in vars(m).values():
+            stack.extend(_child_modules(value))
+
+
+def _child_modules(value) -> list[Module]:
+    if isinstance(value, Module):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [m for item in value for m in _child_modules(item)]
+    return []

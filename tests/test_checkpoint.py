@@ -151,3 +151,56 @@ class TestModelRoundtrip:
             load_model(path, model)
         for name, p in model.named_parameters():
             np.testing.assert_array_equal(p.data, before[name])
+
+
+def _fuzz_cases(raw: bytes, seed: int, mutations: int = 300):
+    """Every truncation of ``raw``, then seeded random byte mutations."""
+    for n in range(len(raw)):
+        yield raw[:n]
+    rng = np.random.default_rng(seed)
+    for _ in range(mutations):
+        data = bytearray(raw)
+        for pos in rng.integers(0, len(data), size=rng.integers(1, 4)):
+            data[pos] = int(rng.integers(0, 256))
+        yield bytes(data)
+
+
+class TestHostileInput:
+    def test_huge_name_length(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<Q", 1 << 62) + b"\x00")
+        with pytest.raises(CheckpointError, match="truncated.*name"):
+            load_checkpoint(path)
+
+    def test_huge_dims(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<Q", 1) + b"w"
+                         + struct.pack("<3Q", 2, 1 << 31, 1 << 31))
+        with pytest.raises(CheckpointError, match="truncated.*values of w"):
+            load_checkpoint(path)
+
+    def test_empty_array_with_huge_dim(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<Q", 1) + b"w"
+                         + struct.pack("<3Q", 2, 0, 1 << 63))
+        with pytest.raises(CheckpointError, match="dims"):
+            load_checkpoint(path)
+
+    def test_undecodable_name(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<Q", 2) + b"\xff\xfe"
+                         + struct.pack("<Q", 0) + b"\x00" * 4)
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            load_checkpoint(path)
+
+    def test_fuzz_only_checkpoint_errors(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(path, {"b": np.arange(3.0), "w": np.ones((2, 2))})
+        raw = path.read_bytes()
+        fuzzed = tmp_path / "fuzzed.ckpt"
+        for case in _fuzz_cases(raw, seed=0):
+            fuzzed.write_bytes(case)
+            try:
+                load_checkpoint(fuzzed)
+            except CheckpointError:
+                pass

@@ -10,7 +10,6 @@ import pytest
 from tsgseg.cli import main
 from tsgseg.config import format_config, resolve_config
 from tsgseg.segbench import (
-    DatasetConfig,
     count_samples,
     generate,
     load_sample,
@@ -43,13 +42,7 @@ class TestGenData:
         assert rc == 0
         assert "wrote 3 samples" in capsys.readouterr().out
         assert count_samples(str(out)) == 3
-        cfg = tiny_config()
-        dcfg = DatasetConfig(
-            height=cfg.height, width=cfg.width, num_classes=cfg.num_classes,
-            n_objects_range=(cfg.n_objects_min, cfg.n_objects_max),
-            size_mix=tuple(cfg.size_mix), noise=cfg.noise,
-        )
-        expected = generate(sample_seed(7, 0), dcfg)
+        expected = generate(sample_seed(7, 0), tiny_config())
         np.testing.assert_array_equal(load_sample(str(out), 0).labels,
                                       expected.labels)
 
@@ -64,13 +57,6 @@ class TestTrain:
     def test_run_artifacts(self, tiny_run, capsys):
         for name in ("config.resolved", "metrics.csv", "model.ckpt"):
             assert (tiny_run / name).exists()
-
-    def test_config_preset_beats_flag(self, tmp_path, tiny_config_file, capsys):
-        # the file says desk; the flag would pick the far larger preset
-        rc = main(["train", "--config", tiny_config_file, "--preset", "paper",
-                   "--out", str(tmp_path)])
-        assert rc == 0
-        assert "preset = desk" in (tmp_path / "config.resolved").read_text()
 
     def test_seed_flag_applies(self, tmp_path, tiny_config_file):
         rc = main(["train", "--config", tiny_config_file, "--seed", "9",

@@ -1,5 +1,7 @@
 """Config parsing, presets, validation, and round-tripping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from tsgseg.config import (
     parse_config_text,
     resolve_config,
 )
+from tsgseg.model import build_model
+from tsgseg.segbench import generate
 
 
 class TestParse:
@@ -44,18 +48,11 @@ class TestResolve:
         assert cfg.precision == "double"
         assert cfg.encoder_fusion == "tsg" and cfg.decoder_fusion == "tsg"
 
-    def test_paper_preset_is_heavier(self):
-        desk, paper = resolve_config("desk"), resolve_config("paper")
-        assert paper.height > desk.height
-        assert len(paper.stage_dims) == 4
-        assert paper.num_classes > desk.num_classes
-        assert paper.lr0 == 6e-5
-        assert paper.precision == "single"
-
     def test_presets_enumerated(self):
-        assert PRESETS == ("desk", "paper")
-        with pytest.raises(ConfigError, match="preset"):
-            resolve_config("huge")
+        assert PRESETS == ("desk",)
+        for name in ("paper", "huge"):
+            with pytest.raises(ConfigError, match="unknown preset"):
+                resolve_config(name)
 
     def test_overrides_typed(self):
         cfg = resolve_config("desk", {
@@ -94,6 +91,35 @@ class TestResolve:
             resolve_config("desk", {"n_objects_min": "9", "n_objects_max": "2"})
         with pytest.raises(ConfigError, match="positive"):
             resolve_config("desk", {"steps": "0"})
+        with pytest.raises(ConfigError, match="steps"):
+            resolve_config("desk", {"steps": "ten"})
+
+    @pytest.mark.parametrize("key, overrides", [
+        ("eval_interval", {"eval_interval": 0}),
+        ("seed", {"seed": -1}),
+        ("data_seed", {"data_seed": -1}),
+        ("size_mix", {"size_mix": (0.5, 0.5)}),
+        ("size_mix", {"size_mix": (1.2, -0.1, -0.1)}),
+        ("size_mix", {"size_mix": (0.5, 0.25, 0.2)}),
+        ("height", {"height": 60}),
+        ("width", {"width": 72}),
+        ("stage_heads", {"stage_heads": (3, 4, 4)}),
+        ("decoder_heads", {"decoder_heads": 5}),
+        ("num_classes", {"num_classes": 1}),
+        ("encoder_fusion", {"encoder_fusion": "gated"}),
+        ("decoder_fusion", {"decoder_fusion": "mean"}),
+        ("single_stage", {"encoder_fusion": "single", "single_stage": 7}),
+        ("single_stage", {"encoder_fusion": "single", "single_stage": 0}),
+    ])
+    def test_bad_value_named(self, key, overrides):
+        with pytest.raises(ConfigError, match=key):
+            resolve_config("desk", overrides)
+        with pytest.raises(ConfigError, match=key):
+            dataclasses.replace(RunConfig(), **overrides)
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            RunConfig().steps = 5
 
 
 class TestRoundtrip:
@@ -113,22 +139,27 @@ class TestRoundtrip:
 
 
 class TestLowering:
+    """The model and the dataset read the run config's own fields."""
+
     def test_model_config_fields(self):
-        cfg = resolve_config("desk", {"stage_dims": "8,16,32",
+        cfg = resolve_config("desk", {"height": "32", "width": "48",
+                                      "stage_dims": "8,16,32",
                                       "stage_heads": "2,2,4",
                                       "stage_blocks": "1,1,1",
                                       "d_f": "16"})
-        mc = model_config(cfg)
-        assert mc.image_hw == (64, 64)
-        assert mc.stage_dims == (8, 16, 32)
-        assert mc.d_f == 16
-        assert mc.num_classes == cfg.num_classes
+        assert model_config(cfg) is cfg
+        assert cfg.stage_grids() == [(8, 12), (4, 6), (2, 3)]
+        model = build_model(cfg, seed=0)
+        assert model.backbone.embed.pos.shape == (8 * 12, 8)
+        assert [m.proj.w.shape for m in model.backbone.merges] == [(32, 16), (64, 32)]
+        assert model.decoder.queries.shape == (cfg.num_classes, 16)
 
     def test_dataset_config_fields(self):
         cfg = resolve_config("desk", {"noise": "0.1", "n_objects_min": "3",
-                                      "n_objects_max": "4"})
-        dc = dataset_config(cfg)
-        assert (dc.height, dc.width) == (64, 64)
-        assert dc.n_objects_range == (3, 4)
-        assert dc.noise == 0.1
-        assert dc.num_classes == cfg.num_classes
+                                      "n_objects_max": "4", "height": "32"})
+        assert dataset_config(cfg) is cfg
+        for seed in range(5):
+            sample = generate(seed, cfg)
+            assert sample.image.shape == (32, 64, 3)
+            assert sample.meta["num_classes"] == cfg.num_classes
+            assert 3 <= len(sample.meta["objects"]) + sample.meta["dropped"] <= 4

@@ -9,10 +9,8 @@ import oracles
 from tsgseg.attention import CROSS_GATED_KIND, CROSS_KIND, AttentionBundle
 from tsgseg.decoder import (
     Decoder,
-    QuerySet,
     SegLogits,
     logits_to_mask,
-    predict,
     predict_scores,
     tsgd_fuse,
     tsgd_fuse_first,
@@ -94,8 +92,6 @@ class TestDecoder:
     def test_queries_start_at_zero(self):
         dec = make_decoder(np.random.default_rng(4))
         np.testing.assert_array_equal(dec.queries.data, np.zeros((C, D_F)))
-        qs = dec.query_set()
-        assert isinstance(qs, QuerySet) and qs.class_ids == [0, 1, 2, 3]
 
     def test_three_block_run_matches_reference(self):
         rng = np.random.default_rng(5)
@@ -228,14 +224,6 @@ class TestPrediction:
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
             predict_scores(Tensor(np.zeros((4, 6))), Tensor(np.zeros((3, 8))))
-
-    def test_predict_rows_are_distributions(self):
-        rng = np.random.default_rng(14)
-        logits = predict(Tensor(rng.normal(size=(4, D_F))),
-                         Tensor(rng.normal(size=(C, D_F))), spatial=(2, 2))
-        assert isinstance(logits, SegLogits)
-        np.testing.assert_allclose(logits.p.data.sum(axis=1), np.ones(4),
-                                   atol=1e-9)
 
     def test_spatial_validation(self):
         with pytest.raises(ShapeError):

@@ -6,13 +6,12 @@ import pytest
 import helpers
 import oracles
 from tsgseg.attention import SELF_KIND, AttentionBundle
+from tsgseg.config import ConfigError
 from tsgseg.encoder import (
     Backbone,
-    EncoderConfig,
     FeatureMap,
     PatchEmbed,
     PatchMerge,
-    StageSpec,
     TsgeFusion,
     attention_map_widths,
     upsample_attention,
@@ -24,13 +23,9 @@ DIMS = [4, 6, 8]
 HEADS = 2
 
 
-def three_stage_config() -> EncoderConfig:
-    return EncoderConfig(
-        patch_size=4,
-        stages=[StageSpec(blocks=1, dim=d, heads=HEADS) for d in DIMS],
-        positional=True,
-        mlp_ratio=1.0,
-    )
+def three_stage_config(**overrides):
+    """16x16 images, stage widths DIMS with HEADS heads each."""
+    return helpers.tiny_model_config(**overrides)
 
 
 def synthetic_pyramid(rng):
@@ -114,7 +109,7 @@ class TestPatchMerge:
 class TestBackbone:
     def test_stage_shapes(self):
         rng = np.random.default_rng(5)
-        bb = Backbone(three_stage_config(), (16, 16), rng)
+        bb = Backbone(three_stage_config(), 3, rng)
         feats, bundles = bb(Tensor(rng.uniform(size=(16, 16, 3))))
         assert [(f.h, f.w) for f in feats] == GRIDS
         assert [f.data.shape[1] for f in feats] == DIMS
@@ -124,24 +119,24 @@ class TestBackbone:
             assert all(m.shape == (g[0] * g[1],) * 2 for m in b.maps)
 
     def test_bundle_comes_from_last_block(self):
-        cfg = three_stage_config()
-        cfg.stages[0] = StageSpec(blocks=2, dim=4, heads=2)
+        cfg = three_stage_config(stage_blocks=(2, 1, 1))
         rng = np.random.default_rng(6)
-        bb = Backbone(cfg, (16, 16), rng)
+        bb = Backbone(cfg, 3, rng)
         _, bundles = bb(Tensor(rng.uniform(size=(16, 16, 3))))
         assert bundles[0].source == "stage1.block2"
 
     def test_indivisible_image_rejected(self):
-        cfg = three_stage_config()
-        assert cfg.required_divisor() == 16
-        with pytest.raises(ShapeError, match="divisible"):
-            Backbone(cfg, (24, 24), np.random.default_rng(7))
+        # 16 = patch size 4 halved twice; the config refuses other sizes
+        with pytest.raises(ConfigError, match="height 24 must be a positive multiple of 16"):
+            three_stage_config(height=24, width=24)
+        with pytest.raises(ValueError, match="keep 4 of 3 stages"):
+            Backbone(three_stage_config(), 4, np.random.default_rng(7))
 
     def test_deterministic_given_seed(self):
         img = np.random.default_rng(8).uniform(size=(16, 16, 3))
         outs = []
         for _ in range(2):
-            bb = Backbone(three_stage_config(), (16, 16), np.random.default_rng(42))
+            bb = Backbone(three_stage_config(), 3, np.random.default_rng(42))
             feats, _ = bb(Tensor(img))
             outs.append([f.data.data.copy() for f in feats])
         for a, b in zip(*outs):

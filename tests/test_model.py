@@ -1,11 +1,15 @@
 """Assembled model: variant wiring, gradient coverage, and cross-variant
 weight compatibility."""
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
 import helpers
-from tsgseg.model import ModelConfig, build_model, copy_matching_parameters
+from tsgseg.config import ConfigError, resolve_config
+from tsgseg.model import build_model, copy_matching_parameters
 from tsgseg.segbench import make_baseline
 from tsgseg.tensor import ShapeError, Tensor, cross_entropy
 
@@ -21,8 +25,18 @@ class TestConfig:
         assert cfg.num_stages == 3
 
     def test_stage_list_alignment(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="equal length"):
             helpers.tiny_model_config(stage_heads=(2, 2))
+
+    def test_readme_parameter_count(self):
+        # The README's quick start states the desk model's size.
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        stated = re.search(r"~(\d+)k parameters", readme.read_text())
+        assert stated is not None
+        model = build_model(resolve_config("desk"), seed=0, dtype=np.float32)
+        count = sum(p.data.size for p in model.parameters())
+        assert count == 485_514
+        assert round(count / 1000) == int(stated.group(1))
 
 
 class TestForward:
@@ -105,9 +119,8 @@ class TestVariants:
         assert [g.gates.shape for g in out.encoder_gates] == [(4, 2), (16, 2)]
 
     def test_single_requires_stage(self):
-        with pytest.raises(ValueError):
-            build_model(helpers.tiny_model_config(encoder_fusion="single"),
-                        seed=9)
+        with pytest.raises(ConfigError, match="single_stage"):
+            helpers.tiny_model_config(encoder_fusion="single")
 
 
 class TestWeightTransfer:

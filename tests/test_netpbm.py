@@ -74,3 +74,39 @@ class TestPgm:
         path.write_bytes(b"P5\n2")
         with pytest.raises(NetpbmError, match="header"):
             read_pgm(path)
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("header", [b"P6\n-2 2\n255\n", b"P6\n2 x\n255\n",
+                                        b"P6\n2.5 2\n255\n", b"P6\n0 2\n255\n"])
+    def test_bad_size_rejected(self, tmp_path, header):
+        path = tmp_path / "a.ppm"
+        path.write_bytes(header + b"\x00" * 12)
+        with pytest.raises(NetpbmError):
+            read_ppm(path)
+
+    def test_huge_size_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "a.pgm"
+        path.write_bytes(b"P5\n4294967296 4294967296\n255\n\x00")
+        with pytest.raises(NetpbmError, match="truncated"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("kind", ["ppm", "pgm"])
+    def test_fuzz_only_netpbm_errors(self, tmp_path, kind):
+        from test_checkpoint import _fuzz_cases
+
+        rng = np.random.default_rng(3)
+        path = tmp_path / f"a.{kind}"
+        if kind == "ppm":
+            write_ppm(path, rng.integers(0, 256, size=(3, 2, 3), dtype=np.uint8))
+            read = read_ppm
+        else:
+            write_pgm(path, rng.integers(0, 256, size=(3, 2), dtype=np.uint8))
+            read = read_pgm
+        fuzzed = tmp_path / f"fuzzed.{kind}"
+        for case in _fuzz_cases(path.read_bytes(), seed=4):
+            fuzzed.write_bytes(case)
+            try:
+                read(fuzzed)
+            except NetpbmError:
+                pass

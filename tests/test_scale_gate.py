@@ -125,15 +125,6 @@ class TestGate:
         ref = oracles.gate(a, helpers.head_params(head))
         np.testing.assert_allclose(got, ref, atol=1e-12)
 
-    def test_column_view(self):
-        rng = np.random.default_rng(10)
-        g = rng.uniform(size=(5, 3))
-        gates = ScaleGates(gates=Tensor(g), num_scales=3)
-        for s in range(3):
-            col = gates.column(s)
-            assert col.shape == (5, 1)
-            np.testing.assert_allclose(col.data[:, 0], g[:, s])
-
     def test_gradient_reaches_evidence_maps(self):
         rng = np.random.default_rng(11)
         head = TsgHead([2 * 4], d_a=5, hidden=4, num_scales=2, rng=rng)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import oracles
+from tsgseg.config import ConfigError, RunConfig
 from tsgseg.segbench import (
     BUCKETS,
-    DatasetConfig,
     SegSample,
     area_bucket,
     bucket_masks,
@@ -20,15 +20,27 @@ from tsgseg.segbench import (
     iou_from_confusion,
     load_sample,
     make_baseline,
-    miou,
     object_mask,
     patch_labels,
     sample_seed,
     save_sample,
-    size_bucketed_iou,
 )
 
-CFG = DatasetConfig(height=32, width=32, num_classes=4)
+CFG = RunConfig(height=32, width=32, num_classes=4)
+
+
+def miou(pred, gt, num_classes):
+    """Per-class IoU and mean IoU the way every report computes them."""
+    return iou_from_confusion(confusion_matrix(pred, gt, num_classes))
+
+
+def bucket_ious(pred, gt, meta):
+    """Mean IoU over each size bucket's pixels, as evaluation reports it;
+    None for empty buckets."""
+    out = {}
+    for bucket, mask in bucket_masks(meta).items():
+        out[bucket] = miou(pred[mask], gt[mask], meta["num_classes"])[1] if mask.any() else None
+    return out
 
 
 class TestGenerate:
@@ -75,14 +87,14 @@ class TestGenerate:
         for seed in range(10):
             s = generate(seed, CFG)
             n = len(s.meta["objects"]) + s.meta["dropped"]
-            lo, hi = CFG.n_objects_range
+            lo, hi = CFG.n_objects_min, CFG.n_objects_max
             assert lo <= n <= hi
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DatasetConfig(num_classes=1)
-        with pytest.raises(ValueError):
-            DatasetConfig(size_mix=(0.5, 0.5, 0.5))
+        with pytest.raises(ConfigError, match="num_classes"):
+            RunConfig(num_classes=1)
+        with pytest.raises(ConfigError, match="size_mix"):
+            RunConfig(size_mix=(0.5, 0.5, 0.5))
 
 
 class TestSampleSeed:
@@ -240,14 +252,14 @@ class TestSizeBuckets:
         gt = oracles.rasterize_labels(meta)
         pred = gt.copy()
         pred[8:10, 8:10] = 0  # erase the small object entirely
-        scores = size_bucketed_iou(pred, gt, meta)
+        scores = bucket_ious(pred, gt, meta)
         assert scores["large"] == 1.0
         assert scores["small"] == 0.0
         assert scores["medium"] is None
 
     def test_generated_sample_consistency(self):
         s = generate(11, CFG)
-        scores = size_bucketed_iou(s.labels, s.labels, s.meta)
+        scores = bucket_ious(s.labels, s.labels, s.meta)
         for b in BUCKETS:
             assert scores[b] is None or scores[b] == 1.0
         present = {o["bucket"] for o in s.meta["objects"]}

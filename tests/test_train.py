@@ -8,7 +8,7 @@ import pytest
 
 import tsgseg.train as train_module
 from tsgseg.checkpoint import save_model
-from tsgseg.config import format_config, load_config_file, model_config, resolve_config
+from tsgseg.config import ConfigError, format_config, load_config_file, resolve_config
 from tsgseg.decoder import logits_to_mask
 from tsgseg.model import build_model
 from tsgseg.netpbm import read_pgm
@@ -93,7 +93,7 @@ class TestTrainRun:
     def test_zero_lr_freezes_parameters(self, tmp_path):
         cfg = tiny_config(lr0=0.0, steps=3, eval_interval=3)
         model, summary = train_run(cfg, tmp_path)
-        fresh = build_model(model_config(cfg), seed=cfg.seed)
+        fresh = build_model(cfg, seed=cfg.seed)
         for (name, p), (_, q) in zip(model.named_parameters(),
                                      fresh.named_parameters()):
             np.testing.assert_array_equal(p.data, q.data, err_msg=name)
@@ -140,7 +140,7 @@ class TestEvaluate:
         # Uniform class scores argmax to class 0 everywhere, so the expected
         # metrics follow directly from label counts.
         cfg = tiny_config()
-        model = build_model(model_config(cfg), seed=0)
+        model = build_model(cfg, seed=0)
         samples = build_split(cfg, "val")
         report = evaluate_model(model, samples)
         gt = np.concatenate([s.labels.ravel() for s in samples])
@@ -159,13 +159,13 @@ class TestEvaluate:
 
     def test_empty_dataset_rejected(self):
         cfg = tiny_config()
-        model = build_model(model_config(cfg), seed=0)
+        model = build_model(cfg, seed=0)
         with pytest.raises(ValueError, match="empty"):
             evaluate_model(model, [])
 
     def test_class_count_mismatch_rejected(self):
         cfg = tiny_config()
-        model = build_model(model_config(cfg), seed=0)
+        model = build_model(cfg, seed=0)
         samples = build_split(tiny_config(num_classes=3), "val")
         with pytest.raises(ValueError, match="classes"):
             evaluate_model(model, samples)
@@ -174,7 +174,7 @@ class TestEvaluate:
         # Five images span a full chunk and a partial one; the pooled
         # confusion must equal the one built from unbatched forwards.
         cfg = tiny_config(val_samples=5)
-        model = build_model(model_config(cfg), seed=4)
+        model = build_model(cfg, seed=4)
         rng = np.random.default_rng(0)
         for p in model.parameters():  # break the uniform fresh-model scores
             p.data = p.data + 0.2 * rng.standard_normal(p.shape)
@@ -191,7 +191,7 @@ class TestEvaluate:
 
     def test_mixed_image_sizes_rejected(self):
         cfg = tiny_config()
-        model = build_model(model_config(cfg), seed=0)
+        model = build_model(cfg, seed=0)
         samples = build_split(cfg, "val")
         samples[1] = build_split(tiny_config(height=32, width=32), "val")[1]
         with pytest.raises(ValueError, match="sizes"):
@@ -200,7 +200,7 @@ class TestEvaluate:
     def test_patch_accuracy_fresh_model(self):
         cfg = tiny_config()
         from tsgseg.segbench import patch_labels
-        model = build_model(model_config(cfg), seed=0)
+        model = build_model(cfg, seed=0)
         samples = build_split(cfg, "val")
         labels = [patch_labels(s.labels, cfg.patch_size, cfg.num_classes).ravel()
                   for s in samples]
@@ -284,7 +284,7 @@ class TestDumpGates:
         cfg = tiny_config()
         run = tmp_path / "run"
         os.makedirs(run)
-        model = build_model(model_config(cfg), seed=0)
+        model = build_model(cfg, seed=0)
         save_model(run / "model.ckpt", model)
         (run / "config.resolved").write_text(format_config(cfg))
         save_sample(str(tmp_path), 0, build_split(cfg, "val")[0])
@@ -342,3 +342,19 @@ class TestAblate:
     def test_unknown_suite(self, tmp_path):
         with pytest.raises(ValueError, match="suite"):
             ablate("everything", tmp_path)
+
+    @pytest.mark.parametrize("steps", [0, -5])
+    def test_bad_step_count_rejected_before_any_run(self, tmp_path, steps):
+        out = tmp_path / "grid"
+        with pytest.raises(ConfigError, match="steps"):
+            ablate("tsg-variants", out, seeds=(0,), steps=steps,
+                   overrides=dict(TINY))
+        assert not out.exists()
+
+    def test_every_run_config_checked_before_any_run(self, tmp_path):
+        # single_scale(3) needs three stages; a two-stage base fails only
+        # on that variant, which comes third in the grid.
+        over = dict(TINY, stage_dims=(4, 6), stage_heads=(2, 2), stage_blocks=(1, 1))
+        with pytest.raises(ConfigError, match="single_stage"):
+            ablate("scales", tmp_path, seeds=(0,), steps=1, overrides=over)
+        assert list(tmp_path.iterdir()) == []
