@@ -58,14 +58,13 @@ class AttentionBundle:
     """
 
     def __init__(self, maps: Tensor | list[Tensor], softmax_axis: int, kind: str,
-                 source: str = "", grid: tuple[int, int] | None = None):
+                 grid: tuple[int, int] | None = None):
         if not isinstance(maps, Tensor):
             maps = concat([reshape(m, m.shape[:-2] + (1,) + m.shape[-2:]) for m in maps],
                           axis=-3)
         self.stacked = maps
         self.softmax_axis = softmax_axis
         self.kind = kind
-        self.source = source
         self.grid = grid
 
     @property
@@ -112,7 +111,7 @@ class MultiheadSelfAttention(Module):
         self.wv = Linear(d, d, rng, dtype)
         self.wo = Linear(d, d, rng, dtype)
 
-    def __call__(self, tokens: Tensor, source: str = "") -> tuple[Tensor, AttentionBundle]:
+    def __call__(self, tokens: Tensor) -> tuple[Tensor, AttentionBundle]:
         cfg = self.cfg
         if tokens.shape[-1] != cfg.model_dim:
             raise ShapeError(
@@ -121,7 +120,7 @@ class MultiheadSelfAttention(Module):
         att = softmax(_logits(self.wq(tokens), self.wk(tokens), cfg), axis=-1)
         mixed = matmul(att, _split_heads(self.wv(tokens), cfg.heads))
         out = self.wo(concat_heads(mixed))
-        bundle = AttentionBundle(att, softmax_axis=1, kind=SELF_KIND, source=source)
+        bundle = AttentionBundle(att, softmax_axis=1, kind=SELF_KIND)
         return out, bundle
 
 
@@ -142,8 +141,7 @@ class MultiheadCrossAttention(Module):
         self.wo = Linear(d, d, rng, dtype)
 
     def __call__(
-        self, queries: Tensor, memory: Tensor, gate_softmax: bool = False,
-        source: str = "",
+        self, queries: Tensor, memory: Tensor, gate_softmax: bool = False
     ) -> tuple[Tensor, AttentionBundle, AttentionBundle | None]:
         cfg = self.cfg
         if queries.shape[-1] != cfg.model_dim or memory.shape[-1] != cfg.model_dim:
@@ -155,11 +153,11 @@ class MultiheadCrossAttention(Module):
         att = softmax(logits, axis=-1)
         mixed = matmul(att, _split_heads(self.wv(memory), cfg.heads))
         out = self.wo(concat_heads(mixed))
-        bundle = AttentionBundle(att, softmax_axis=1, kind=CROSS_KIND, source=source)
+        bundle = AttentionBundle(att, softmax_axis=1, kind=CROSS_KIND)
         gated = None
         if gate_softmax:
             gated = AttentionBundle(softmax(logits, axis=-2), softmax_axis=0,
-                                    kind=CROSS_GATED_KIND, source=source)
+                                    kind=CROSS_GATED_KIND)
         return out, bundle, gated
 
 
@@ -174,8 +172,8 @@ class EncoderBlock(Module):
         self.norm2 = LayerNorm(d, dtype)
         self.mlp = Mlp(d, mlp_dim, d, rng, dtype)
 
-    def __call__(self, tokens: Tensor, source: str = "") -> tuple[Tensor, AttentionBundle]:
-        attended, bundle = self.attn(self.norm1(tokens), source=source)
+    def __call__(self, tokens: Tensor) -> tuple[Tensor, AttentionBundle]:
+        attended, bundle = self.attn(self.norm1(tokens))
         tokens = tokens + attended
         tokens = tokens + self.mlp(self.norm2(tokens))
         return tokens, bundle
@@ -197,13 +195,12 @@ class DecoderBlock(Module):
         self.mlp = Mlp(d, mlp_dim, d, rng, dtype)
 
     def __call__(
-        self, queries: Tensor, memory: Tensor, source: str = ""
+        self, queries: Tensor, memory: Tensor
     ) -> tuple[Tensor, AttentionBundle, AttentionBundle, AttentionBundle]:
-        attended, b_self = self.self_attn(self.norm1(queries), source=source)
+        attended, b_self = self.self_attn(self.norm1(queries))
         queries = queries + attended
-        crossed, b_cross, b_gated = self.cross_attn(
-            self.norm2(queries), memory, gate_softmax=True, source=source
-        )
+        crossed, b_cross, b_gated = self.cross_attn(self.norm2(queries), memory,
+                                                    gate_softmax=True)
         queries = queries + crossed
         queries = queries + self.mlp(self.norm3(queries))
         return queries, b_self, b_cross, b_gated

@@ -63,6 +63,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             name = str(take(name_len, "name"), "utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"parameter name is not UTF-8: {exc}") from None
+        if name in out:
+            raise CheckpointError(f"parameter {name!r} is stored twice")
         (rank,) = u64s(1, f"rank of {name}")
         dims = u64s(rank, f"dims of {name}")
         raw = take(4 * math.prod(dims), f"values of {name}")

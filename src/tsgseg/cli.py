@@ -55,9 +55,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "gen-data":
+        if args.seed < 0:
+            parser.error(f"gen-data: --seed must be >= 0, got {args.seed}")
+        if args.count < 1:
+            parser.error(f"gen-data: --count must be >= 1, got {args.count}")
         overrides = load_config_file(args.config) if args.config else {}
         cfg = resolve_config(overrides=overrides)
         os.makedirs(args.out, exist_ok=True)

@@ -178,7 +178,8 @@ def _convert(key: str, text: str):
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Raw key/value strings from flat config text; unknown keys rejected."""
+    """Raw key/value strings from flat config text. Unknown keys and values
+    that do not convert to their field's type are rejected with the line."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -192,6 +193,10 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        try:
+            _convert(key, value)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {key}: {exc}") from None
         out[key] = value.strip()
     return out
 
@@ -234,7 +239,11 @@ def format_config(cfg: RunConfig) -> str:
 
 def load_config_file(path) -> dict[str, str]:
     with open(path) as fh:
-        return parse_config_text(fh.read())
+        text = fh.read()
+    try:
+        return parse_config_text(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def model_config(cfg: RunConfig) -> RunConfig:

@@ -120,9 +120,7 @@ class Decoder(Module):
         prev_gated: AttentionBundle | None = None
         memory = None
         for i, block in enumerate(self.blocks):
-            if i == 0:
-                memory = tsgd_fuse_first(ups)
-            elif self.fusion == "sum":
+            if i == 0 or self.fusion == "sum":
                 memory = tsgd_fuse_first(ups)
             elif forced_gates is not None:
                 g = Tensor(np.full((n, self.num_scales), float(forced_gates),
@@ -134,9 +132,7 @@ class Decoder(Module):
                 assert prev_gated is not None
                 memory, gates = tsgd_fuse(ups, prev_gated, self.gate_heads[i - 1])
                 gates_out.append(gates)
-            queries, _, _, prev_gated = block(
-                queries, memory, source=f"decoder.block{i + 1}"
-            )
+            queries, _, _, prev_gated = block(queries, memory)
         return queries, gates_out, memory
 
 

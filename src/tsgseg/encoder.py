@@ -151,8 +151,8 @@ class Backbone(Module):
         for s, blocks in enumerate(self.stages):
             tokens = fm.data
             bundle = None
-            for b, block in enumerate(blocks):
-                tokens, bundle = block(tokens, source=f"stage{s + 1}.block{b + 1}")
+            for block in blocks:
+                tokens, bundle = block(tokens)
             assert bundle is not None
             bundle.grid = (fm.h, fm.w)
             fm = FeatureMap(data=tokens, h=fm.h, w=fm.w, stage=s + 1)
@@ -176,8 +176,7 @@ def upsample_attention(bundle: AttentionBundle, target: tuple[int, int]) -> Atte
         return bundle
     return AttentionBundle(
         upsample_bilinear(bundle.stacked, bundle.grid, target),
-        softmax_axis=bundle.softmax_axis, kind=bundle.kind,
-        source=bundle.source, grid=tuple(target),
+        softmax_axis=bundle.softmax_axis, kind=bundle.kind, grid=tuple(target),
     )
 
 

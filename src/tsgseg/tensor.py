@@ -468,10 +468,6 @@ def tsum(x: Tensor) -> Tensor:
     return _node(data, (x,), backward)
 
 
-# Interpolation matrices are pure functions of the grid sizes; cache them.
-_UPSAMPLE_CACHE: dict[tuple, np.ndarray] = {}
-
-
 def _interp_axis_weights(n_src: int, n_dst: int) -> np.ndarray:
     """1-d bilinear weight matrix (n_dst x n_src), align-corners=false.
 
@@ -491,25 +487,15 @@ def _interp_axis_weights(n_src: int, n_dst: int) -> np.ndarray:
     return m
 
 
-def upsample_matrix(src_hw: tuple[int, int], dst_hw: tuple[int, int]) -> np.ndarray:
-    """Dense (H'W' x HW) bilinear interpolation operator for flattened rows."""
-    key = (src_hw, dst_hw)
-    cached = _UPSAMPLE_CACHE.get(key)
-    if cached is None:
-        mh = _interp_axis_weights(src_hw[0], dst_hw[0])
-        mw = _interp_axis_weights(src_hw[1], dst_hw[1])
-        cached = np.kron(mh, mw)
-        _UPSAMPLE_CACHE[key] = cached
-    return cached
-
-
 def upsample_bilinear(
     x: Tensor, src_hw: tuple[int, int], dst_hw: tuple[int, int]
 ) -> Tensor:
     """Channelwise bilinear upsampling of a flattened (..., H*W, d) field.
 
     Uses the align-corners=false convention. Only enlargement is supported;
-    equal sizes return the input unchanged.
+    equal sizes return the input unchanged. The interpolation is separable:
+    the W-axis weights act on the (..., H, W, d) grid, then the H-axis
+    weights on its (..., H, W'*d) rows, so gradients come from ``matmul``.
     """
     h, w = src_hw
     h2, w2 = dst_hw
@@ -521,9 +507,12 @@ def upsample_bilinear(
         raise ShapeError(f"upsample_bilinear: target {dst_hw} smaller than source {src_hw}")
     if (h2, w2) == (h, w):
         return x
-    m = upsample_matrix(src_hw, dst_hw)
-    weights = Tensor(m if x.dtype == np.float64 else m.astype(x.dtype))
-    return matmul(weights, x)
+    lead, d = x.shape[:-2], x.shape[-1]
+    mw = Tensor(_interp_axis_weights(w, w2), dtype=x.dtype)
+    mh = Tensor(_interp_axis_weights(h, h2), dtype=x.dtype)
+    rows = matmul(mw, reshape(x, lead + (h, w, d)))
+    out = matmul(mh, reshape(rows, lead + (h, w2 * d)))
+    return reshape(out, lead + (h2 * w2, d))
 
 
 def cross_entropy(logits: Tensor, labels, ignore_index: int = -1) -> Tensor:

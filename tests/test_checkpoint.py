@@ -193,6 +193,16 @@ class TestHostileInput:
         with pytest.raises(CheckpointError, match="UTF-8"):
             load_checkpoint(path)
 
+    def test_repeated_name(self, tmp_path):
+        def record(value: float) -> bytes:
+            return (struct.pack("<Q", 1) + b"w" + struct.pack("<2Q", 1, 1)
+                    + struct.pack("<f", value))
+
+        path = tmp_path / "a.ckpt"
+        path.write_bytes(MAGIC + record(1.0) + record(2.0))
+        with pytest.raises(CheckpointError, match="'w' is stored twice"):
+            load_checkpoint(path)
+
     def test_fuzz_only_checkpoint_errors(self, tmp_path):
         path = tmp_path / "a.ckpt"
         save_checkpoint(path, {"b": np.arange(3.0), "w": np.ones((2, 2))})

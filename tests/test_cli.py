@@ -52,6 +52,17 @@ class TestGenData:
         assert rc == 0
         assert load_sample(str(out), 0).image.shape == (64, 64, 3)
 
+    @pytest.mark.parametrize("seed, count, flag", [("-1", "1", "--seed"),
+                                                   ("1", "-3", "--count"),
+                                                   ("1", "0", "--count")])
+    def test_bad_flag_rejected_before_output(self, tmp_path, capsys, seed, count, flag):
+        out = tmp_path / "data"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--seed", seed, "--count", count, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"{flag} must be" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_run_artifacts(self, tiny_run, capsys):

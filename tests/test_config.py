@@ -38,6 +38,15 @@ class TestParse:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("steps 50\n")
 
+    def test_bad_value_reports_line_and_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="^line 2: lr0: could not convert"):
+            parse_config_text("steps = 50\nlr0 = abc\n")
+        path = tmp_path / "bad.cfg"
+        path.write_text("steps = 50\nflip = maybe\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config_file(path)
+        assert str(exc.value) == f"{path}: line 2: flip: not a boolean: 'maybe'"
+
 
 class TestResolve:
     def test_desk_defaults(self):

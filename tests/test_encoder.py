@@ -36,8 +36,7 @@ def synthetic_pyramid(rng):
         features.append(FeatureMap(Tensor(rng.normal(size=(n, d))), g[0], g[1], s + 1))
         maps = [Tensor(oracles.softmax2d(rng.normal(size=(n, n)), axis=1))
                 for _ in range(HEADS)]
-        bundles.append(AttentionBundle(maps=maps, softmax_axis=1, kind=SELF_KIND,
-                                       source=f"stage{s + 1}", grid=g))
+        bundles.append(AttentionBundle(maps=maps, softmax_axis=1, kind=SELF_KIND, grid=g))
     return features, bundles
 
 
@@ -122,8 +121,14 @@ class TestBackbone:
         cfg = three_stage_config(stage_blocks=(2, 1, 1))
         rng = np.random.default_rng(6)
         bb = Backbone(cfg, 3, rng)
-        _, bundles = bb(Tensor(rng.uniform(size=(16, 16, 3))))
-        assert bundles[0].source == "stage1.block2"
+        image = Tensor(rng.uniform(size=(16, 16, 3)))
+        _, bundles = bb(image)
+        # Stage 1 by hand: its second block's map is the one kept, not the first's
+        first, second = bb.stages[0]
+        tokens, b1 = first(bb.embed(image).data)
+        _, b2 = second(tokens)
+        assert not np.allclose(bundles[0].stacked.data, b1.stacked.data)
+        np.testing.assert_array_equal(bundles[0].stacked.data, b2.stacked.data)
 
     def test_indivisible_image_rejected(self):
         # 16 = patch size 4 halved twice; the config refuses other sizes

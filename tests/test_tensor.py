@@ -472,6 +472,26 @@ class TestUpsampleBilinear:
             check_grad(
                 lambda t: tsum(mul(upsample_bilinear(t, (2, 2), (4, 4)),
                                    Tensor(w))), x0)
+        # batched, non-square grid, unequal factors on the two axes
+        w = rng.normal(size=(2, 3, 35, 4))
+        check_grad(lambda t: tsum(mul(upsample_bilinear(t, (2, 3), (5, 7)), Tensor(w))),
+                   rng.normal(size=(2, 3, 6, 4)))
+
+    @pytest.mark.parametrize("src, dst", [((16, 16), (32, 32)), ((8, 8), (32, 32)),
+                                          ((8, 8), (16, 16))])
+    def test_stacked_head_maps_float32(self, src, dst):
+        # (batch, heads, N, K) self-attention maps at the grids the model upsamples
+        rng = np.random.default_rng(24)
+        n = src[0] * src[1]
+        maps = rng.uniform(size=(4, 4, n, n)).astype(np.float32)
+        maps /= maps.sum(axis=-1, keepdims=True)
+        out = upsample_bilinear(Tensor(maps), src, dst).data
+        assert out.dtype == np.float32 and out.shape == (4, 4, dst[0] * dst[1], n)
+        for b in range(4):
+            for h in range(4):
+                ref = oracles.upsample_rows(maps[b, h], src, dst)
+                np.testing.assert_allclose(out[b, h], ref, rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-5)
 
 
 class TestCrossEntropy:
