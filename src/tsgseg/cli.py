@@ -14,7 +14,7 @@ import sys
 
 from .config import load_config_file, resolve_config
 from .segbench import generate, sample_seed, save_sample
-from .train import ablate, dump_gates, evaluate_checkpoint, train_run
+from .train import SUITES, ablate, dump_gates, evaluate_checkpoint, train_run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,8 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("ablate", help="run an ablation suite")
-    p.add_argument("--suite", required=True,
-                   choices=("components", "scales", "tsg-variants"))
+    p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--out", required=True)
     p.add_argument("--seeds", default="0,1,2", help="comma-separated seed list")
     p.add_argument("--steps", type=int, help="override per-run step count")

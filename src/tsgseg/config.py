@@ -81,16 +81,21 @@ class RunConfig:
         if self.precision not in ("double", "single"):
             raise ConfigError(
                 f"precision must be double or single, got {self.precision!r}")
-        for key in ("steps", "batch_size", "eval_interval", "patch_size"):
+        for key in ("steps", "batch_size", "eval_interval", "patch_size", "d_f", "d_a",
+                    "tsg_hidden", "decoder_blocks", "train_samples", "val_samples"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
-        for key in ("seed", "data_seed"):  # numpy seeds and Philox keys are non-negative
+        # numpy seeds and Philox keys are non-negative; so are counts and noise
+        for key in ("seed", "data_seed", "n_objects_min", "noise"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
         if not len(self.stage_dims) == len(self.stage_heads) == len(self.stage_blocks):
             raise ConfigError("stage_dims, stage_heads, stage_blocks must have equal length")
         if not self.stage_dims:
             raise ConfigError("stage_dims must list at least one stage")
+        for key in ("stage_dims", "stage_blocks"):
+            if min(getattr(self, key)) < 1:
+                raise ConfigError(f"{key} entries must be positive, got {getattr(self, key)}")
         div = self.patch_size * 2 ** (self.num_stages - 1)
         for key in ("height", "width"):
             if getattr(self, key) < div or getattr(self, key) % div:

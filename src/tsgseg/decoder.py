@@ -16,7 +16,7 @@ import numpy as np
 
 from .attention import AttentionBundle, DecoderBlock, MhaConfig
 from .module import Module, Parameter
-from .scale_gate import ScaleGates, TsgHead, gated_sum
+from .scale_gate import ScaleGates, TsgHead, constant_gates, gated_sum
 from .tensor import ShapeError, Tensor, matmul, scale, transpose, upsample_bilinear
 
 DECODER_FUSIONS = ("tsg", "sum")
@@ -59,9 +59,9 @@ def tsgd_fuse(
     into an N x S gate matrix (rows sum to 1) that weights the features.
     """
     gates = head.gate(head.integrate_cross(prev_cross))
-    if gates.num_scales != len(features_up):
+    if gates.gates.shape[-1] != len(features_up):
         raise ShapeError(
-            f"{gates.num_scales}-way gates cannot fuse {len(features_up)} scales"
+            f"{gates.gates.shape[-1]}-way gates cannot fuse {len(features_up)} scales"
         )
     return gated_sum(features_up, gates.gates), gates
 
@@ -123,9 +123,7 @@ class Decoder(Module):
             if i == 0 or self.fusion == "sum":
                 memory = tsgd_fuse_first(ups)
             elif forced_gates is not None:
-                g = Tensor(np.full((n, self.num_scales), float(forced_gates),
-                                   dtype=ups[0].dtype))
-                gates = ScaleGates(gates=g, num_scales=self.num_scales)
+                gates = constant_gates(forced_gates, n, self.num_scales, ups[0].dtype)
                 memory = gated_sum(ups, gates.gates)
                 gates_out.append(gates)
             else:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .attention import AttentionBundle, EncoderBlock, MhaConfig
 from .module import Linear, Module, Parameter
-from .scale_gate import ScaleGates, TsgHead, gated_sum
+from .scale_gate import ScaleGates, TsgHead, constant_gates, gated_sum
 from .tensor import ShapeError, Tensor, permute, reshape, upsample_bilinear
 
 if TYPE_CHECKING:
@@ -191,66 +191,51 @@ class FusionStep(Module):
 class TsgeFusion(Module):
     """Refine backbone features into a common width, optionally gated.
 
-    ``map_widths`` gives, per stage, the concatenated head-map width
-    (heads x key count) seen by the gate heads; it is a function of the
+    Built from the run config's fusion settings for its first
+    ``num_stages`` stages. A gate head reads each stage's concatenated
+    head maps, heads x key count wide; the key count is a function of the
     training grid, so models are tied to the image size they were built for.
     """
 
-    def __init__(self, kind: str, stage_dims: list[int], map_widths: list[int],
-                 d_f: int, d_a: int, hidden: int, rng: np.random.Generator,
-                 dtype=np.float64, shared_head: bool = False,
-                 single_stage: int | None = None, integration_bias: bool = True):
-        if kind not in FUSION_KINDS:
-            raise ValueError(f"unknown fusion kind {kind!r}")
-        self.kind = kind
-        self.num_stages = len(stage_dims)
-        self.single_stage = single_stage
-        s_count = self.num_stages
+    def __init__(self, cfg: RunConfig, num_stages: int, rng: np.random.Generator,
+                 dtype=np.float64):
+        self.kind = cfg.encoder_fusion
+        dims = cfg.stage_dims[:num_stages]
 
-        if kind == "single":
-            if single_stage is None or not 1 <= single_stage <= s_count:
-                raise ValueError(f"single-stage fusion needs a stage in [1, {s_count}]")
+        if self.kind == "single":
             # Only the projection actually used is created, so every
             # parameter of a single-scale model receives gradients.
-            self.proj = Linear(stage_dims[single_stage - 1], d_f, rng, dtype)
+            self.proj = Linear(dims[-1], cfg.d_f, rng, dtype)
             return
 
-        self.top_proj = Linear(stage_dims[-1], d_f, rng, dtype)
-        self.shared_head: TsgHead | None = None
-        if kind == "tsg" and shared_head:
-            self.shared_head = TsgHead(
-                map_widths, d_a, hidden, num_scales=2, rng=rng, dtype=dtype,
-                integration_bias=integration_bias,
-            )
+        widths = [heads * gh * gw for heads, (gh, gw)
+                  in zip(cfg.stage_heads[:num_stages], cfg.stage_grids())]
+
+        def head(in_widths):
+            return TsgHead(in_widths, cfg.d_a, cfg.tsg_hidden, num_scales=2, rng=rng,
+                           dtype=dtype, integration_bias=cfg.integration_bias)
+
+        self.top_proj = Linear(dims[-1], cfg.d_f, rng, dtype)
+        gated = self.kind == "tsg"
+        self.shared_head = head(widths) if gated and cfg.shared_tsg else None
         steps: list[FusionStep] = []
-        for s in range(s_count - 1):  # step s fuses stage s+1 with the refined map
-            transform = Linear(stage_dims[s], d_f, rng, dtype)
-            head: TsgHead | None = None
-            if kind == "tsg":
-                if shared_head:
-                    head = self.shared_head
-                else:
-                    head = TsgHead(
-                        map_widths[s:], d_a, hidden, num_scales=2, rng=rng,
-                        dtype=dtype, integration_bias=integration_bias,
-                    )
-            steps.append(FusionStep(transform, head))
+        for s in range(num_stages - 1):  # step s fuses stage s+1 with the refined map
+            transform = Linear(dims[s], cfg.d_f, rng, dtype)
+            step_head = (self.shared_head or head(widths[s:])) if gated else None
+            steps.append(FusionStep(transform, step_head))
         self.steps = steps
 
     def __call__(
         self, features: list[FeatureMap], bundles: list[AttentionBundle],
-        forced_gates=None,
+        forced_gates: float | None = None,
     ) -> tuple[list[FeatureMap], list[ScaleGates]]:
         """Produce refined maps for every stage (finest first).
 
-        ``forced_gates`` overrides gate outputs for baseline-equivalence
-        runs: a scalar pins every gate entry to that value; a list supplies
-        one (g_coarse, g_fine) pair or full N x 2 array per fusion step,
-        finest step first. Forcing bypasses the gate heads entirely.
+        A scalar ``forced_gates`` pins every gate entry to that value,
+        bypassing the gate heads (baseline-equivalence runs).
         """
         if self.kind == "single":
-            k = self.single_stage
-            fm = features[k - 1]
+            fm = features[-1]
             return [FeatureMap(self.proj(fm.data), fm.h, fm.w, fm.stage)], []
 
         if self.kind == "none":
@@ -260,7 +245,7 @@ class TsgeFusion(Module):
                 out.append(FeatureMap(proj(fm.data), fm.h, fm.w, fm.stage))
             return out, []
 
-        s_count = self.num_stages
+        s_count = len(features)
         refined: dict[int, FeatureMap] = {}
         top = features[-1]
         refined[s_count - 1] = FeatureMap(self.top_proj(top.data), top.h, top.w, top.stage)
@@ -281,28 +266,10 @@ class TsgeFusion(Module):
         return out, gates_out
 
     def _step_gates(self, s: int, fm: FeatureMap, bundles, forced) -> ScaleGates:
-        n = fm.h * fm.w
         if forced is not None:
-            return ScaleGates(gates=_constant_gates(forced, s, n, fm.data.dtype), num_scales=2)
+            return constant_gates(forced, fm.h * fm.w, 2, fm.data.dtype)
         head = self.steps[s].head
         assert head is not None
         upsampled = [upsample_attention(b, fm.grid) for b in bundles[s:]]
         integrated = head.integrate_self(upsampled, start=s if head is self.shared_head else 0)
         return head.gate(integrated)
-
-
-def _constant_gates(forced, step: int, n: int, dtype) -> Tensor:
-    if isinstance(forced, (int, float)):
-        return Tensor(np.full((n, 2), float(forced), dtype=dtype))
-    spec = forced[step]
-    arr = np.asarray(spec, dtype=dtype)
-    if arr.ndim == 1:
-        arr = np.tile(arr, (n, 1))
-    if arr.shape != (n, 2):
-        raise ShapeError(f"forced gates for step {step}: expected ({n}, 2), got {arr.shape}")
-    return Tensor(arr)
-
-
-def attention_map_widths(grids: list[tuple[int, int]], heads: list[int]) -> list[int]:
-    """Concatenated per-stage map width: heads x key count of that stage."""
-    return [h * (g[0] * g[1]) for g, h in zip(grids, heads)]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import RunConfig
 from .decoder import Decoder, SegLogits, predict_scores
-from .encoder import Backbone, TsgeFusion, attention_map_widths
+from .encoder import Backbone, TsgeFusion
 from .module import Module
 from .scale_gate import ScaleGates
 from .tensor import ShapeError, Tensor, softmax
@@ -40,14 +40,7 @@ class SegModel(Module):
         self.cfg = cfg
         used = cfg.single_stage if cfg.encoder_fusion == "single" else cfg.num_stages
         self.backbone = Backbone(cfg, used, rng, dtype)
-        grids = cfg.stage_grids()[:used]
-        widths = attention_map_widths(grids, list(cfg.stage_heads[:used]))
-        self.fusion = TsgeFusion(
-            kind=cfg.encoder_fusion, stage_dims=list(cfg.stage_dims[:used]),
-            map_widths=widths, d_f=cfg.d_f, d_a=cfg.d_a, hidden=cfg.tsg_hidden,
-            rng=rng, dtype=dtype, shared_head=cfg.shared_tsg,
-            single_stage=cfg.single_stage, integration_bias=cfg.integration_bias,
-        )
+        self.fusion = TsgeFusion(cfg, used, rng, dtype)
         fused_scales = 1 if cfg.encoder_fusion == "single" else used
         self.decoder = Decoder(
             num_blocks=cfg.decoder_blocks, num_classes=cfg.num_classes,

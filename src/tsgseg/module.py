@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, gelu, layernorm, linear
 
 
 class Parameter(Tensor):
@@ -87,8 +87,6 @@ class Linear(Module):
             self.b = Tensor(np.zeros(d_out, dtype=dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
-        from .tensor import linear
-
         return linear(x, self.w, self.b)
 
 
@@ -101,8 +99,6 @@ class LayerNorm(Module):
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        from .tensor import layernorm
-
         return layernorm(x, self.gamma, self.beta, self.eps)
 
 
@@ -116,6 +112,4 @@ class Mlp(Module):
         self.fc2 = Linear(d_hidden, d_out, rng, dtype, zero_init=zero_init_out)
 
     def __call__(self, x: Tensor) -> Tensor:
-        from .tensor import gelu
-
         return self.fc2(gelu(self.fc1(x)))

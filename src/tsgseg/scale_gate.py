@@ -28,7 +28,7 @@ from .attention import CROSS_GATED_KIND, AttentionBundle, concat_heads
 from .module import LayerNorm, Linear, Mlp, Module
 from .tensor import ShapeError, Tensor, mul, narrow, softmax
 
-__all__ = ["ScaleGates", "TsgHead", "gated_sum"]
+__all__ = ["ScaleGates", "TsgHead", "constant_gates", "gated_sum"]
 
 
 @dataclass
@@ -36,7 +36,15 @@ class ScaleGates:
     """Per-patch distribution over scales: an N x S row-stochastic matrix."""
 
     gates: Tensor
-    num_scales: int
+
+
+def constant_gates(value: float, n: int, num_scales: int, dtype) -> ScaleGates:
+    """Every one of the N x S gate entries pinned to ``value``.
+
+    Forced gates bypass the gate heads: all-ones gates turn a gated fusion
+    into the plain unweighted sum of its inputs.
+    """
+    return ScaleGates(gates=Tensor(np.full((n, num_scales), float(value), dtype=dtype)))
 
 
 class TsgHead(Module):
@@ -56,7 +64,6 @@ class TsgHead(Module):
         ]
         self.norm = LayerNorm(d_a, dtype)
         self.mlp = Mlp(d_a, hidden, num_scales, rng, dtype, zero_init_out=True)
-        self.num_scales = num_scales
 
     def integrate_self(self, bundles: list[AttentionBundle], start: int = 0) -> Tensor:
         """Fuse upsampled self-attention bundles into one N x d_A map.
@@ -99,7 +106,7 @@ class TsgHead(Module):
     def gate(self, a: Tensor) -> ScaleGates:
         """Predict gates from an integrated map: softmax(MLP(norm(a)))."""
         logits = self.mlp(self.norm(a))
-        return ScaleGates(gates=softmax(logits, axis=-1), num_scales=self.num_scales)
+        return ScaleGates(gates=softmax(logits, axis=-1))
 
 
 def gated_sum(features: list[Tensor], gates: Tensor) -> Tensor:

@@ -254,27 +254,6 @@ def patch_labels(labels: np.ndarray, patch: int, num_classes: int) -> np.ndarray
     return np.argmax(counts, axis=1).reshape(gh, gw)
 
 
-def make_baseline(kind: str) -> dict:
-    """Model-variant settings for the ablation baselines.
-
-    Kinds: ``tsg`` (gated fusion in encoder and decoder), ``fpn_sum``
-    (unweighted top-down encoder fusion, plain-sum decoder memory),
-    ``plain_sum`` (projection-only encoder, plain-sum decoder memory),
-    ``single_scale(s)`` (only stage s feeds the decoder).
-    """
-    if kind == "tsg":
-        return {"encoder_fusion": "tsg", "decoder_fusion": "tsg", "single_stage": None}
-    if kind == "fpn_sum":
-        return {"encoder_fusion": "fpn", "decoder_fusion": "sum", "single_stage": None}
-    if kind == "plain_sum":
-        return {"encoder_fusion": "none", "decoder_fusion": "sum", "single_stage": None}
-    m = re.fullmatch(r"single_scale\((\d+)\)", kind)
-    if m:
-        return {"encoder_fusion": "single", "decoder_fusion": "sum",
-                "single_stage": int(m.group(1))}
-    raise ValueError(f"unknown baseline kind {kind!r}")
-
-
 def save_sample(out_dir: str, index: int, sample: SegSample) -> None:
     stem = os.path.join(out_dir, f"sample_{index:04d}")
     write_ppm(stem + ".ppm", np.round(sample.image * 255.0).astype(np.uint8))

@@ -28,7 +28,6 @@ from .segbench import (
     generate,
     iou_from_confusion,
     load_sample,
-    make_baseline,
     bucket_masks,
     patch_labels,
     sample_seed,
@@ -251,7 +250,7 @@ def dump_gates(ckpt_path, sample_path, out_dir) -> list[str]:
     written: list[str] = []
     for b, gates in enumerate(res.decoder_gates, start=2):
         g = gates.gates.data
-        s_count = gates.num_scales
+        s_count = g.shape[-1]
         for s in range(s_count):
             path = os.path.join(out_dir, f"gates_block{b}_scale{s + 1}.pgm")
             write_pgm(path, np.round(255.0 * g[:, s]).astype(np.uint8).reshape(gh, gw))
@@ -270,27 +269,28 @@ def dump_gates(ckpt_path, sample_path, out_dir) -> list[str]:
     return written
 
 
+# Each ablation variant, by its results.csv name: the fusion settings it
+# overrides on the run's base config.
+VARIANTS = {
+    "tsg": {"encoder_fusion": "tsg", "decoder_fusion": "tsg", "single_stage": None},
+    "tsg_shared": {"encoder_fusion": "tsg", "decoder_fusion": "tsg", "single_stage": None,
+                   "shared_tsg": True},
+    "fpn_sum": {"encoder_fusion": "fpn", "decoder_fusion": "sum", "single_stage": None},
+    "plain_sum": {"encoder_fusion": "none", "decoder_fusion": "sum", "single_stage": None},
+    "tsge_only": {"encoder_fusion": "tsg", "decoder_fusion": "sum", "single_stage": None},
+    "tsgd_only": {"encoder_fusion": "none", "decoder_fusion": "tsg", "single_stage": None},
+    **{f"single_scale_{k}": {"encoder_fusion": "single", "decoder_fusion": "sum",
+                             "single_stage": k} for k in (1, 2, 3)},
+}
+
 SUITES = {
-    "components": [
-        ("plain_sum", make_baseline("plain_sum")),
-        ("fpn_sum", make_baseline("fpn_sum")),
-        ("tsge_only", {"encoder_fusion": "tsg", "decoder_fusion": "sum",
-                       "single_stage": None}),
-        ("tsgd_only", {"encoder_fusion": "none", "decoder_fusion": "tsg",
-                       "single_stage": None}),
-        ("tsg", make_baseline("tsg")),
-    ],
-    "scales": [
-        ("single_scale_1", make_baseline("single_scale(1)")),
-        ("single_scale_2", make_baseline("single_scale(2)")),
-        ("single_scale_3", make_baseline("single_scale(3)")),
-        ("plain_sum", make_baseline("plain_sum")),
-        ("tsg", make_baseline("tsg")),
-    ],
-    "tsg-variants": [
-        ("tsg", make_baseline("tsg")),
-        ("tsg_shared", dict(make_baseline("tsg"), shared_tsg=True)),
-    ],
+    suite: [(name, VARIANTS[name]) for name in names]
+    for suite, names in {
+        "components": ["plain_sum", "fpn_sum", "tsge_only", "tsgd_only", "tsg"],
+        "scales": ["single_scale_1", "single_scale_2", "single_scale_3",
+                   "plain_sum", "tsg"],
+        "tsg-variants": ["tsg", "tsg_shared"],
+    }.items()
 }
 
 ABLATE_STEPS = 300

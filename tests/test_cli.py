@@ -15,6 +15,7 @@ from tsgseg.segbench import (
     load_sample,
     sample_seed,
 )
+from tsgseg.train import SUITES
 
 from test_train import tiny_config
 
@@ -112,6 +113,14 @@ class TestAblate:
         assert "results.csv" in capsys.readouterr().out
         lines = (tmp_path / "results.csv").read_text().strip().splitlines()
         assert len(lines) == 3
+
+    def test_every_suite_accepted(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr("tsgseg.cli.ablate",
+                            lambda suite, *args, **kwargs: calls.append(suite))
+        for suite in SUITES:
+            assert main(["ablate", "--suite", suite, "--out", str(tmp_path)]) == 0
+        assert calls == list(SUITES)
 
     def test_unknown_suite_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

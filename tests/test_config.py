@@ -119,6 +119,16 @@ class TestResolve:
         ("decoder_fusion", {"decoder_fusion": "mean"}),
         ("single_stage", {"encoder_fusion": "single", "single_stage": 7}),
         ("single_stage", {"encoder_fusion": "single", "single_stage": 0}),
+        ("stage_blocks", {"stage_blocks": (1, 0, 1)}),
+        ("stage_dims", {"stage_dims": (32, 0, 128)}),
+        ("decoder_blocks", {"decoder_blocks": 0}),
+        ("train_samples", {"train_samples": 0}),
+        ("val_samples", {"val_samples": 0}),
+        ("d_f", {"d_f": 0}),
+        ("d_a", {"d_a": 0}),
+        ("tsg_hidden", {"tsg_hidden": 0}),
+        ("noise", {"noise": -0.01}),
+        ("n_objects_min", {"n_objects_min": -1}),
     ])
     def test_bad_value_named(self, key, overrides):
         with pytest.raises(ConfigError, match=key):

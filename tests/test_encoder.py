@@ -13,7 +13,6 @@ from tsgseg.encoder import (
     PatchEmbed,
     PatchMerge,
     TsgeFusion,
-    attention_map_widths,
     upsample_attention,
 )
 from tsgseg.tensor import ShapeError, Tensor, mul, tsum
@@ -40,10 +39,10 @@ def synthetic_pyramid(rng):
     return features, bundles
 
 
-def tsg_fusion(rng, **kwargs) -> TsgeFusion:
-    widths = attention_map_widths(GRIDS, [HEADS] * 3)
-    return TsgeFusion(kwargs.pop("kind", "tsg"), DIMS, widths, d_f=8, d_a=6,
-                      hidden=5, rng=rng, **kwargs)
+def tsg_fusion(rng, **overrides) -> TsgeFusion:
+    """Fusion over all three stages, or over the kept ones of a single-stage config."""
+    cfg = three_stage_config(d_f=8, d_a=6, tsg_hidden=5, **overrides)
+    return TsgeFusion(cfg, cfg.single_stage or cfg.num_stages, rng)
 
 
 def fusion_params(fusion: TsgeFusion) -> dict:
@@ -219,7 +218,7 @@ class TestTsgeFusion:
         rng = np.random.default_rng(13)
         gated = tsg_fusion(rng)
         helpers.randomize_gate_mlps(gated, rng)
-        plain = tsg_fusion(np.random.default_rng(99), kind="fpn")
+        plain = tsg_fusion(np.random.default_rng(99), encoder_fusion="fpn")
         plain.top_proj.w.data = gated.top_proj.w.data.copy()
         plain.top_proj.b.data = gated.top_proj.b.data.copy()
         for src, dst in zip(gated.steps, plain.steps):
@@ -232,24 +231,9 @@ class TestTsgeFusion:
         for a, b in zip(forced, unweighted):
             np.testing.assert_allclose(a.data.data, b.data.data, atol=1e-12)
 
-    def test_forced_pairs_select_inputs(self):
-        rng = np.random.default_rng(14)
-        fusion = tsg_fusion(rng)
-        features, bundles = synthetic_pyramid(rng)
-        p = fusion_params(fusion)
-        # step 1 keeps only the upsampled coarse map, step 0 only the lateral
-        refined, _ = fusion(features, bundles,
-                            forced_gates=[(0.0, 1.0), (1.0, 0.0)])
-        top = oracles.linear2d(features[2].data.data, p["top"]["w"], p["top"]["b"])
-        mid = oracles.upsample_rows(top, GRIDS[2], GRIDS[1])
-        np.testing.assert_allclose(refined[1].data.data, mid, atol=1e-12)
-        fine = oracles.linear2d(features[0].data.data,
-                                p["transforms"][0]["w"], p["transforms"][0]["b"])
-        np.testing.assert_allclose(refined[0].data.data, fine, atol=1e-12)
-
     def test_projection_only_variant(self):
         rng = np.random.default_rng(15)
-        fusion = tsg_fusion(rng, kind="none")
+        fusion = tsg_fusion(rng, encoder_fusion="none")
         features, bundles = synthetic_pyramid(rng)
         refined, gates = fusion(features, bundles)
         assert gates == []
@@ -260,9 +244,9 @@ class TestTsgeFusion:
 
     def test_single_stage_variant(self):
         rng = np.random.default_rng(16)
-        fusion = tsg_fusion(rng, kind="single", single_stage=2)
+        fusion = tsg_fusion(rng, encoder_fusion="single", single_stage=2)
         features, bundles = synthetic_pyramid(rng)
-        refined, gates = fusion(features, bundles)
+        refined, gates = fusion(features[:2], bundles[:2])
         assert gates == [] and len(refined) == 1
         assert refined[0].grid == (2, 2)
         ref = oracles.linear2d(features[1].data.data, fusion.proj.w.data,
@@ -271,18 +255,9 @@ class TestTsgeFusion:
         names = [n for n, _ in fusion.named_parameters()]
         assert sorted(names) == ["proj.b", "proj.w"]
 
-    def test_invalid_kinds_rejected(self):
-        rng = np.random.default_rng(17)
-        with pytest.raises(ValueError):
-            tsg_fusion(rng, kind="fancy")
-        with pytest.raises(ValueError):
-            tsg_fusion(rng, kind="single")
-        with pytest.raises(ValueError):
-            tsg_fusion(rng, kind="single", single_stage=4)
-
     def test_shared_head_matches_slice_reference(self):
         rng = np.random.default_rng(18)
-        fusion = tsg_fusion(rng, shared_head=True)
+        fusion = tsg_fusion(rng, shared_tsg=True)
         helpers.randomize_gate_mlps(fusion, rng)
         assert fusion.steps[0].head is fusion.steps[1].head
         features, bundles = synthetic_pyramid(rng)
@@ -305,7 +280,7 @@ class TestTsgeFusion:
 
     def test_shared_head_reports_parameters_once(self):
         rng = np.random.default_rng(19)
-        fusion = tsg_fusion(rng, shared_head=True)
+        fusion = tsg_fusion(rng, shared_tsg=True)
         names = [n for n, _ in fusion.named_parameters()]
         assert len(names) == len(set(names))
         solo = tsg_fusion(np.random.default_rng(19))
@@ -329,9 +304,3 @@ class TestTsgeFusion:
         build(x).backward()
         fd = oracles.finite_difference(lambda a: float(build(Tensor(a)).data), x0)
         assert oracles.rel_err(x.grad, fd) <= 1e-6
-
-
-class TestMapWidths:
-    def test_values(self):
-        assert attention_map_widths(GRIDS, [2, 2, 2]) == [32, 8, 2]
-        assert attention_map_widths([(8, 8)], [4]) == [256]

@@ -1,6 +1,7 @@
 """Assembled model: variant wiring, gradient coverage, and cross-variant
 weight compatibility."""
 
+import dataclasses
 import pathlib
 import re
 
@@ -8,10 +9,12 @@ import numpy as np
 import pytest
 
 import helpers
-from tsgseg.config import ConfigError, resolve_config
+from tsgseg.config import ConfigError, RunConfig, resolve_config
 from tsgseg.model import build_model, copy_matching_parameters
-from tsgseg.segbench import make_baseline
 from tsgseg.tensor import ShapeError, Tensor, cross_entropy
+from tsgseg.train import SUITES, VARIANTS
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_image(seed=0):
@@ -30,13 +33,18 @@ class TestConfig:
 
     def test_readme_parameter_count(self):
         # The README's quick start states the desk model's size.
-        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-        stated = re.search(r"~(\d+)k parameters", readme.read_text())
+        stated = re.search(r"~(\d+)k parameters", README.read_text())
         assert stated is not None
         model = build_model(resolve_config("desk"), seed=0, dtype=np.float32)
         count = sum(p.data.size for p in model.parameters())
         assert count == 485_514
         assert round(count / 1000) == int(stated.group(1))
+
+    def test_readme_names_every_setting_and_suite(self):
+        text = README.read_text()
+        names = [f.name for f in dataclasses.fields(RunConfig) if f.name != "preset"]
+        missing = [n for n in names + sorted(SUITES) if f"`{n}`" not in text]
+        assert missing == []
 
 
 class TestForward:
@@ -63,8 +71,8 @@ class TestForward:
 
     def test_every_parameter_receives_gradient(self):
         rng = np.random.default_rng(2)
-        for variant in ("tsg", "fpn_sum", "plain_sum", "single_scale(2)"):
-            cfg = helpers.tiny_model_config(**make_baseline(variant))
+        for variant in ("tsg", "fpn_sum", "plain_sum", "single_scale_2"):
+            cfg = helpers.tiny_model_config(**VARIANTS[variant])
             model = build_model(cfg, seed=3)
             helpers.randomize_gate_mlps(model, rng)
             out = model(Tensor(run_image(2)))
@@ -84,7 +92,7 @@ class TestForward:
 
 class TestVariants:
     def test_single_scale_keeps_prefix_stages(self):
-        cfg = helpers.tiny_model_config(**make_baseline("single_scale(2)"))
+        cfg = helpers.tiny_model_config(**VARIANTS["single_scale_2"])
         model = build_model(cfg, seed=4)
         assert len(model.backbone.stages) == 2
         out = model(Tensor(run_image(4)))
@@ -95,7 +103,7 @@ class TestVariants:
         # The hierarchy is feed-forward: truncating stages must not change
         # the features of the stages that remain.
         full = build_model(helpers.tiny_model_config(), seed=5)
-        cfg = helpers.tiny_model_config(**make_baseline("single_scale(2)"))
+        cfg = helpers.tiny_model_config(**VARIANTS["single_scale_2"])
         small = build_model(cfg, seed=99)
         copy_matching_parameters(full.backbone, small.backbone)
         img = Tensor(run_image(5))
@@ -106,7 +114,7 @@ class TestVariants:
             np.testing.assert_allclose(a.data.data, b.data.data, atol=1e-12)
 
     def test_plain_sum_has_no_gate_parameters(self):
-        cfg = helpers.tiny_model_config(**make_baseline("plain_sum"))
+        cfg = helpers.tiny_model_config(**VARIANTS["plain_sum"])
         model = build_model(cfg, seed=6)
         names = [n for n, _ in model.named_parameters()]
         assert not any("head" in n or "integrator" in n for n in names)
@@ -126,7 +134,7 @@ class TestVariants:
 class TestWeightTransfer:
     def test_copy_into_subset_model(self):
         src = build_model(helpers.tiny_model_config(), seed=10)
-        dst_cfg = helpers.tiny_model_config(**make_baseline("fpn_sum"))
+        dst_cfg = helpers.tiny_model_config(**VARIANTS["fpn_sum"])
         dst = build_model(dst_cfg, seed=11)
         copied = copy_matching_parameters(src, dst)
         assert len(copied) == len(dst.named_parameters())
@@ -144,7 +152,7 @@ class TestWeightTransfer:
 
     def test_missing_name_rejected(self):
         small = build_model(
-            helpers.tiny_model_config(**make_baseline("plain_sum")), seed=14)
+            helpers.tiny_model_config(**VARIANTS["plain_sum"]), seed=14)
         full = build_model(helpers.tiny_model_config(), seed=15)
         with pytest.raises(KeyError):
             copy_matching_parameters(small, full)

@@ -19,7 +19,6 @@ from tsgseg.segbench import (
     id_map,
     iou_from_confusion,
     load_sample,
-    make_baseline,
     object_mask,
     patch_labels,
     sample_seed,
@@ -285,24 +284,6 @@ class TestPatchLabels:
     def test_divisibility(self):
         with pytest.raises(ValueError):
             patch_labels(np.zeros((5, 4), dtype=np.int64), 2, 2)
-
-
-class TestBaselines:
-    def test_kinds(self):
-        assert make_baseline("tsg") == {
-            "encoder_fusion": "tsg", "decoder_fusion": "tsg", "single_stage": None}
-        assert make_baseline("fpn_sum") == {
-            "encoder_fusion": "fpn", "decoder_fusion": "sum", "single_stage": None}
-        assert make_baseline("plain_sum") == {
-            "encoder_fusion": "none", "decoder_fusion": "sum", "single_stage": None}
-        assert make_baseline("single_scale(2)") == {
-            "encoder_fusion": "single", "decoder_fusion": "sum", "single_stage": 2}
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            make_baseline("single_scale(x)")
-        with pytest.raises(ValueError):
-            make_baseline("resnet")
 
 
 class TestStorage:

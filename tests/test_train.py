@@ -1,11 +1,13 @@
 """Training loop, evaluation, gate export, and the ablation driver, all on
 a miniature configuration that trains in well under a second."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
+import helpers
 import tsgseg.train as train_module
 from tsgseg.checkpoint import save_model
 from tsgseg.config import ConfigError, format_config, load_config_file, resolve_config
@@ -18,6 +20,7 @@ from tsgseg.train import (
     ABLATE_HEADER,
     METRICS_HEADER,
     SUITES,
+    VARIANTS,
     TrainAbort,
     ablate,
     build_split,
@@ -324,6 +327,17 @@ class TestAblate:
             "plain_sum", "tsg"]
         assert [name for name, _ in SUITES["tsg-variants"]] == [
             "tsg", "tsg_shared"]
+        for suite in SUITES.values():
+            assert all(overrides is VARIANTS[name] for name, overrides in suite)
+        # every variant is a valid config, and every one is run by some suite
+        for overrides in VARIANTS.values():
+            cfg = dataclasses.replace(helpers.tiny_model_config(), **overrides)
+            assert all(getattr(cfg, k) == v for k, v in overrides.items())
+        for k in (1, 2, 3):
+            cfg = dataclasses.replace(helpers.tiny_model_config(),
+                                      **VARIANTS[f"single_scale_{k}"])
+            assert (cfg.encoder_fusion, cfg.single_stage) == ("single", k)
+        assert {name for suite in SUITES.values() for name, _ in suite} == set(VARIANTS)
 
     def test_small_grid_run(self, tmp_path):
         results = ablate("tsg-variants", tmp_path, seeds=(0,), steps=2,
