@@ -139,6 +139,18 @@ class RunConfig:
     def num_stages(self) -> int:
         return len(self.stage_dims)
 
+    @property
+    def kept_stages(self) -> int:
+        """Backbone stages the model builds: a single-scale variant keeps the
+        stages up to its selected one, every other variant keeps them all."""
+        return self.single_stage if self.encoder_fusion == "single" else self.num_stages
+
+    @property
+    def decoder_scales(self) -> int:
+        """Refined feature maps the decoder fuses: one per kept stage, or one
+        for a single-scale variant."""
+        return 1 if self.encoder_fusion == "single" else self.num_stages
+
     def stage_grids(self) -> list[tuple[int, int]]:
         """Patch grid of every backbone stage, finest first."""
         h = self.height // self.patch_size

@@ -3,9 +3,11 @@
 The backbone embeds non-overlapping image patches, runs a stack of global
 self-attention blocks per stage, and halves the grid between stages by
 merging 2x2 token neighborhoods. Each stage's final self-attention maps are
-kept: the fusion pass feeds them (spatially upsampled) to gate heads that
-decide, patch by patch, how much of the coarser refined map versus the
-current stage's own features to keep.
+kept: at each fusion step a gate head projects the maps of the current
+stage and of every coarser one, each at its own grid, upsamples the
+projections to the current grid and decides from their sum, patch by
+patch, how much of the coarser refined map versus the current stage's own
+features to keep.
 
 Fusion variants share the same projection layers so baselines stay weight-
 compatible with the gated model:
@@ -169,6 +171,11 @@ def upsample_attention(bundle: AttentionBundle, target: tuple[int, int]) -> Atte
     Rows are laid out on the bundle's grid and bilinearly interpolated to
     ``target``; the key axis is untouched. Interpolation is affine, so rows
     of sum-1 maps still sum to 1. Equal grids return the bundle unchanged.
+
+    Nothing in the model calls it: ``TsgHead.integrate_self`` projects
+    each bundle at its own grid and upsamples the projection. It is kept
+    for ``perfbench/tracing.py``, which traces it by name, and for its
+    tests, until ROADMAP item 5 drops the name.
     """
     if bundle.grid is None:
         raise ShapeError("upsample_attention: bundle carries no grid metadata")
@@ -270,6 +277,6 @@ class TsgeFusion(Module):
             return constant_gates(forced, fm.h * fm.w, 2, fm.data.dtype)
         head = self.steps[s].head
         assert head is not None
-        upsampled = [upsample_attention(b, fm.grid) for b in bundles[s:]]
-        integrated = head.integrate_self(upsampled, start=s if head is self.shared_head else 0)
+        integrated = head.integrate_self(bundles[s:],
+                                         start=s if head is self.shared_head else 0)
         return head.gate(integrated)

@@ -38,15 +38,13 @@ class SegModel(Module):
 
     def __init__(self, cfg: RunConfig, rng: np.random.Generator, dtype=np.float64):
         self.cfg = cfg
-        used = cfg.single_stage if cfg.encoder_fusion == "single" else cfg.num_stages
-        self.backbone = Backbone(cfg, used, rng, dtype)
-        self.fusion = TsgeFusion(cfg, used, rng, dtype)
-        fused_scales = 1 if cfg.encoder_fusion == "single" else used
+        self.backbone = Backbone(cfg, cfg.kept_stages, rng, dtype)
+        self.fusion = TsgeFusion(cfg, cfg.kept_stages, rng, dtype)
         self.decoder = Decoder(
             num_blocks=cfg.decoder_blocks, num_classes=cfg.num_classes,
             d_f=cfg.d_f, heads=cfg.decoder_heads,
             mlp_dim=max(1, int(round(cfg.d_f * cfg.mlp_ratio))),
-            num_scales=fused_scales, d_a=cfg.d_a, hidden=cfg.tsg_hidden,
+            num_scales=cfg.decoder_scales, d_a=cfg.d_a, hidden=cfg.tsg_hidden,
             rng=rng, fusion=cfg.decoder_fusion, shared_head=cfg.shared_tsg,
             dtype=dtype, integration_bias=cfg.integration_bias,
         )

@@ -3,9 +3,13 @@
 A gate head turns attention evidence into a per-patch probability
 distribution over candidate scales. Evidence arrives in one of two forms:
 
-- self-attention maps from several backbone stages, spatially upsampled to
-  a common row count, concatenated per head and linearly projected per
-  source, then summed into one N x d_A map;
+- self-attention maps from several backbone stages, concatenated per head
+  and projected to d_A per source at that source's own grid; each
+  projection is bilinearly upsampled to the first source's grid, and the
+  projections are summed into one N x d_A map. Both steps are linear on
+  the row axis and every bilinear row sums to 1, so this equals upsampling
+  the maps first and projecting after, bias included, on d_A columns
+  instead of heads x keys;
 - class-normalized cross-attention maps, transposed to patch-major layout,
   concatenated over heads and projected with one linear.
 
@@ -26,7 +30,7 @@ import numpy as np
 
 from .attention import CROSS_GATED_KIND, AttentionBundle, concat_heads
 from .module import LayerNorm, Linear, Mlp, Module
-from .tensor import ShapeError, Tensor, mul, narrow, softmax
+from .tensor import ShapeError, Tensor, mul, narrow, softmax, upsample_bilinear
 
 __all__ = ["ScaleGates", "TsgHead", "constant_gates", "gated_sum"]
 
@@ -66,25 +70,31 @@ class TsgHead(Module):
         self.mlp = Mlp(d_a, hidden, num_scales, rng, dtype, zero_init_out=True)
 
     def integrate_self(self, bundles: list[AttentionBundle], start: int = 0) -> Tensor:
-        """Fuse upsampled self-attention bundles into one N x d_A map.
+        """Fuse self-attention bundles into one N x d_A map on the first
+        bundle's grid.
 
-        Each bundle's head maps must already share a common row count; the
-        per-source projections are summed elementwise.
+        Each bundle is projected by its own integrator at its own grid, and
+        the projection is upsampled to the first bundle's grid. Bundles
+        without a grid must already share the first bundle's row count.
         """
         if start + len(bundles) > len(self.integrators):
             raise ShapeError(
                 f"gate head has {len(self.integrators)} sources, "
                 f"got {len(bundles)} starting at {start}"
             )
+        target = bundles[0].grid
         rows = bundles[0].stacked.shape[-2]
-        total: Tensor | None = None
-        for i, bundle in enumerate(bundles):
-            if bundle.stacked.shape[-2] != rows:
+        for bundle in bundles:
+            if (target is None or bundle.grid is None) and bundle.stacked.shape[-2] != rows:
                 raise ShapeError(
                     f"integrate_self: row-count mismatch, {bundle.stacked.shape[-2]} vs "
-                    f"{rows}; upsample all bundles to the fusion resolution first"
+                    f"{rows}; bundles without a grid must share the first one's rows"
                 )
+        total: Tensor | None = None
+        for i, bundle in enumerate(bundles):
             proj = self.integrators[start + i](concat_heads(bundle.stacked))
+            if target is not None and bundle.grid not in (None, target):
+                proj = upsample_bilinear(proj, bundle.grid, target)
             total = proj if total is None else total + proj
         assert total is not None
         return total

@@ -269,18 +269,23 @@ def dump_gates(ckpt_path, sample_path, out_dir) -> list[str]:
     return written
 
 
+def _variant(encoder: str, decoder: str, single_stage: int | None = None,
+             shared_tsg: bool = False) -> dict:
+    return {"encoder_fusion": encoder, "decoder_fusion": decoder,
+            "single_stage": single_stage, "shared_tsg": shared_tsg}
+
+
 # Each ablation variant, by its results.csv name: the fusion settings it
-# overrides on the run's base config.
+# overrides on the run's base config. Every variant sets all four, so a base
+# override of any of them cannot turn one variant into another.
 VARIANTS = {
-    "tsg": {"encoder_fusion": "tsg", "decoder_fusion": "tsg", "single_stage": None},
-    "tsg_shared": {"encoder_fusion": "tsg", "decoder_fusion": "tsg", "single_stage": None,
-                   "shared_tsg": True},
-    "fpn_sum": {"encoder_fusion": "fpn", "decoder_fusion": "sum", "single_stage": None},
-    "plain_sum": {"encoder_fusion": "none", "decoder_fusion": "sum", "single_stage": None},
-    "tsge_only": {"encoder_fusion": "tsg", "decoder_fusion": "sum", "single_stage": None},
-    "tsgd_only": {"encoder_fusion": "none", "decoder_fusion": "tsg", "single_stage": None},
-    **{f"single_scale_{k}": {"encoder_fusion": "single", "decoder_fusion": "sum",
-                             "single_stage": k} for k in (1, 2, 3)},
+    "tsg": _variant("tsg", "tsg"),
+    "tsg_shared": _variant("tsg", "tsg", shared_tsg=True),
+    "fpn_sum": _variant("fpn", "sum"),
+    "plain_sum": _variant("none", "sum"),
+    "tsge_only": _variant("tsg", "sum"),
+    "tsgd_only": _variant("none", "tsg"),
+    **{f"single_scale_{k}": _variant("single", "sum", single_stage=k) for k in (1, 2, 3)},
 }
 
 SUITES = {

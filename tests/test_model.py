@@ -27,6 +27,16 @@ class TestConfig:
         assert cfg.stage_grids() == [(4, 4), (2, 2), (1, 1)]
         assert cfg.num_stages == 3
 
+    def test_kept_stages_and_decoder_scales(self):
+        cfg = helpers.tiny_model_config()
+        assert (cfg.kept_stages, cfg.decoder_scales) == (3, 3)
+        for k in (1, 2, 3):
+            cfg = helpers.tiny_model_config(**VARIANTS[f"single_scale_{k}"])
+            assert (cfg.kept_stages, cfg.decoder_scales) == (k, 1)
+            model = build_model(cfg, seed=0)
+            assert len(model.backbone.stages) == k
+            assert model.decoder.num_scales == 1
+
     def test_stage_list_alignment(self):
         with pytest.raises(ConfigError, match="equal length"):
             helpers.tiny_model_config(stage_heads=(2, 2))

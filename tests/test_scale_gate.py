@@ -27,6 +27,14 @@ def random_self_bundle(rng, rows: int, heads: int) -> AttentionBundle:
     return AttentionBundle(maps=maps, softmax_axis=1, kind=SELF_KIND)
 
 
+def gridded_self_bundle(rng, grid, heads: int, batch: int, dtype) -> AttentionBundle:
+    """A (batch, heads, R, R) row-stochastic stack laid out on ``grid``."""
+    rows = grid[0] * grid[1]
+    maps = oracles.softmax2d(rng.normal(size=(batch * heads * rows, rows)), axis=1)
+    return AttentionBundle(Tensor(maps.reshape(batch, heads, rows, rows), dtype=dtype),
+                           softmax_axis=1, kind=SELF_KIND, grid=grid)
+
+
 def random_gated_bundle(rng, classes: int, rows: int, heads: int):
     maps = [Tensor(oracles.softmax2d(rng.normal(size=(classes, rows)), axis=0))
             for _ in range(heads)]
@@ -68,6 +76,49 @@ class TestIntegrateSelf:
         b2 = random_self_bundle(rng, rows=9, heads=2)
         with pytest.raises(ShapeError, match="row-count"):
             head.integrate_self([b1, b2])
+
+    def test_row_mismatch_without_second_grid_rejected(self):
+        # Only the first bundle has a grid, so the second's rows cannot be
+        # placed; the check runs before b2 reaches its too-narrow integrator.
+        rng = np.random.default_rng(3)
+        head = TsgHead([8, 8], d_a=4, hidden=4, num_scales=2, rng=rng)
+        b1 = random_self_bundle(rng, rows=4, heads=2)
+        b1.grid = (2, 2)
+        b2 = random_self_bundle(rng, rows=9, heads=2)
+        with pytest.raises(ShapeError, match="row-count"):
+            head.integrate_self([b1, b2])
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, dict(rtol=1e-12, atol=0)),
+                                           (np.float32, dict(rtol=1e-5, atol=0))])
+    def test_projecting_first_matches_upsampling_first(self, dtype, tol):
+        # The head projects each bundle at its own grid and upsamples the
+        # d_A-wide result; the reference upsamples every head map to the
+        # first grid and projects after, as the paper orders it. The bias
+        # is large so that interpolation weights not summing to 1 would show.
+        rng = np.random.default_rng(17)
+        grids = [(4, 6), (2, 3), (2, 2)]
+        heads, batch, start = 2, 2, 1
+        head = TsgHead([7] + [heads * g[0] * g[1] for g in grids], d_a=5, hidden=4,
+                       num_scales=2, rng=rng, dtype=dtype)
+        for lin in head.integrators:
+            lin.b.data = (100.0 + rng.normal(size=lin.b.shape)).astype(dtype)
+        bundles = [gridded_self_bundle(rng, g, heads, batch, dtype) for g in grids]
+        got = head.integrate_self(bundles, start=start)
+        assert got.shape == (batch, 24, 5) and got.dtype == dtype
+        params = [helpers.lin_params(l) for l in head.integrators[start:]]
+        for i in range(batch):
+            ref = oracles.integrate_self_maps(
+                [[oracles.upsample_rows(b.stacked.data[i, h], g, grids[0])
+                  for h in range(heads)] for b, g in zip(bundles, grids)], params)
+            np.testing.assert_allclose(got.data[i], ref, **tol)
+
+    def test_coarser_first_bundle_rejected(self):
+        rng = np.random.default_rng(18)
+        head = TsgHead([2 * 4, 2 * 16], d_a=4, hidden=4, num_scales=2, rng=rng)
+        coarse = gridded_self_bundle(rng, (2, 2), 2, 1, np.float64)
+        fine = gridded_self_bundle(rng, (4, 4), 2, 1, np.float64)
+        with pytest.raises(ShapeError, match="smaller"):
+            head.integrate_self([coarse, fine])
 
     def test_no_bias_mode(self):
         rng = np.random.default_rng(4)

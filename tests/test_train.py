@@ -339,6 +339,15 @@ class TestAblate:
             assert (cfg.encoder_fusion, cfg.single_stage) == ("single", k)
         assert {name for suite in SUITES.values() for name, _ in suite} == set(VARIANTS)
 
+    def test_base_override_cannot_change_a_variant(self):
+        # A base config with shared heads must not make the plain tsg rows
+        # shared too, or tsg-variants would train one variant twice.
+        base = resolve_config("desk", {"shared_tsg": True})
+        assert dataclasses.replace(base, **VARIANTS["tsg"]).shared_tsg is False
+        for name, overrides in VARIANTS.items():
+            cfg = dataclasses.replace(base, **overrides)
+            assert cfg.shared_tsg is (name == "tsg_shared")
+
     def test_small_grid_run(self, tmp_path):
         results = ablate("tsg-variants", tmp_path, seeds=(0,), steps=2,
                          overrides=dict(TINY))
