@@ -8,6 +8,8 @@ second bundle used only for gating; the feature path is unaffected.
 
 All heads run as one product over a (..., heads, tokens, head_dim) stack, so
 a layer's graph size depends on neither its head count nor the batch size.
+Each map is one ``attention_probs`` node: the logits are never kept, only
+the probabilities, which are the gates' evidence.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .module import LayerNorm, Linear, Mlp, Module
-from .tensor import (ShapeError, Tensor, concat, matmul, narrow, permute, reshape, scale,
-                     softmax)
+from .tensor import (ShapeError, Tensor, attention_probs, concat, matmul, narrow, permute,
+                     reshape)
 
 # Which axis of each stored map was softmax-normalized.
 SELF_KIND = "self"            # N x N, rows sum to 1 (axis 1, over keys)
@@ -85,19 +87,11 @@ def _split_heads(t: Tensor, heads: int, keys: bool = False) -> Tensor:
     return permute(t, (1, 2, 0) if keys else (1, 0, 2))
 
 
-def concat_heads(stack: Tensor, axes: tuple[int, int, int] = (1, 0, 2)) -> Tensor:
-    """Permute a (..., heads, R, K) stack by ``axes``, by default to
-    (..., R, heads, K), and flatten the last two axes: the head maps
-    concatenated along their column axis."""
-    t = permute(stack, axes)
+def concat_heads(stack: Tensor) -> Tensor:
+    """(..., heads, R, K) -> (..., R, heads * K): the head maps concatenated
+    along their column axis."""
+    t = permute(stack, (1, 0, 2))
     return reshape(t, t.shape[:-2] + (t.shape[-2] * t.shape[-1],))
-
-
-def _logits(q: Tensor, k: Tensor, cfg: MhaConfig) -> Tensor:
-    """Per-head scaled dot products (..., heads, N_q, N_k); ``q`` is scaled
-    by 1/sqrt(d_h) before the product, which costs N_q x d, not N_q x N_k."""
-    q = scale(q, 1.0 / math.sqrt(cfg.head_dim))
-    return matmul(_split_heads(q, cfg.heads), _split_heads(k, cfg.heads, keys=True))
 
 
 class MultiheadSelfAttention(Module):
@@ -117,7 +111,9 @@ class MultiheadSelfAttention(Module):
             raise ShapeError(
                 f"self-attention: token width {tokens.shape} != model_dim {cfg.model_dim}"
             )
-        att = softmax(_logits(self.wq(tokens), self.wk(tokens), cfg), axis=-1)
+        q = _split_heads(self.wq(tokens), cfg.heads)
+        k = _split_heads(self.wk(tokens), cfg.heads, keys=True)
+        att = attention_probs(q, k, 1.0 / math.sqrt(cfg.head_dim), axis=-1)
         mixed = matmul(att, _split_heads(self.wv(tokens), cfg.heads))
         out = self.wo(concat_heads(mixed))
         bundle = AttentionBundle(att, softmax_axis=1, kind=SELF_KIND)
@@ -149,14 +145,17 @@ class MultiheadCrossAttention(Module):
                 f"cross-attention: queries {queries.shape} / memory {memory.shape} "
                 f"must both have width {cfg.model_dim}"
             )
-        logits = _logits(self.wq(queries), self.wk(memory), cfg)
-        att = softmax(logits, axis=-1)
+        q = _split_heads(self.wq(queries), cfg.heads)
+        k = _split_heads(self.wk(memory), cfg.heads, keys=True)
+        c = 1.0 / math.sqrt(cfg.head_dim)
+        att = attention_probs(q, k, c, axis=-1)
         mixed = matmul(att, _split_heads(self.wv(memory), cfg.heads))
         out = self.wo(concat_heads(mixed))
         bundle = AttentionBundle(att, softmax_axis=1, kind=CROSS_KIND)
         gated = None
         if gate_softmax:
-            gated = AttentionBundle(softmax(logits, axis=-2), softmax_axis=0,
+            # the C x N logits are cheap to form twice
+            gated = AttentionBundle(attention_probs(q, k, c, axis=-2), softmax_axis=0,
                                     kind=CROSS_GATED_KIND)
         return out, bundle, gated
 

@@ -90,7 +90,13 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "ablate":
-        seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
+        items = [s.strip() for s in args.seeds.split(",") if s.strip()]
+        if not items or not all(s.isdecimal() for s in items):
+            parser.error(f"ablate: --seeds must be comma-separated integers >= 0, "
+                         f"got {args.seeds!r}")
+        seeds = tuple(int(s) for s in items)
+        if len(set(seeds)) != len(seeds):
+            parser.error(f"ablate: --seeds must not repeat a seed, got {args.seeds!r}")
         ablate(args.suite, args.out, seeds=seeds, steps=args.steps)
         print(f"suite {args.suite} complete; results in "
               f"{os.path.join(args.out, 'results.csv')}")

@@ -13,8 +13,10 @@ distribution over candidate scales. Evidence arrives in one of two forms:
 - class-normalized cross-attention maps, transposed to patch-major layout,
   concatenated over heads and projected with one linear.
 
-A head stack (..., heads, R, K) becomes the (..., R, heads * K) integrator
-input by one permute and one reshape; leading axes are batch axes.
+A (..., heads, R, K) head stack is projected by ``head_linear``: one
+product per head against that head's K rows of the integrator weight,
+summed over heads. That is the integrator applied to the (..., R, heads * K)
+concatenation, which is never built; leading axes are batch axes.
 
 The integrated map goes through layernorm, a two-layer MLP and a softmax
 over the scale axis. The final MLP layer is zero-initialized so a fresh
@@ -28,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import CROSS_GATED_KIND, AttentionBundle, concat_heads
+from .attention import CROSS_GATED_KIND, AttentionBundle
 from .module import LayerNorm, Linear, Mlp, Module
-from .tensor import ShapeError, Tensor, mul, narrow, softmax, upsample_bilinear
+from .tensor import (ShapeError, Tensor, head_linear, mul, narrow, softmax, transpose,
+                     upsample_bilinear)
 
 __all__ = ["ScaleGates", "TsgHead", "constant_gates", "gated_sum"]
 
@@ -92,7 +95,8 @@ class TsgHead(Module):
                 )
         total: Tensor | None = None
         for i, bundle in enumerate(bundles):
-            proj = self.integrators[start + i](concat_heads(bundle.stacked))
+            integrator = self.integrators[start + i]
+            proj = head_linear(bundle.stacked, integrator.w, integrator.b)
             if target is not None and bundle.grid not in (None, target):
                 proj = upsample_bilinear(proj, bundle.grid, target)
             total = proj if total is None else total + proj
@@ -111,7 +115,8 @@ class TsgHead(Module):
                 "integrate_cross: bundle must carry class-axis-normalized maps, "
                 f"got kind={bundle.kind!r} softmax_axis={bundle.softmax_axis}"
             )
-        return self.integrators[0](concat_heads(bundle.stacked, (2, 0, 1)))
+        integrator = self.integrators[0]
+        return head_linear(transpose(bundle.stacked), integrator.w, integrator.b)
 
     def gate(self, a: Tensor) -> ScaleGates:
         """Predict gates from an integrated map: softmax(MLP(norm(a)))."""

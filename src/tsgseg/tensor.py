@@ -20,6 +20,12 @@ Conventions:
   their contributions; training code must clear grads before each step.
 - Tensors are immutable after construction except for grad accumulation and
   in-place parameter updates performed by the optimizer between steps.
+- The ``g`` a backward closure receives is its own node's grad, which no
+  other tensor holds: ``_accumulate`` keeps a first contribution only when
+  the closure that passed it owns it, and the node's grad is dropped once
+  its closure returns. So a closure may overwrite ``g``; the softmax
+  backwards turn it into their input's grad in place. A closure must not
+  keep ``g`` or pass the same array to two different tensors.
 """
 
 from __future__ import annotations
@@ -39,9 +45,11 @@ __all__ = [
     "matmul",
     "transpose",
     "softmax",
+    "attention_probs",
     "layernorm",
     "gelu",
     "linear",
+    "head_linear",
     "concat",
     "narrow",
     "take",
@@ -270,6 +278,23 @@ def transpose(x: Tensor) -> Tensor:
     return _node(data, (x,), backward)
 
 
+def _normalize_exp_(x: np.ndarray, axis: int) -> None:
+    """Turn max-shifted logits ``x`` into probabilities along ``axis``, in place."""
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+
+
+def _softmax_backward_(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
+    """Overwrite ``g``, the grad of softmax output ``p``, with the grad of the
+    softmax input: ``(g - sum(g * p, axis)) * p``."""
+    sub = "abcdefghijklmnopqrstuvwxyz"[:g.ndim]
+    axis %= g.ndim
+    dot = np.einsum(f"{sub},{sub}->{sub.replace(sub[axis], '')}", g, p)
+    g -= np.expand_dims(dot, axis)
+    g *= p
+    return g
+
+
 def softmax(x: Tensor, axis: int) -> Tensor:
     """Normalized exponentials along ``axis``, max-shifted for stability."""
     if not -x.ndim <= axis < x.ndim:
@@ -277,15 +302,48 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     # in place after the first subtraction: attention maps are the largest
     # arrays the model makes
     data = x.data - x.data.max(axis=axis, keepdims=True)
-    np.exp(data, out=data)
-    data /= data.sum(axis=axis, keepdims=True)
+    _normalize_exp_(data, axis)
 
     def backward(g):
-        grad = g - (g * data).sum(axis=axis, keepdims=True)
-        grad *= data
-        _accumulate(x, grad)
+        _accumulate(x, _softmax_backward_(g, data, axis))
 
     return _node(data, (x,), backward)
+
+
+def attention_probs(q: Tensor, k: Tensor, c: float, axis: int = -1) -> Tensor:
+    """Attention probabilities ``softmax(c * q @ k)`` along ``axis`` (-1 or -2).
+
+    ``q`` is (..., N_q, d) and ``k`` is (..., d, N_k), keys already
+    transposed; leading axes broadcast. ``q`` is scaled before the product,
+    which costs N_q x d, not N_q x N_k. The logits are normalized in the
+    buffer the product makes, so only the probabilities are kept, and the
+    backward pass turns the incoming grad into the logit grad in place
+    before the two products.
+    """
+    if axis not in (-1, -2):
+        raise ShapeError(f"attention_probs: axis must be -1 or -2, got {axis}")
+    if q.ndim < 2 or k.ndim < 2 or q.shape[-1] != k.shape[-2]:
+        raise ShapeError(f"attention_probs: cannot multiply {q.shape} x {k.shape}")
+    c = float(c)
+    qs = q.data * c
+    try:
+        data = qs @ k.data
+    except ValueError:
+        raise ShapeError(
+            f"attention_probs: leading axes of {q.shape} and {k.shape} do not broadcast")
+    data -= data.max(axis=axis, keepdims=True)
+    _normalize_exp_(data, axis)
+
+    def backward(g):
+        g = _softmax_backward_(g, data, axis)
+        if q.requires_grad:
+            dq = g @ np.swapaxes(k.data, -1, -2)
+            dq *= c
+            _accumulate(q, _unbroadcast(dq, q.shape))
+        if k.requires_grad:
+            _accumulate(k, _unbroadcast(np.swapaxes(qs, -1, -2) @ g, k.shape))
+
+    return _node(data, (q, k), backward)
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -361,6 +419,39 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, g.sum(axis=0))
 
     return _node(data, (x, w, b), backward)
+
+
+def head_linear(stack: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``linear`` of a (..., H, R, K) head stack whose heads are concatenated
+    along the column axis, without building the (..., R, H*K) concatenation.
+
+    ``w`` is (H*K, d), read as H blocks of K rows: the result is
+    ``sum_h stack[..., h, :, :] @ w[h*K:(h+1)*K] + b``, shaped (..., R, d).
+    """
+    if stack.ndim < 3 or w.ndim != 2:
+        raise ShapeError(
+            f"head_linear: (..., H, R, K) stack and rank-2 w required, "
+            f"got {stack.shape}, {w.shape}")
+    heads, _, k = stack.shape[-3:]
+    d = w.shape[1]
+    if w.shape[0] != heads * k:
+        raise ShapeError(f"head_linear: {heads} heads x {k} columns do not match "
+                         f"w rows {w.shape}")
+    if b.shape != (d,):
+        raise ShapeError(f"head_linear: bias shape {b.shape} does not match w {w.shape}")
+    w_heads = w.data.reshape(heads, k, d)
+    data = (stack.data @ w_heads).sum(axis=-3)
+    data += b.data
+
+    def backward(g):
+        g_heads = np.expand_dims(g, -3)
+        if stack.requires_grad:
+            _accumulate(stack, g_heads @ np.swapaxes(w_heads, -1, -2))
+        gw = np.swapaxes(stack.data, -1, -2) @ g_heads
+        _accumulate(w, gw.reshape(-1, heads * k, d).sum(axis=0))
+        _accumulate(b, g.reshape(-1, d).sum(axis=0))
+
+    return _node(data, (stack, w, b), backward)
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:

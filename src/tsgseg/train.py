@@ -306,15 +306,20 @@ def ablate(suite: str, out_dir, seeds=(0, 1, 2), steps: int | None = None,
     """Train/evaluate the suite's model grid; write one summary CSV.
 
     Every run's config is built, and so checked, before the first run
-    starts. ``steps`` defaults to ABLATE_STEPS.
+    starts. ``seeds`` must be non-empty and free of repeats, since each
+    seed names a run directory. ``steps`` defaults to ABLATE_STEPS.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r} (choose from {sorted(SUITES)})")
+    seeds = [int(seed) for seed in seeds]
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ValueError(f"ablate: seeds must be a non-empty list without repeats, "
+                         f"got {seeds}")
     if steps is None:
         steps = ABLATE_STEPS
     base = resolve_config("desk", overrides or {})
     # eval_interval = steps: final evaluation only
-    runs = [(name, seed, replace(base, seed=int(seed), precision="single", steps=steps,
+    runs = [(name, seed, replace(base, seed=seed, precision="single", steps=steps,
                                  eval_interval=steps, **variant))
             for name, variant in SUITES[suite] for seed in seeds]
     os.makedirs(out_dir, exist_ok=True)

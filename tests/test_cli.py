@@ -126,6 +126,19 @@ class TestAblate:
         with pytest.raises(SystemExit):
             main(["ablate", "--suite", "nope", "--out", str(tmp_path)])
 
+    @pytest.mark.parametrize("seeds, problem", [("a", "integers"), ("0,x", "integers"),
+                                                ("-1", "integers"), ("", "integers"),
+                                                (",", "integers"), ("0,0", "repeat")])
+    def test_bad_seed_list_rejected_before_output(self, tmp_path, capsys, seeds, problem):
+        out = tmp_path / "grid"
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--suite", "tsg-variants", "--out", str(out),
+                  "--seeds", seeds])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seeds" in err and problem in err
+        assert not out.exists()
+
 
 class TestArgs:
     def test_missing_subcommand(self):

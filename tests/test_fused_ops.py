@@ -1,0 +1,387 @@
+"""The fused attention ops against the unfused formulation they replace.
+
+``attention_probs`` is ``softmax(scale(q, c) @ k)`` kept as one node, and
+``head_linear`` is ``linear(concat_heads(stack))`` without the concatenated
+copy. Forward values are checked against the loop oracles, in float64
+(rtol 1e-12) and float32 (rtol 1e-5); gradients against finite differences
+and against the unfused graph. The in-place softmax backwards are checked
+where a shared or non-contiguous grad could be corrupted.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import helpers
+import oracles
+from tsgseg.attention import (CROSS_GATED_KIND, CROSS_KIND, SELF_KIND, AttentionBundle,
+                              MultiheadCrossAttention, MultiheadSelfAttention, _split_heads,
+                              concat_heads)
+from tsgseg.config import resolve_config
+from tsgseg.model import build_model
+from tsgseg.scale_gate import TsgHead
+from tsgseg.tensor import (ShapeError, Tensor, add, attention_probs, cross_entropy,
+                           head_linear, linear, matmul, mul, permute, reshape, scale,
+                           softmax, transpose, tsum, upsample_bilinear)
+from tsgseg.train import VARIANTS
+
+from test_tensor import check_grad
+
+RTOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+
+def assert_rel_close(actual, expected, dtype):
+    """``actual`` within the dtype's rtol of ``expected``, relative to its
+    largest entry, so entries near zero do not need a separate bound."""
+    tol = RTOL[dtype] * max(1.0, float(np.max(np.abs(expected))))
+    np.testing.assert_allclose(actual, expected, rtol=RTOL[dtype], atol=tol)
+
+
+def qk_operands(rng, lead, nq, nk, d, dtype):
+    q = rng.normal(size=lead + (nq, d)).astype(dtype)
+    k = rng.normal(size=lead + (d, nk)).astype(dtype)
+    return q, k
+
+
+class TestAttentionProbs:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_matches_oracle_with_batch_and_head_axes(self, dtype, axis):
+        rng = np.random.default_rng(70)
+        c = 1.0 / math.sqrt(4)
+        q, k = qk_operands(rng, (2, 3), 5, 7, 4, dtype)
+        out = attention_probs(Tensor(q), Tensor(k), c, axis=axis)
+        assert out.shape == (2, 3, 5, 7) and out.dtype == dtype
+        for b in range(2):
+            for h in range(3):
+                logits = (q[b, h].astype(np.float64) * c) @ k[b, h].astype(np.float64)
+                expected = oracles.softmax2d(logits, 1 if axis == -1 else 0)
+                assert_rel_close(out.data[b, h], expected, dtype)
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_gradients_vs_finite_differences(self, axis):
+        rng = np.random.default_rng(71)
+        q0, k0 = qk_operands(rng, (2, 2), 3, 4, 2, np.float64)
+        w = Tensor(rng.normal(size=(2, 2, 3, 4)))
+        c = 0.7
+        check_grad(lambda t: tsum(mul(attention_probs(t, Tensor(k0), c, axis), w)), q0)
+        check_grad(lambda t: tsum(mul(attention_probs(Tensor(q0), t, c, axis), w)), k0)
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_gradients_match_unfused_graph(self, axis):
+        rng = np.random.default_rng(72)
+        q0, k0 = qk_operands(rng, (2, 2), 5, 6, 3, np.float64)
+        w = Tensor(rng.normal(size=(2, 2, 5, 6)))
+        c = 1.0 / math.sqrt(3)
+
+        def grads(fused):
+            q, k = Tensor(q0, requires_grad=True), Tensor(k0, requires_grad=True)
+            p = (attention_probs(q, k, c, axis) if fused
+                 else softmax(matmul(scale(q, c), k), axis))
+            tsum(mul(p, w)).backward()
+            return p.data, q.grad, k.grad
+
+        for fused, ref in zip(grads(True), grads(False)):
+            assert_rel_close(fused, ref, np.float64)
+
+    def test_leading_axes_broadcast_and_reduce(self):
+        # one query set against a batch of keys: q's grad sums over the batch
+        rng = np.random.default_rng(73)
+        q0 = rng.normal(size=(3, 2))
+        k0 = rng.normal(size=(4, 2, 5))
+        w = Tensor(rng.normal(size=(4, 3, 5)))
+        assert attention_probs(Tensor(q0), Tensor(k0), 1.0).shape == (4, 3, 5)
+        check_grad(lambda t: tsum(mul(attention_probs(t, Tensor(k0), 1.0), w)), q0)
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError, match="attention_probs"):
+            attention_probs(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 4))), 1.0)
+        with pytest.raises(ShapeError, match="attention_probs"):
+            attention_probs(Tensor(np.zeros((2, 3, 2))), Tensor(np.zeros((3, 2, 4))), 1.0)
+        with pytest.raises(ShapeError, match="axis"):
+            attention_probs(Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 4))), 1.0, axis=0)
+
+
+def unfused_projection(stack: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return linear(concat_heads(stack), w, b)
+
+
+class TestHeadLinear:
+    # (batch, heads, rows, cols, d_a): integrate_self's N x N maps and
+    # integrate_cross's transposed C x N maps (rows N, cols C)
+    SHAPES = {"self": (2, 2, 16, 16, 6), "cross": (2, 3, 16, 5, 6)}
+
+    def operands(self, kind, dtype, bias, seed=74):
+        rng = np.random.default_rng(seed)
+        batch, heads, rows, cols, d_a = self.SHAPES[kind]
+        maps = rng.uniform(size=(batch, heads, rows, cols)).astype(dtype)
+        w = Tensor(rng.normal(size=(heads * cols, d_a)).astype(dtype), requires_grad=True)
+        b = (Tensor(rng.normal(size=d_a).astype(dtype), requires_grad=True) if bias
+             else Tensor(np.zeros(d_a, dtype=dtype)))
+        return maps, w, b
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_self_shape_matches_oracle(self, dtype, bias):
+        maps, w, b = self.operands("self", dtype, bias)
+        out = head_linear(Tensor(maps), w, b)
+        assert out.shape == (2, 16, 6) and out.dtype == dtype
+        params = [{"w": w.data.astype(np.float64), "b": b.data.astype(np.float64)}]
+        for i in range(maps.shape[0]):
+            heads = [m.astype(np.float64) for m in maps[i]]
+            assert_rel_close(out.data[i], oracles.integrate_self_maps([heads], params),
+                             dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_cross_shape_matches_oracle(self, dtype, bias):
+        # the cross bundle holds C x N maps; the integrator reads them N x C
+        patch_major, w, b = self.operands("cross", dtype, bias)
+        class_major = np.ascontiguousarray(np.swapaxes(patch_major, -1, -2))
+        out = head_linear(transpose(Tensor(class_major)), w, b)
+        p = {"w": w.data.astype(np.float64), "b": b.data.astype(np.float64)}
+        for i in range(class_major.shape[0]):
+            heads = [m.astype(np.float64) for m in class_major[i]]
+            assert_rel_close(out.data[i], oracles.integrate_cross_maps(heads, p), dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("kind", ["self", "cross"])
+    def test_gradients_match_unfused_projection(self, dtype, bias, kind):
+        maps, _, _ = self.operands(kind, dtype, bias)
+        batch, _, rows, _, d_a = self.SHAPES[kind]
+        upstream = np.random.default_rng(75).normal(size=(batch, rows, d_a))
+
+        def grads(project):
+            _, w, b = self.operands(kind, dtype, bias)
+            stack = Tensor(maps, requires_grad=True)
+            out = project(stack, w, b)
+            tsum(mul(out, Tensor(upstream.astype(dtype)))).backward()
+            return out.data, stack.grad, w.grad, b.grad
+
+        fused, ref = grads(head_linear), grads(unfused_projection)
+        for a, r in zip(fused[:3], ref[:3]):
+            assert_rel_close(a, r, dtype)
+        if bias:
+            assert_rel_close(fused[3], ref[3], dtype)
+        else:
+            assert fused[3] is None and ref[3] is None
+
+    def test_gradients_vs_finite_differences(self):
+        rng = np.random.default_rng(76)
+        s0 = rng.uniform(size=(2, 2, 3, 4))
+        w0 = rng.normal(size=(8, 3))
+        b0 = rng.normal(size=3)
+        up = Tensor(rng.normal(size=(2, 3, 3)))
+        check_grad(lambda t: tsum(mul(head_linear(t, Tensor(w0), Tensor(b0)), up)), s0)
+        check_grad(lambda t: tsum(mul(head_linear(Tensor(s0), t, Tensor(b0)), up)), w0)
+        check_grad(lambda t: tsum(mul(head_linear(Tensor(s0), Tensor(w0), t), up)), b0)
+
+    def test_shape_errors(self):
+        stack = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeError, match="head_linear"):
+            head_linear(Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 2))),
+                        Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError, match="head_linear"):
+            head_linear(stack, Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError, match="bias"):
+            head_linear(stack, Tensor(np.zeros((8, 2))), Tensor(np.zeros(3)))
+
+
+def parent_softmax_grad(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
+    """The out-of-place softmax backward: (g - sum(g * p, axis)) * p."""
+    return (g - (g * p).sum(axis=axis, keepdims=True)) * p
+
+
+def probs(kind: str, x: Tensor, axis: int) -> Tensor:
+    """A softmax of ``x`` along ``axis``, as ``softmax`` or as ``attention_probs``
+    (x @ I with c = 1 has the same logits)."""
+    if kind == "softmax":
+        return softmax(x, axis)
+    return attention_probs(x, Tensor(np.eye(x.shape[-1])), 1.0, axis)
+
+
+class TestInPlaceBackward:
+    """The softmax backwards overwrite the grad they receive. That grad must
+    be their own node's, whatever the consumers of the output did with it."""
+
+    @pytest.mark.parametrize("kind", ["softmax", "attention_probs"])
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_output_with_several_consumers(self, kind, axis):
+        rng = np.random.default_rng(77)
+        x0 = rng.normal(size=(2, 4, 4))
+        w1 = rng.normal(size=(2, 4, 4))
+        m = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w2 = rng.normal(size=(2, 4, 3))
+        x = Tensor(x0, requires_grad=True)
+        s = probs(kind, x, axis)
+        doubled = add(s, s)
+        loss = add(tsum(mul(doubled, Tensor(w1))), tsum(mul(matmul(s, m), Tensor(w2))))
+        loss.backward()
+        g = 2.0 * w1 + w2 @ m.data.T
+        np.testing.assert_allclose(x.grad, parent_softmax_grad(g, s.data, axis),
+                                   rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(m.grad, np.einsum("bij,bik->jk", s.data, w2),
+                                   rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["softmax", "attention_probs"])
+    def test_sum_of_two_softmaxes(self, kind):
+        # add hands one operand its own grad and the other a copy; if both
+        # got the same array, the first backward would corrupt the second
+        rng = np.random.default_rng(79)
+        x0, y0, w0 = rng.normal(size=(3, 2, 4, 4))
+        x, y = Tensor(x0, requires_grad=True), Tensor(y0, requires_grad=True)
+        s, t = probs(kind, x, -1), probs(kind, y, -2)
+        tsum(mul(add(s, t), Tensor(w0))).backward()
+        np.testing.assert_allclose(x.grad, parent_softmax_grad(w0, s.data, -1),
+                                   rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(y.grad, parent_softmax_grad(w0, t.data, -2),
+                                   rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["softmax", "attention_probs"])
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_non_contiguous_incoming_grad(self, kind, axis):
+        # permute's backward hands its input a transposed view of its grad
+        rng = np.random.default_rng(78)
+        x0 = rng.normal(size=(2, 3, 5))
+        w0 = rng.normal(size=(5, 2, 3))
+        x = Tensor(x0, requires_grad=True)
+        w = Tensor(w0, requires_grad=True)
+        s = probs(kind, x, axis)
+        tsum(mul(permute(s, (2, 0, 1)), w)).backward()
+        g = w0.transpose(1, 2, 0)
+        np.testing.assert_allclose(x.grad, parent_softmax_grad(g, s.data, axis),
+                                   rtol=1e-12, atol=1e-14)
+        # the other factor's grad is the untouched forward value
+        np.testing.assert_array_equal(w.grad, s.data.transpose(2, 0, 1))
+
+
+# ------------------------------------------------------------- whole model
+#
+# The unfused formulation, kept as the reference: logits from scale and
+# matmul, a separate softmax per normalized axis, and every gate integrator
+# applied to the head-concatenated maps.
+
+def unfused_self_attention(self, tokens):
+    cfg = self.cfg
+    q = scale(self.wq(tokens), 1.0 / math.sqrt(cfg.head_dim))
+    logits = matmul(_split_heads(q, cfg.heads),
+                    _split_heads(self.wk(tokens), cfg.heads, keys=True))
+    att = softmax(logits, axis=-1)
+    mixed = matmul(att, _split_heads(self.wv(tokens), cfg.heads))
+    return self.wo(concat_heads(mixed)), AttentionBundle(att, softmax_axis=1,
+                                                         kind=SELF_KIND)
+
+
+def unfused_cross_attention(self, queries, memory, gate_softmax=False):
+    cfg = self.cfg
+    q = scale(self.wq(queries), 1.0 / math.sqrt(cfg.head_dim))
+    logits = matmul(_split_heads(q, cfg.heads),
+                    _split_heads(self.wk(memory), cfg.heads, keys=True))
+    att = softmax(logits, axis=-1)
+    mixed = matmul(att, _split_heads(self.wv(memory), cfg.heads))
+    out = self.wo(concat_heads(mixed))
+    gated = None
+    if gate_softmax:
+        gated = AttentionBundle(softmax(logits, axis=-2), softmax_axis=0,
+                                kind=CROSS_GATED_KIND)
+    return out, AttentionBundle(att, softmax_axis=1, kind=CROSS_KIND), gated
+
+
+def unfused_integrate_self(self, bundles, start=0):
+    target = bundles[0].grid
+    total = None
+    for i, bundle in enumerate(bundles):
+        proj = self.integrators[start + i](concat_heads(bundle.stacked))
+        if target is not None and bundle.grid not in (None, target):
+            proj = upsample_bilinear(proj, bundle.grid, target)
+        total = proj if total is None else total + proj
+    return total
+
+
+def unfused_integrate_cross(self, bundle):
+    t = permute(bundle.stacked, (2, 0, 1))
+    return self.integrators[0](reshape(t, t.shape[:-2] + (t.shape[-2] * t.shape[-1],)))
+
+
+def loss_and_grads(model, images, labels):
+    model.zero_grad()
+    scores = model(Tensor(images)).scores
+    cross_entropy(scores, labels).backward()
+    return scores.data, {name: p.grad for name, p in model.named_parameters()}
+
+
+class TestSameFunction:
+    @pytest.mark.parametrize("size", [64, 128])
+    @pytest.mark.parametrize("variant", ["tsg", "tsg_shared", "tsge_only", "tsgd_only"])
+    def test_scores_and_gradients_match_unfused_model(self, monkeypatch, size, variant):
+        cfg = resolve_config("desk", {"height": size, "width": size, **VARIANTS[variant]})
+        model = build_model(cfg, seed=5)
+        rng = np.random.default_rng(79)
+        helpers.randomize_gate_mlps(model, rng)
+        for name, p in model.named_parameters():
+            if name.endswith("queries"):
+                p.data = 0.3 * rng.standard_normal(p.shape)
+        images = rng.uniform(size=(2, size, size, 3))
+        grid = size // cfg.patch_size
+        labels = rng.integers(0, cfg.num_classes, size=(2, grid * grid))
+
+        scores, grads = loss_and_grads(model, images, labels)
+        with monkeypatch.context() as m:
+            m.setattr(MultiheadSelfAttention, "__call__", unfused_self_attention)
+            m.setattr(MultiheadCrossAttention, "__call__", unfused_cross_attention)
+            m.setattr(TsgHead, "integrate_self", unfused_integrate_self)
+            m.setattr(TsgHead, "integrate_cross", unfused_integrate_cross)
+            ref_scores, ref_grads = loss_and_grads(model, images, labels)
+
+        assert scores.shape == (2, grid * grid, cfg.num_classes)
+        np.testing.assert_allclose(scores, ref_scores, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(ref_scores).max()))
+        largest = max(np.abs(g).max() for g in ref_grads.values())
+        assert largest > 0
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=1e-12 * largest,
+                                       err_msg=name)
+
+
+def graph_arrays(root: Tensor) -> list[np.ndarray]:
+    """Every array a recorded graph keeps alive: each node's data and the
+    arrays its backward closure captured."""
+    arrays, seen, stack = [], set(), [root]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        arrays.append(t.data)
+        for cell in getattr(t._backward, "__closure__", None) or ():
+            if isinstance(cell.cell_contents, np.ndarray):
+                arrays.append(cell.cell_contents)
+        stack.extend(t._children)
+    return arrays
+
+
+def owning_buffer(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+class TestAttentionMemory:
+    def test_stage1_graph_keeps_only_the_probabilities(self):
+        # desk model at 128x128: stage 1 has 2 heads over 32 x 32 = 1024
+        # tokens, so each of its per-batch maps is 4 x 2 x 1024 x 1024
+        cfg = resolve_config("desk", {"height": 128, "width": 128, "precision": "single"})
+        model = build_model(cfg, seed=0, dtype=np.float32)
+        rng = np.random.default_rng(80)
+        images = rng.uniform(size=(4, 128, 128, 3)).astype(np.float32)
+        scores = model(Tensor(images)).scores
+        loss = cross_entropy(scores, rng.integers(0, cfg.num_classes, size=scores.shape[:-1]))
+        map_size = 4 * 2 * 1024 * 1024
+        buffers = {id(b): b for b in map(owning_buffer, graph_arrays(loss))
+                   if b.size == map_size}
+        assert len(buffers) == 1
+        (probs,) = buffers.values()
+        assert probs.shape == (4, 2, 1024, 1024) and probs.dtype == np.float32
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=1e-5)

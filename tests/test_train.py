@@ -366,6 +366,14 @@ class TestAblate:
         with pytest.raises(ValueError, match="suite"):
             ablate("everything", tmp_path)
 
+    @pytest.mark.parametrize("seeds", [(), (0, 0), (1, 2, 1)])
+    def test_empty_or_repeated_seeds_rejected_before_output(self, tmp_path, seeds):
+        # each seed names one run directory and one results row
+        out = tmp_path / "grid"
+        with pytest.raises(ValueError, match="seeds"):
+            ablate("tsg-variants", out, seeds=seeds, steps=1, overrides=dict(TINY))
+        assert not out.exists()
+
     @pytest.mark.parametrize("steps", [0, -5])
     def test_bad_step_count_rejected_before_any_run(self, tmp_path, steps):
         out = tmp_path / "grid"
