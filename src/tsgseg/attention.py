@@ -2,9 +2,11 @@
 
 Both the token mixer in the encoder and the query/memory mixer in the
 decoder return an :class:`AttentionBundle` alongside their features, because
-downstream gating consumes the maps themselves. The cross-attention layer
-can additionally renormalize its logits over the class axis, producing a
-second bundle used only for gating; the feature path is unaffected.
+downstream gating consumes the maps themselves. Both share one core: the
+query, key, value and output projections and the attention product. The
+cross-attention layer can additionally renormalize its logits over the
+class axis, producing a second bundle used only for gating; the feature
+path is unaffected.
 
 All heads run as one product over a (..., heads, tokens, head_dim) stack, so
 a layer's graph size depends on neither its head count nor the batch size.
@@ -94,8 +96,9 @@ def concat_heads(stack: Tensor) -> Tensor:
     return reshape(t, t.shape[:-2] + (t.shape[-2] * t.shape[-1],))
 
 
-class MultiheadSelfAttention(Module):
-    """Token-to-token attention; returns features and the per-head maps."""
+class _Attention(Module):
+    """The core both attention layers share: the query, key, value and
+    output projections, built in that order, and the attention product."""
 
     def __init__(self, cfg: MhaConfig, rng: np.random.Generator, dtype=np.float64):
         self.cfg = cfg
@@ -105,44 +108,15 @@ class MultiheadSelfAttention(Module):
         self.wv = Linear(d, d, rng, dtype)
         self.wo = Linear(d, d, rng, dtype)
 
-    def __call__(self, tokens: Tensor) -> tuple[Tensor, AttentionBundle]:
-        cfg = self.cfg
-        if tokens.shape[-1] != cfg.model_dim:
-            raise ShapeError(
-                f"self-attention: token width {tokens.shape} != model_dim {cfg.model_dim}"
-            )
-        q = _split_heads(self.wq(tokens), cfg.heads)
-        k = _split_heads(self.wk(tokens), cfg.heads, keys=True)
-        att = attention_probs(q, k, 1.0 / math.sqrt(cfg.head_dim), axis=-1)
-        mixed = matmul(att, _split_heads(self.wv(tokens), cfg.heads))
-        out = self.wo(concat_heads(mixed))
-        bundle = AttentionBundle(att, softmax_axis=1, kind=SELF_KIND)
-        return out, bundle
-
-
-class MultiheadCrossAttention(Module):
-    """Query-to-memory attention with an optional class-axis renormalization.
-
-    The feature output always uses the patch-axis softmax. When
-    ``gate_softmax`` is requested, the same logits are also normalized over
-    the class axis and returned as a separate bundle for gating.
-    """
-
-    def __init__(self, cfg: MhaConfig, rng: np.random.Generator, dtype=np.float64):
-        self.cfg = cfg
-        d = cfg.model_dim
-        self.wq = Linear(d, d, rng, dtype)
-        self.wk = Linear(d, d, rng, dtype)
-        self.wv = Linear(d, d, rng, dtype)
-        self.wo = Linear(d, d, rng, dtype)
-
-    def __call__(
-        self, queries: Tensor, memory: Tensor, gate_softmax: bool = False
-    ) -> tuple[Tensor, AttentionBundle, AttentionBundle | None]:
+    def _attend(self, queries: Tensor, memory: Tensor,
+                gate_softmax: bool = False) -> tuple[Tensor, Tensor, Tensor | None]:
+        """Attend from ``queries`` to ``memory``. Returns the mixed features,
+        the (..., heads, R, K) map normalized over keys and, with
+        ``gate_softmax``, the same logits normalized over rows."""
         cfg = self.cfg
         if queries.shape[-1] != cfg.model_dim or memory.shape[-1] != cfg.model_dim:
             raise ShapeError(
-                f"cross-attention: queries {queries.shape} / memory {memory.shape} "
+                f"{type(self).__name__}: queries {queries.shape} / memory {memory.shape} "
                 f"must both have width {cfg.model_dim}"
             )
         q = _split_heads(self.wq(queries), cfg.heads)
@@ -151,13 +125,33 @@ class MultiheadCrossAttention(Module):
         att = attention_probs(q, k, c, axis=-1)
         mixed = matmul(att, _split_heads(self.wv(memory), cfg.heads))
         out = self.wo(concat_heads(mixed))
-        bundle = AttentionBundle(att, softmax_axis=1, kind=CROSS_KIND)
-        gated = None
-        if gate_softmax:
-            # the C x N logits are cheap to form twice
-            gated = AttentionBundle(attention_probs(q, k, c, axis=-2), softmax_axis=0,
-                                    kind=CROSS_GATED_KIND)
-        return out, bundle, gated
+        # the logits are cheap to form twice
+        return out, att, attention_probs(q, k, c, axis=-2) if gate_softmax else None
+
+
+class MultiheadSelfAttention(_Attention):
+    """Token-to-token attention; returns features and the per-head maps."""
+
+    def __call__(self, tokens: Tensor) -> tuple[Tensor, AttentionBundle]:
+        out, att, _ = self._attend(tokens, tokens)
+        return out, AttentionBundle(att, softmax_axis=1, kind=SELF_KIND)
+
+
+class MultiheadCrossAttention(_Attention):
+    """Query-to-memory attention with an optional class-axis renormalization.
+
+    The feature output always uses the patch-axis softmax. When
+    ``gate_softmax`` is requested, the same logits are also normalized over
+    the class axis and returned as a separate bundle for gating.
+    """
+
+    def __call__(
+        self, queries: Tensor, memory: Tensor, gate_softmax: bool = False
+    ) -> tuple[Tensor, AttentionBundle, AttentionBundle | None]:
+        out, att, gated = self._attend(queries, memory, gate_softmax)
+        if gated is not None:
+            gated = AttentionBundle(gated, softmax_axis=0, kind=CROSS_GATED_KIND)
+        return out, AttentionBundle(att, softmax_axis=1, kind=CROSS_KIND), gated
 
 
 class EncoderBlock(Module):

@@ -3,7 +3,9 @@
 Subcommands: ``gen-data`` renders a dataset directory, ``train`` runs a
 configured training job, ``eval`` scores a checkpoint on a saved dataset,
 ``gates`` exports gate visualizations for one sample, and ``ablate`` runs
-a model-variant grid and writes a summary CSV.
+a model-variant grid and writes a summary CSV. A bad config, checkpoint,
+image or file is reported as a usage error (exit status 2), without a
+traceback.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import argparse
 import os
 import sys
 
-from .config import load_config_file, resolve_config
+from .checkpoint import CheckpointError
+from .config import ConfigError, load_config_file, resolve_config
+from .netpbm import NetpbmError
 from .segbench import generate, sample_seed, save_sample
 from .train import SUITES, ablate, dump_gates, evaluate_checkpoint, train_run
 
@@ -56,7 +60,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _run(parser, args)
+    except (ConfigError, CheckpointError, NetpbmError, OSError) as exc:
+        parser.error(str(exc))
 
+
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "gen-data":
         if args.seed < 0:
             parser.error(f"gen-data: --seed must be >= 0, got {args.seed}")

@@ -18,6 +18,7 @@ attention map, and the gate integrators widen with image area.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -85,10 +86,17 @@ class RunConfig:
                     "tsg_hidden", "decoder_blocks", "train_samples", "val_samples"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
-        # numpy seeds and Philox keys are non-negative; so are counts and noise
-        for key in ("seed", "data_seed", "n_objects_min", "noise"):
+        for key in ("noise", "lr0", "weight_decay", "poly_power", "mlp_ratio"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        # numpy seeds and Philox keys are non-negative; so are counts, noise
+        # and the optimizer settings
+        for key in ("seed", "data_seed", "n_objects_min", "noise", "lr0", "weight_decay",
+                    "poly_power"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
+        if self.mlp_ratio <= 0:
+            raise ConfigError(f"mlp_ratio must be positive, got {self.mlp_ratio}")
         if not len(self.stage_dims) == len(self.stage_heads) == len(self.stage_blocks):
             raise ConfigError("stage_dims, stage_heads, stage_blocks must have equal length")
         if not self.stage_dims:
@@ -129,11 +137,16 @@ class RunConfig:
                 f"single_stage must be in [1, {self.num_stages}], got {self.single_stage}")
         if self.n_objects_min > self.n_objects_max:
             raise ConfigError("n_objects_min exceeds n_objects_max")
-        if (len(self.size_mix) != 3 or min(self.size_mix) < 0
+        if (len(self.size_mix) != 3
+                or not all(math.isfinite(w) and w >= 0 for w in self.size_mix)
                 or abs(sum(self.size_mix) - 1.0) > 1e-9):
             raise ConfigError(
-                f"size_mix must be 3 non-negative weights (small, medium, large) "
+                f"size_mix must be 3 finite non-negative weights (small, medium, large) "
                 f"summing to 1, got {self.size_mix}")
+
+    def mlp_dim(self, width: int) -> int:
+        """Hidden width of the MLP in a block of the given model width."""
+        return max(1, int(round(width * self.mlp_ratio)))
 
     @property
     def num_stages(self) -> int:

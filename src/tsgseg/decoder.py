@@ -4,13 +4,11 @@ Each decoder block attends from one learnable query per class to a fused
 patch-feature memory. Block 1 fuses the (upsampled) multi-scale maps by a
 plain sum; every later block re-fuses them with per-patch scale gates
 computed from the previous block's class-renormalized cross-attention maps.
-The final query embeddings score patches against classes to produce the
-segmentation.
+The final query embeddings score patches against classes; those scores
+are the model's output, and a patch's label is its highest-scoring class.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,20 +18,6 @@ from .scale_gate import ScaleGates, TsgHead, constant_gates, gated_sum
 from .tensor import ShapeError, Tensor, matmul, scale, transpose, upsample_bilinear
 
 DECODER_FUSIONS = ("tsg", "sum")
-
-
-@dataclass
-class SegLogits:
-    """Per-patch class scores (rows sum to 1) on the given patch grid."""
-
-    p: Tensor  # (..., N, C), post-softmax
-    spatial: tuple[int, int]
-
-    def __post_init__(self):
-        if self.p.shape[-2] != self.spatial[0] * self.spatial[1]:
-            raise ShapeError(
-                f"scores have {self.p.shape[-2]} rows for grid {self.spatial}"
-            )
 
 
 def tsgd_fuse_first(features_up: list[Tensor]) -> Tensor:
@@ -93,17 +77,12 @@ class Decoder(Module):
         self.blocks = [DecoderBlock(cfg, mlp_dim, rng, dtype) for _ in range(num_blocks)]
         self.gate_heads: list[TsgHead] = []
         if fusion == "tsg" and num_blocks >= 2:
-            width = heads * num_classes  # transposed cross maps, concatenated
-            if shared_head:
-                one = TsgHead([width], d_a, hidden, num_scales, rng, dtype,
-                              integration_bias=integration_bias)
-                self.gate_heads = [one] * (num_blocks - 1)
-            else:
-                self.gate_heads = [
-                    TsgHead([width], d_a, hidden, num_scales, rng, dtype,
-                            integration_bias=integration_bias)
-                    for _ in range(num_blocks - 1)
-                ]
+            def head() -> TsgHead:  # reads the transposed cross maps, concatenated
+                return TsgHead([heads * num_classes], d_a, hidden, num_scales, rng, dtype,
+                               integration_bias=integration_bias)
+
+            shared = head() if shared_head else None
+            self.gate_heads = [shared or head() for _ in range(num_blocks - 1)]
 
     def __call__(self, features, target_grid: tuple[int, int], forced_gates=None):
         """Run all blocks; return final queries, per-block gates, last memory.
@@ -135,7 +114,7 @@ class Decoder(Module):
 
 
 def predict_scores(f_dec_last: Tensor, y: Tensor) -> Tensor:
-    """Pre-softmax patch-class scores F Y^T / sqrt(d); the training target."""
+    """Patch-class scores F Y^T / sqrt(d): the loss input and the model output."""
     if f_dec_last.shape[-1] != y.shape[-1]:
         raise ShapeError(
             f"feature width {f_dec_last.shape[-1]} != query width {y.shape[-1]}"
@@ -143,15 +122,17 @@ def predict_scores(f_dec_last: Tensor, y: Tensor) -> Tensor:
     return scale(matmul(f_dec_last, transpose(y)), 1.0 / np.sqrt(y.shape[-1]))
 
 
-def logits_to_mask(p: SegLogits, image_size: tuple[int, int]) -> np.ndarray:
-    """Per-patch argmax, replicated to pixel resolution: (..., H, W) labels.
+def labels_to_mask(labels: np.ndarray, grid: tuple[int, int],
+                   image_size: tuple[int, int]) -> np.ndarray:
+    """Copy (N,) patch labels on a row-major ``grid`` out to the pixels of
+    each patch: an (H, W) label map.
 
-    Ties go to the lowest class index. ``image_size`` must be a whole
-    multiple of the patch grid on both axes.
+    ``image_size`` must be a whole multiple of the patch grid on both axes.
     """
-    h, w = p.spatial
+    h, w = grid
     ih, iw = image_size
+    if labels.shape != (h * w,):
+        raise ShapeError(f"patch labels {labels.shape} do not fit grid {grid}")
     if ih % h or iw % w:
         raise ShapeError(f"image {ih}x{iw} is not a multiple of patch grid {h}x{w}")
-    labels = np.argmax(p.p.data, axis=-1).reshape(p.p.shape[:-2] + (h, w))
-    return np.repeat(np.repeat(labels, ih // h, axis=-2), iw // w, axis=-1)
+    return np.repeat(np.repeat(labels.reshape(h, w), ih // h, axis=0), iw // w, axis=1)

@@ -141,8 +141,8 @@ class Backbone(Module):
         for s, (blocks, dim, heads) in enumerate(
                 zip(cfg.stage_blocks, dims, cfg.stage_heads)):
             mha = MhaConfig(heads=heads, model_dim=dim)
-            mlp_dim = max(1, int(round(dim * cfg.mlp_ratio)))
-            self.stages.append([EncoderBlock(mha, mlp_dim, rng, dtype) for _ in range(blocks)])
+            self.stages.append([EncoderBlock(mha, cfg.mlp_dim(dim), rng, dtype)
+                                for _ in range(blocks)])
             if s + 1 < num_stages:
                 self.merges.append(PatchMerge(dim, dims[s + 1], rng, dtype))
 
@@ -238,39 +238,32 @@ class TsgeFusion(Module):
     ) -> tuple[list[FeatureMap], list[ScaleGates]]:
         """Produce refined maps for every stage (finest first).
 
-        A scalar ``forced_gates`` pins every gate entry to that value,
-        bypassing the gate heads (baseline-equivalence runs).
+        One top-down pass projects each stage to ``d_f``; ``fpn`` adds the
+        upsampled coarser refined map, ``tsg`` gates between the two, and
+        ``none`` keeps the projection alone. A scalar ``forced_gates`` pins
+        every gate entry to that value, bypassing the gate heads
+        (baseline-equivalence runs).
         """
         if self.kind == "single":
             fm = features[-1]
             return [FeatureMap(self.proj(fm.data), fm.h, fm.w, fm.stage)], []
 
-        if self.kind == "none":
-            out = []
-            for s, fm in enumerate(features):
-                proj = self.steps[s].transform if s < len(self.steps) else self.top_proj
-                out.append(FeatureMap(proj(fm.data), fm.h, fm.w, fm.stage))
-            return out, []
-
-        s_count = len(features)
-        refined: dict[int, FeatureMap] = {}
         top = features[-1]
-        refined[s_count - 1] = FeatureMap(self.top_proj(top.data), top.h, top.w, top.stage)
+        refined = [FeatureMap(self.top_proj(top.data), top.h, top.w, top.stage)]
         gates_out: list[ScaleGates] = []
-        for s in range(s_count - 2, -1, -1):
-            fm = features[s]
-            coarse = refined[s + 1]
-            up = upsample_bilinear(coarse.data, coarse.grid, fm.grid)
-            lateral = self.steps[s].transform(fm.data)
-            if self.kind == "fpn":
-                fused = up + lateral
-            else:
-                gates = self._step_gates(s, fm, bundles, forced_gates)
-                fused = gated_sum([up, lateral], gates.gates)
-                gates_out.append(gates)
-            refined[s] = FeatureMap(fused, fm.h, fm.w, fm.stage)
-        out = [refined[s] for s in range(s_count)]
-        return out, gates_out
+        for s in range(len(features) - 2, -1, -1):
+            fm, coarse = features[s], refined[-1]
+            fused = self.steps[s].transform(fm.data)
+            if self.kind != "none":
+                up = upsample_bilinear(coarse.data, coarse.grid, fm.grid)
+                if self.kind == "fpn":
+                    fused = up + fused
+                else:
+                    gates = self._step_gates(s, fm, bundles, forced_gates)
+                    fused = gated_sum([up, fused], gates.gates)
+                    gates_out.append(gates)
+            refined.append(FeatureMap(fused, fm.h, fm.w, fm.stage))
+        return refined[::-1], gates_out
 
     def _step_gates(self, s: int, fm: FeatureMap, bundles, forced) -> ScaleGates:
         if forced is not None:

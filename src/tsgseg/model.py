@@ -4,6 +4,9 @@ The run config pins every structural choice, including the fusion variant
 pair used by the ablation baselines. Models are built for one image size:
 the gate heads consume flattened attention maps whose width depends on the
 patch grid.
+
+A forward returns the patch-class scores, the loss input, with the gates
+each fusion site used; a patch's predicted label is its highest score.
 """
 
 from __future__ import annotations
@@ -13,17 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .decoder import Decoder, SegLogits, predict_scores
+from .decoder import Decoder, predict_scores
 from .encoder import Backbone, TsgeFusion
 from .module import Module
 from .scale_gate import ScaleGates
-from .tensor import ShapeError, Tensor, softmax
+from .tensor import ShapeError, Tensor
 
 
 @dataclass
 class ForwardResult:
-    logits: SegLogits
-    scores: Tensor  # pre-softmax patch-class scores, the loss input
+    scores: Tensor  # (..., N, C) patch-class scores, the loss input
     encoder_gates: list[ScaleGates] = field(default_factory=list)
     decoder_gates: list[ScaleGates] = field(default_factory=list)
 
@@ -43,7 +45,7 @@ class SegModel(Module):
         self.decoder = Decoder(
             num_blocks=cfg.decoder_blocks, num_classes=cfg.num_classes,
             d_f=cfg.d_f, heads=cfg.decoder_heads,
-            mlp_dim=max(1, int(round(cfg.d_f * cfg.mlp_ratio))),
+            mlp_dim=cfg.mlp_dim(cfg.d_f),
             num_scales=cfg.decoder_scales, d_a=cfg.d_a, hidden=cfg.tsg_hidden,
             rng=rng, fusion=cfg.decoder_fusion, shared_head=cfg.shared_tsg,
             dtype=dtype, integration_bias=cfg.integration_bias,
@@ -60,9 +62,7 @@ class SegModel(Module):
         refined, enc_gates = self.fusion(features, bundles, forced_gates=forced_gates)
         y, dec_gates, f_dec = self.decoder(refined, self.target_grid,
                                            forced_gates=forced_gates)
-        scores = predict_scores(f_dec, y)
-        logits = SegLogits(p=softmax(scores, axis=-1), spatial=self.target_grid)
-        return ForwardResult(logits=logits, scores=scores, encoder_gates=enc_gates,
+        return ForwardResult(scores=predict_scores(f_dec, y), encoder_gates=enc_gates,
                              decoder_gates=dec_gates)
 
 

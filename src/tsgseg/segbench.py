@@ -274,5 +274,7 @@ def load_sample(dir_path: str, index: int) -> SegSample:
 
 
 def count_samples(dir_path: str) -> int:
+    """Number of sample images ``save_sample`` wrote: four digits, or more
+    without a leading zero from index 10000 on."""
     return len([n for n in os.listdir(dir_path)
-                if re.fullmatch(r"sample_\d{4}\.ppm", n)])
+                if re.fullmatch(r"sample_(\d{4}|[1-9]\d{4,})\.ppm", n)])

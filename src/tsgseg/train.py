@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoint import load_model, save_model
 from .config import RunConfig, format_config, load_config_file, resolve_config
-from .decoder import logits_to_mask
+from .decoder import labels_to_mask
 from .model import SegModel, build_model
 from .netpbm import read_ppm, write_pgm
 from .optim import AdamW, poly_lr
@@ -80,22 +80,25 @@ def _chunks(items: list) -> list[list]:
     return [items[lo:lo + EVAL_CHUNK] for lo in range(0, len(items), EVAL_CHUNK)]
 
 
-def patch_accuracy(model: SegModel, samples, labels_flat, dtype) -> float:
-    hits = total = 0
+def predict_labels(model: SegModel, samples: list[SegSample], dtype) -> np.ndarray:
+    """Each sample's (N,) patch labels: the highest-scoring class, ties to the
+    lowest class index. Images are scored EVAL_CHUNK at a time, without
+    recording a graph."""
     with no_grad():
-        for chunk, labels in zip(_chunks(samples), _chunks(labels_flat)):
-            pred = np.argmax(model(_images(chunk, dtype)).scores.data, axis=-1)
-            hits += int((pred == np.stack(labels)).sum())
-            total += pred.size
-    return hits / total
+        return np.concatenate([np.argmax(model(_images(chunk, dtype)).scores.data, axis=-1)
+                               for chunk in _chunks(samples)])
+
+
+def patch_accuracy(model: SegModel, samples, labels_flat, dtype) -> float:
+    pred = predict_labels(model, samples, dtype)
+    return int((pred == np.stack(labels_flat)).sum()) / pred.size
 
 
 def evaluate_model(model: SegModel, samples: list[SegSample], dtype=np.float64) -> dict:
     """Pixel-level metrics over a sample list (confusions summed, then IoU).
 
     Size buckets aggregate the bucket-restricted confusion counts across
-    samples before the IoU division. Images are scored EVAL_CHUNK at a time,
-    without recording a graph.
+    samples before the IoU division. Labels come from ``predict_labels``.
     """
     if not samples:
         raise ValueError("evaluate: empty dataset")
@@ -108,17 +111,14 @@ def evaluate_model(model: SegModel, samples: list[SegSample], dtype=np.float64) 
     total = np.zeros((c, c), dtype=np.int64)
     per_bucket = {b: np.zeros((c, c), dtype=np.int64)
                   for b in ("small", "medium", "large")}
-    for chunk in _chunks(samples):
-        with no_grad():
-            res = model(_images(chunk, dtype))
-        masks = logits_to_mask(res.logits, chunk[0].labels.shape)
-        for sample, mask in zip(chunk, masks):
-            total += confusion_matrix(mask, sample.labels, c)
-            for bucket, bmask in bucket_masks(sample.meta).items():
-                if bmask.any():
-                    per_bucket[bucket] += confusion_matrix(
-                        mask[bmask], sample.labels[bmask], c
-                    )
+    for sample, labels in zip(samples, predict_labels(model, samples, dtype)):
+        mask = labels_to_mask(labels, model.target_grid, sample.labels.shape)
+        total += confusion_matrix(mask, sample.labels, c)
+        for bucket, bmask in bucket_masks(sample.meta).items():
+            if bmask.any():
+                per_bucket[bucket] += confusion_matrix(
+                    mask[bmask], sample.labels[bmask], c
+                )
     per_class, mean = iou_from_confusion(total)
     report = {"mIoU": mean, "per_class": per_class}
     for bucket, conf in per_bucket.items():

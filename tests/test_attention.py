@@ -185,6 +185,25 @@ class TestCrossAttention:
         out_gated, _, _ = attn(Tensor(q), Tensor(mem), gate_softmax=True)
         np.testing.assert_allclose(out_plain.data, out_gated.data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_self_attention_is_cross_attention_to_itself(self, dtype):
+        # Both layers run one core: given the same four weight sets, cross
+        # attention from a token set to itself is bit for bit self-attention.
+        cfg = MhaConfig(2, 6)
+        attn = MultiheadSelfAttention(cfg, np.random.default_rng(12), dtype)
+        cross = MultiheadCrossAttention(cfg, np.random.default_rng(13), dtype)
+        pairs = list(zip(attn.named_parameters(), cross.named_parameters()))
+        assert [a for (a, _), _ in pairs] == [b for _, (b, _) in pairs]
+        assert [a for (a, _), _ in pairs][::2] == ["wq.w", "wk.w", "wv.w", "wo.w"]
+        for (_, p), (_, q) in pairs:
+            q.data = p.data.copy()
+        x = Tensor(np.random.default_rng(14).normal(size=(3, 5, 6)), dtype=dtype)
+        out_s, b_s = attn(x)
+        out_c, b_c, _ = cross(x, x)
+        assert out_s.data.dtype == dtype and b_s.stacked.shape == (3, 2, 5, 5)
+        np.testing.assert_array_equal(out_s.data, out_c.data)
+        np.testing.assert_array_equal(b_s.stacked.data, b_c.stacked.data)
+
     def test_width_mismatch_rejected(self):
         attn, _ = make_cross()
         with pytest.raises(ShapeError):

@@ -57,7 +57,6 @@ class TestBatchedForward:
             single = model(Tensor(images[i]))
             assert single.scores.shape == (16, 4)
             assert_close(batched.scores.data[i], single.scores.data)
-            assert_close(batched.logits.p.data[i], single.logits.p.data)
             for kind in ("encoder_gates", "decoder_gates"):
                 got, want = getattr(batched, kind), getattr(single, kind)
                 assert len(got) == len(want)

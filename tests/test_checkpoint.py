@@ -102,8 +102,8 @@ class TestModelRoundtrip:
 
         rng = np.random.default_rng(0)
         image = rng.uniform(size=(16, 16, 3)).astype(np.float32)
-        out_a = model(Tensor(image)).logits.p.data
-        out_b = clone(Tensor(image)).logits.p.data
+        out_a = model(Tensor(image)).scores.data
+        out_b = clone(Tensor(image)).scores.data
         np.testing.assert_array_equal(out_a, out_b)
 
     def test_double_precision_survives_at_float32(self, tmp_path):

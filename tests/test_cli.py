@@ -140,6 +140,47 @@ class TestAblate:
         assert not out.exists()
 
 
+class TestErrors:
+    """Bad settings and missing files are usage errors: one line, exit 2."""
+
+    def run_error(self, capsys, argv) -> str:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err.splitlines()[-1]
+
+    def test_bad_config_value(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("steps = abc\n")
+        line = self.run_error(capsys, ["train", "--config", str(path),
+                                       "--out", str(tmp_path / "run")])
+        assert line.startswith("tsgseg: error: ") and "line 1: steps" in line
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_train_seed(self, tmp_path, capsys):
+        line = self.run_error(capsys, ["train", "--seed", "-1",
+                                       "--out", str(tmp_path / "run")])
+        assert line == "tsgseg: error: seed must be non-negative, got -1"
+        assert not (tmp_path / "run").exists()
+
+    def test_checkpoint_without_config(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(b"")
+        line = self.run_error(capsys, ["eval", "--ckpt", str(ckpt), "--data", str(tmp_path),
+                                       "--report", str(tmp_path / "report.csv")])
+        assert line.startswith("tsgseg: error: no config.resolved next to")
+
+    def test_other_errors_keep_their_traceback(self, tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("tsgseg.cli.ablate", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["ablate", "--suite", "tsg-variants", "--out", str(tmp_path)])
+
+
 class TestArgs:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):

@@ -129,6 +129,23 @@ class TestResolve:
         ("tsg_hidden", {"tsg_hidden": 0}),
         ("noise", {"noise": -0.01}),
         ("n_objects_min", {"n_objects_min": -1}),
+        ("mlp_ratio", {"mlp_ratio": -1.0}),
+        ("mlp_ratio", {"mlp_ratio": 0.0}),
+        ("mlp_ratio", {"mlp_ratio": float("inf")}),
+        ("mlp_ratio", {"mlp_ratio": float("nan")}),
+        ("lr0", {"lr0": -1e-3}),
+        ("lr0", {"lr0": float("inf")}),
+        ("lr0", {"lr0": float("nan")}),
+        ("weight_decay", {"weight_decay": -0.01}),
+        ("weight_decay", {"weight_decay": float("inf")}),
+        ("weight_decay", {"weight_decay": float("nan")}),
+        ("poly_power", {"poly_power": -0.9}),
+        ("poly_power", {"poly_power": float("inf")}),
+        ("poly_power", {"poly_power": float("nan")}),
+        ("noise", {"noise": float("nan")}),
+        ("noise", {"noise": float("inf")}),
+        ("size_mix", {"size_mix": (float("nan"), 0.5, 0.5)}),
+        ("size_mix", {"size_mix": (0.5, float("inf"), 0.5)}),
     ])
     def test_bad_value_named(self, key, overrides):
         with pytest.raises(ConfigError, match=key):

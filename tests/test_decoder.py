@@ -1,5 +1,5 @@
 """Class-query decoder: per-block memory fusion, the block recursion
-against a loop reference, and score/mask extraction."""
+against a loop reference, class scores, and patch labels copied to pixels."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,7 @@ import oracles
 from tsgseg.attention import CROSS_GATED_KIND, CROSS_KIND, AttentionBundle
 from tsgseg.decoder import (
     Decoder,
-    SegLogits,
-    logits_to_mask,
+    labels_to_mask,
     predict_scores,
     tsgd_fuse,
     tsgd_fuse_first,
@@ -225,26 +224,18 @@ class TestPrediction:
         with pytest.raises(ShapeError):
             predict_scores(Tensor(np.zeros((4, 6))), Tensor(np.zeros((3, 8))))
 
-    def test_spatial_validation(self):
-        with pytest.raises(ShapeError):
-            SegLogits(p=Tensor(np.zeros((5, C))), spatial=(2, 2))
-
 
 class TestMask:
-    def test_argmax_and_replication(self):
-        p = np.zeros((4, 3))
-        p[0, 2] = p[1, 1] = p[2, 0] = p[3, 1] = 1.0
-        mask = logits_to_mask(SegLogits(p=Tensor(p), spatial=(2, 2)), (4, 4))
+    def test_replication(self):
+        mask = labels_to_mask(np.array([2, 1, 0, 1]), (2, 2), (4, 4))
         assert mask.shape == (4, 4)
         expect = np.repeat(np.repeat(np.array([[2, 1], [0, 1]]), 2, 0), 2, 1)
         np.testing.assert_array_equal(mask, expect)
 
-    def test_ties_go_to_lowest_class(self):
-        p = np.full((1, 3), 1 / 3)
-        mask = logits_to_mask(SegLogits(p=Tensor(p), spatial=(1, 1)), (2, 2))
-        np.testing.assert_array_equal(mask, np.zeros((2, 2), dtype=np.int64))
+    def test_label_count_must_match_grid(self):
+        with pytest.raises(ShapeError, match=r"\(5,\) do not fit grid \(2, 2\)"):
+            labels_to_mask(np.zeros(5, dtype=np.int64), (2, 2), (4, 4))
 
     def test_indivisible_size_rejected(self):
         with pytest.raises(ShapeError):
-            logits_to_mask(SegLogits(p=Tensor(np.zeros((4, 2))), spatial=(2, 2)),
-                           (5, 4))
+            labels_to_mask(np.zeros(4, dtype=np.int64), (2, 2), (5, 4))

@@ -1,6 +1,8 @@
 """Synthetic dataset and metrics. Label maps are re-derived from sample
 meta by a per-pixel rasterizer, and IoU numbers by per-pixel counting."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,14 @@ class TestStorage:
         assert np.max(np.abs(loaded.image - s.image)) <= 0.5 / 255 + 1e-12
         assert loaded.meta == s.meta
         assert count_samples(str(tmp_path)) == 2
+
+    def test_count_includes_five_digit_indices(self, tmp_path):
+        s = generate(13, CFG)
+        for i in (0, 1, 10000):
+            save_sample(str(tmp_path), i, s)
+        assert sorted(os.listdir(tmp_path))[-1] == "sample_10000.ppm"
+        (tmp_path / "sample_00002.ppm").write_bytes(b"")  # no index writes this name
+        assert count_samples(str(tmp_path)) == 3
 
     def test_colors_distinct(self):
         colors = [class_color(c, 5) for c in range(1, 5)]

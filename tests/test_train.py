@@ -11,8 +11,8 @@ import helpers
 import tsgseg.train as train_module
 from tsgseg.checkpoint import save_model
 from tsgseg.config import ConfigError, format_config, load_config_file, resolve_config
-from tsgseg.decoder import logits_to_mask
-from tsgseg.model import build_model
+from tsgseg.decoder import labels_to_mask
+from tsgseg.model import ForwardResult, build_model
 from tsgseg.netpbm import read_pgm
 from tsgseg.segbench import confusion_matrix, iou_from_confusion, sample_seed, save_sample
 from tsgseg.tensor import Tensor
@@ -28,6 +28,7 @@ from tsgseg.train import (
     evaluate_checkpoint,
     evaluate_model,
     patch_accuracy,
+    predict_labels,
     train_run,
 )
 
@@ -185,12 +186,28 @@ class TestEvaluate:
         assert len(samples) > train_module.EVAL_CHUNK
         conf = np.zeros((cfg.num_classes,) * 2, dtype=np.int64)
         for s in samples:
-            mask = logits_to_mask(model(Tensor(s.image)).logits, s.labels.shape)
+            labels = np.argmax(model(Tensor(s.image)).scores.data, axis=-1)
+            mask = labels_to_mask(labels, model.target_grid, s.labels.shape)
             conf += confusion_matrix(mask, s.labels, cfg.num_classes)
         per_class, mean = iou_from_confusion(conf)
         report = evaluate_model(model, samples)
         assert report["per_class"] == per_class
         assert report["mIoU"] == mean
+
+    def test_ties_go_to_lowest_class(self):
+        # Each image's patch 0 scores all classes equally; patch 1 ties
+        # classes 2 and 3 above the rest.
+        samples = build_split(tiny_config(val_samples=5), "val")
+        scores = np.zeros((16, 4))
+        scores[1, 2:] = 1.0
+        scores[2:, 3] = 1.0
+
+        def model(images):
+            return ForwardResult(scores=Tensor(np.stack([scores] * images.shape[0])))
+
+        labels = predict_labels(model, samples, np.float64)
+        assert labels.shape == (5, 16)
+        np.testing.assert_array_equal(labels, [[0, 2] + [3] * 14] * 5)
 
     def test_mixed_image_sizes_rejected(self):
         cfg = tiny_config()
