@@ -4,8 +4,8 @@ Subcommands: ``gen-data`` renders a dataset directory, ``train`` runs a
 configured training job, ``eval`` scores a checkpoint on a saved dataset,
 ``gates`` exports gate visualizations for one sample, and ``ablate`` runs
 a model-variant grid and writes a summary CSV. A bad config, checkpoint,
-image or file is reported as a usage error (exit status 2), without a
-traceback.
+dataset, image or file is reported as a usage error (exit status 2),
+without a traceback.
 """
 
 from __future__ import annotations

@@ -202,11 +202,14 @@ class TsgeFusion(Module):
     ``num_stages`` stages. A gate head reads each stage's concatenated
     head maps, heads x key count wide; the key count is a function of the
     training grid, so models are tied to the image size they were built for.
+    ``upsample_weights`` is the model's ``bilinear_weights`` table, shared
+    with the gate heads.
     """
 
     def __init__(self, cfg: RunConfig, num_stages: int, rng: np.random.Generator,
-                 dtype=np.float64):
+                 dtype=np.float64, upsample_weights: dict | None = None):
         self.kind = cfg.encoder_fusion
+        self.upsample_weights = upsample_weights
         dims = cfg.stage_dims[:num_stages]
 
         if self.kind == "single":
@@ -220,7 +223,8 @@ class TsgeFusion(Module):
 
         def head(in_widths):
             return TsgHead(in_widths, cfg.d_a, cfg.tsg_hidden, num_scales=2, rng=rng,
-                           dtype=dtype, integration_bias=cfg.integration_bias)
+                           dtype=dtype, integration_bias=cfg.integration_bias,
+                           upsample_weights=upsample_weights)
 
         self.top_proj = Linear(dims[-1], cfg.d_f, rng, dtype)
         gated = self.kind == "tsg"
@@ -255,7 +259,8 @@ class TsgeFusion(Module):
             fm, coarse = features[s], refined[-1]
             fused = self.steps[s].transform(fm.data)
             if self.kind != "none":
-                up = upsample_bilinear(coarse.data, coarse.grid, fm.grid)
+                up = upsample_bilinear(coarse.data, coarse.grid, fm.grid,
+                                       self.upsample_weights)
                 if self.kind == "fpn":
                     fused = up + fused
                 else:

@@ -20,7 +20,7 @@ from .decoder import Decoder, predict_scores
 from .encoder import Backbone, TsgeFusion
 from .module import Module
 from .scale_gate import ScaleGates
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, bilinear_weights
 
 
 @dataclass
@@ -35,13 +35,16 @@ class SegModel(Module):
 
     Single-scale variants keep only the backbone stages up to the selected
     one: the hierarchy is feed-forward, so the kept stage's features are
-    unchanged and no parameter sits outside the gradient path.
+    unchanged and no parameter sits outside the gradient path. Every
+    upsampling runs between two of the kept stages' grids, so their
+    interpolation weights are built once, here.
     """
 
     def __init__(self, cfg: RunConfig, rng: np.random.Generator, dtype=np.float64):
         self.cfg = cfg
+        upsample_weights = bilinear_weights(cfg.stage_grids()[:cfg.kept_stages], dtype)
         self.backbone = Backbone(cfg, cfg.kept_stages, rng, dtype)
-        self.fusion = TsgeFusion(cfg, cfg.kept_stages, rng, dtype)
+        self.fusion = TsgeFusion(cfg, cfg.kept_stages, rng, dtype, upsample_weights)
         self.decoder = Decoder(
             num_blocks=cfg.decoder_blocks, num_classes=cfg.num_classes,
             d_f=cfg.d_f, heads=cfg.decoder_heads,
@@ -49,6 +52,7 @@ class SegModel(Module):
             num_scales=cfg.decoder_scales, d_a=cfg.d_a, hidden=cfg.tsg_hidden,
             rng=rng, fusion=cfg.decoder_fusion, shared_head=cfg.shared_tsg,
             dtype=dtype, integration_bias=cfg.integration_bias,
+            upsample_weights=upsample_weights,
         )
         self.target_grid = cfg.stage_grids()[0]
 

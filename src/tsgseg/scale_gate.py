@@ -61,11 +61,14 @@ class TsgHead(Module):
     backbone stage for self-attention use, a single entry for cross-attention
     use). A head built for all stages can serve several fusion steps by
     passing ``start`` to skip the sources a given step does not consume.
+    ``upsample_weights`` is a ``bilinear_weights`` table for the grids its
+    sources are upsampled between.
     """
 
     def __init__(self, in_widths: list[int], d_a: int, hidden: int,
                  num_scales: int, rng: np.random.Generator, dtype=np.float64,
-                 integration_bias: bool = True):
+                 integration_bias: bool = True, upsample_weights: dict | None = None):
+        self.upsample_weights = upsample_weights
         self.integrators = [
             Linear(w, d_a, rng, dtype, bias=integration_bias) for w in in_widths
         ]
@@ -98,7 +101,7 @@ class TsgHead(Module):
             integrator = self.integrators[start + i]
             proj = head_linear(bundle.stacked, integrator.w, integrator.b)
             if target is not None and bundle.grid not in (None, target):
-                proj = upsample_bilinear(proj, bundle.grid, target)
+                proj = upsample_bilinear(proj, bundle.grid, target, self.upsample_weights)
             total = proj if total is None else total + proj
         assert total is not None
         return total

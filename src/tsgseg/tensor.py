@@ -34,7 +34,6 @@ import contextlib
 import math
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "ShapeError",
@@ -57,6 +56,7 @@ __all__ = [
     "permute",
     "tsum",
     "upsample_bilinear",
+    "bilinear_weights",
     "cross_entropy",
     "no_grad",
 ]
@@ -383,14 +383,58 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# Eigen's fast single-precision erf: x * P(x^2) / Q(x^2) on [-4, 4], outside
+# which erf is +-1 in float32. Coefficients from the highest power down.
+_ERF32_P = np.array([-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+                     -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+                     -1.60960333262415e-02], dtype=np.float32)
+_ERF32_Q = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+                     -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
+
+
+def _horner(x2: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """The polynomial with ``coefs`` (highest power first) at ``x2``, in float32."""
+    out = x2 * coefs[0]
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= x2
+        out += c
+    return out
+
+
+def _erf_float32(z: np.ndarray) -> np.ndarray:
+    """erf of a float32 array, in float32: within 4.2e-7 of the exact value.
+
+    Exactly odd; +-0 keep their sign, +-inf give +-1 and NaN stays NaN.
+    """
+    x = np.clip(z, -4.0, 4.0)
+    x2 = x * x
+    p = _horner(x2, _ERF32_P)
+    p *= x
+    p /= _horner(x2, _ERF32_Q)
+    return p
+
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian-error linear unit, exact erf form.
 
     The erf form is used project-wide (model and oracles alike) so that a
-    single convention governs every build.
+    single convention governs every build. float32 inputs use a float32
+    rational erf (``_erf_float32``, within 4.2e-7 of the exact value, which
+    is float32 accuracy); float64 inputs use ``scipy.special.erf`` (about
+    1e-16), which the oracle and finite-difference checks need. scipy is
+    imported on the first float64 call, so a single-precision process
+    never loads it.
     """
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    z = x.data * _INV_SQRT2
+    if z.dtype == np.float32:
+        cdf = _erf_float32(z)
+    else:
+        from scipy.special import erf
+
+        cdf = erf(z)
+    cdf += 1.0
+    cdf *= 0.5
     data = x.data * cdf
 
     def backward(g):
@@ -578,8 +622,26 @@ def _interp_axis_weights(n_src: int, n_dst: int) -> np.ndarray:
     return m
 
 
+def _weight_pair(src_hw, dst_hw, dtype) -> tuple[Tensor, Tensor]:
+    return (Tensor(_interp_axis_weights(src_hw[0], dst_hw[0]), dtype=dtype),
+            Tensor(_interp_axis_weights(src_hw[1], dst_hw[1]), dtype=dtype))
+
+
+def bilinear_weights(grids: list[tuple[int, int]], dtype) -> dict:
+    """Constant weights for upsampling between fixed grids.
+
+    ``grids`` holds (h, w) tuples, finest first. The result maps each
+    (coarser, finer) pair of distinct grids to the (H' x H, W' x W) pair
+    ``upsample_bilinear`` applies, cast to ``dtype``: a model builds it once
+    and passes it to every call, instead of each call rebuilding its weights.
+    """
+    return {(src, dst): _weight_pair(src, dst, dtype)
+            for i, dst in enumerate(grids) for src in grids[i + 1:] if src != dst}
+
+
 def upsample_bilinear(
-    x: Tensor, src_hw: tuple[int, int], dst_hw: tuple[int, int]
+    x: Tensor, src_hw: tuple[int, int], dst_hw: tuple[int, int],
+    weights: dict | None = None,
 ) -> Tensor:
     """Channelwise bilinear upsampling of a flattened (..., H*W, d) field.
 
@@ -587,6 +649,8 @@ def upsample_bilinear(
     equal sizes return the input unchanged. The interpolation is separable:
     the W-axis weights act on the (..., H, W, d) grid, then the H-axis
     weights on its (..., H, W'*d) rows, so gradients come from ``matmul``.
+    The weights are taken from a ``bilinear_weights`` table when it holds
+    the (src_hw, dst_hw) pair, and are built for this call otherwise.
     """
     h, w = src_hw
     h2, w2 = dst_hw
@@ -599,8 +663,8 @@ def upsample_bilinear(
     if (h2, w2) == (h, w):
         return x
     lead, d = x.shape[:-2], x.shape[-1]
-    mw = Tensor(_interp_axis_weights(w, w2), dtype=x.dtype)
-    mh = Tensor(_interp_axis_weights(h, h2), dtype=x.dtype)
+    pair = weights.get((src_hw, dst_hw)) if weights else None
+    mh, mw = pair if pair is not None else _weight_pair(src_hw, dst_hw, x.dtype)
     rows = matmul(mw, reshape(x, lead + (h, w, d)))
     out = matmul(mh, reshape(rows, lead + (h, w2 * d)))
     return reshape(out, lead + (h2 * w2, d))

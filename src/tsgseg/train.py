@@ -15,7 +15,8 @@ from dataclasses import replace
 import numpy as np
 
 from .checkpoint import load_model, save_model
-from .config import RunConfig, format_config, load_config_file, resolve_config
+from .config import (ConfigError, RunConfig, format_config, load_config_file,
+                     resolve_config)
 from .decoder import labels_to_mask
 from .model import SegModel, build_model
 from .netpbm import read_ppm, write_pgm
@@ -213,7 +214,7 @@ def evaluate_checkpoint(ckpt_path, data_dir, report_path) -> dict:
     model, cfg = _load_run_model(ckpt_path)
     n = count_samples(data_dir)
     if n == 0:
-        raise ValueError(f"no samples found in {data_dir}")
+        raise ConfigError(f"no samples found in {data_dir}")
     samples = [load_sample(data_dir, i) for i in range(n)]
     report = evaluate_model(model, samples, cfg.dtype)
     lines = ["metric,value", f"mIoU,{report['mIoU']!r}"]
@@ -236,10 +237,10 @@ def dump_gates(ckpt_path, sample_path, out_dir) -> list[str]:
     """
     model, cfg = _load_run_model(ckpt_path)
     if cfg.decoder_fusion != "tsg" or cfg.decoder_blocks < 2:
-        raise ValueError("model has no gated decoder fusion; nothing to dump")
+        raise ConfigError("model has no gated decoder fusion; nothing to dump")
     image = read_ppm(sample_path).astype(np.float64) / 255.0
     if image.shape[:2] != (cfg.height, cfg.width):
-        raise ValueError(
+        raise ConfigError(
             f"sample is {image.shape[0]}x{image.shape[1]}, "
             f"model expects {cfg.height}x{cfg.width}"
         )

@@ -7,8 +7,11 @@ the whole module stays fast.
 import numpy as np
 import pytest
 
+from tsgseg.checkpoint import save_model
 from tsgseg.cli import main
 from tsgseg.config import format_config, resolve_config
+from tsgseg.model import build_model
+from tsgseg.netpbm import write_ppm
 from tsgseg.segbench import (
     count_samples,
     generate,
@@ -171,6 +174,36 @@ class TestErrors:
         line = self.run_error(capsys, ["eval", "--ckpt", str(ckpt), "--data", str(tmp_path),
                                        "--report", str(tmp_path / "report.csv")])
         assert line.startswith("tsgseg: error: no config.resolved next to")
+
+    def test_eval_on_empty_data_dir(self, tmp_path, tiny_run, capsys):
+        data = tmp_path / "empty"
+        data.mkdir()
+        line = self.run_error(capsys, ["eval", "--ckpt", str(tiny_run / "model.ckpt"),
+                                       "--data", str(data),
+                                       "--report", str(tmp_path / "report.csv")])
+        assert line == f"tsgseg: error: no samples found in {data}"
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_gates_sample_of_wrong_size(self, tmp_path, tiny_run, capsys):
+        sample = tmp_path / "wide.ppm"
+        write_ppm(str(sample), np.zeros((16, 24, 3), dtype=np.uint8))
+        line = self.run_error(capsys, ["gates", "--ckpt", str(tiny_run / "model.ckpt"),
+                                       "--sample", str(sample),
+                                       "--out", str(tmp_path / "gates")])
+        assert line == "tsgseg: error: sample is 16x24, model expects 16x16"
+        assert not (tmp_path / "gates").exists()
+
+    def test_gates_without_gated_decoder(self, tmp_path, capsys):
+        cfg = tiny_config(decoder_fusion="sum")
+        (tmp_path / "config.resolved").write_text(format_config(cfg))
+        save_model(str(tmp_path / "model.ckpt"), build_model(cfg, cfg.seed, cfg.dtype))
+        sample = tmp_path / "sample.ppm"
+        write_ppm(str(sample), np.zeros((16, 16, 3), dtype=np.uint8))
+        line = self.run_error(capsys, ["gates", "--ckpt", str(tmp_path / "model.ckpt"),
+                                       "--sample", str(sample),
+                                       "--out", str(tmp_path / "gates")])
+        assert line == "tsgseg: error: model has no gated decoder fusion; nothing to dump"
+        assert not (tmp_path / "gates").exists()
 
     def test_other_errors_keep_their_traceback(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):

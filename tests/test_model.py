@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import helpers
+import tsgseg.tensor as tensor_module
 from tsgseg.config import ConfigError, RunConfig, resolve_config
 from tsgseg.model import build_model, copy_matching_parameters
 from tsgseg.tensor import ShapeError, Tensor, cross_entropy
@@ -94,6 +95,32 @@ class TestForward:
         for (na, pa), (nb, pb) in zip(a.named_parameters(), b.named_parameters()):
             assert na == nb
             np.testing.assert_array_equal(pa.data, pb.data)
+
+
+class TestUpsampleWeights:
+    @pytest.mark.parametrize("variant", ["tsg", "tsg_shared", "fpn_sum", "single_scale_2"])
+    def test_built_once_per_model(self, variant, monkeypatch):
+        cfg = helpers.tiny_model_config(**VARIANTS[variant])
+        model = build_model(cfg, seed=0, dtype=np.float32)
+        table = model.decoder.upsample_weights
+        assert model.fusion.upsample_weights is table
+        for step in getattr(model.fusion, "steps", []):
+            assert step.head is None or step.head.upsample_weights is table
+        image = Tensor(np.stack([run_image(1), run_image(2)]), dtype=np.float32)
+        calls = []
+        real = tensor_module._interp_axis_weights
+        monkeypatch.setattr(tensor_module, "_interp_axis_weights",
+                            lambda *a: calls.append(a) or real(*a))
+        scores = model(image).scores.data
+        assert calls == []
+        table.clear()  # every upsampling now builds its weights per call
+        np.testing.assert_array_equal(model(image).scores.data, scores)
+        assert calls
+
+    def test_weights_are_not_parameters(self):
+        cfg = helpers.tiny_model_config()
+        names = [name for name, _ in build_model(cfg, seed=0).named_parameters()]
+        assert not any("upsample" in name for name in names)
 
 
 class TestVariants:

@@ -1,6 +1,8 @@
 """Core tensor ops: forward values against reference math, gradients
 against central finite differences."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,10 @@ import oracles
 from tsgseg.tensor import (
     ShapeError,
     Tensor,
+    _erf_float32,
+    _interp_axis_weights,
     add,
+    bilinear_weights,
     concat,
     cross_entropy,
     gelu,
@@ -235,6 +240,42 @@ class TestGelu:
         for _ in range(20):
             x0 = rng.normal(scale=2.0, size=(3, 3))
             check_grad(lambda t: tsum(gelu(t)), x0)
+
+    def test_float32_erf_within_5e7_of_math_erf(self):
+        x = np.linspace(-10.0, 10.0, 400_001, dtype=np.float32)
+        out = _erf_float32(x)
+        assert out.dtype == np.float32
+        exact = np.array([math.erf(v) for v in x.tolist()])
+        assert np.max(np.abs(out - exact)) <= 5e-7
+
+    def test_float32_erf_special_values(self):
+        x = np.linspace(0.0, 10.0, 10_001, dtype=np.float32)
+        np.testing.assert_array_equal(_erf_float32(-x), -_erf_float32(x))
+        zeros = _erf_float32(np.array([0.0, -0.0], dtype=np.float32))
+        np.testing.assert_array_equal(zeros, 0.0)
+        assert list(np.signbit(zeros)) == [False, True]
+        edge = np.array([np.inf, -np.inf, 4.0, -4.0, 4.5, -7.0, 1e30], dtype=np.float32)
+        np.testing.assert_array_equal(_erf_float32(edge), [1, -1, 1, -1, 1, -1, 1])
+        assert np.isnan(_erf_float32(np.array([np.nan], dtype=np.float32)))[0]
+        assert _erf_float32(np.array([0.5], dtype=np.float32)).dtype == np.float32
+
+    def test_float32_matches_float64(self):
+        rng = np.random.default_rng(15)
+        x0 = np.concatenate([rng.normal(scale=2.0, size=(64, 32)).ravel(),
+                             np.linspace(-8.0, 8.0, 2001)]).astype(np.float32)
+        g = rng.normal(size=x0.shape)
+        outs, grads = [], []
+        for dtype in (np.float32, np.float64):
+            x = Tensor(x0, requires_grad=True, dtype=dtype)
+            y = gelu(x)
+            tsum(mul(y, Tensor(g, dtype=dtype))).backward()
+            assert y.dtype == dtype and x.grad.dtype == dtype
+            outs.append(y.data)
+            grads.append(x.grad)
+        # float32 rounding of |x| <= 8 plus the kernel's 4.2e-7 erf error
+        np.testing.assert_allclose(outs[0], outs[1], rtol=2e-6, atol=4e-6)
+        np.testing.assert_allclose(grads[0], grads[1], rtol=2e-6,
+                                   atol=2e-6 * np.abs(g).max())
 
 
 class TestLinear:
@@ -492,6 +533,35 @@ class TestUpsampleBilinear:
                 ref = oracles.upsample_rows(maps[b, h], src, dst)
                 np.testing.assert_allclose(out[b, h], ref, rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-5)
+
+
+class TestBilinearWeights:
+    def test_every_coarser_to_finer_pair(self):
+        table = bilinear_weights([(16, 16), (8, 8), (8, 8), (4, 2)], np.float32)
+        assert sorted(table) == [((4, 2), (8, 8)), ((4, 2), (16, 16)),
+                                 ((8, 8), (16, 16))]
+        mh, mw = table[((4, 2), (16, 16))]
+        assert mh.dtype == mw.dtype == np.float32
+        np.testing.assert_array_equal(mh.data, _interp_axis_weights(4, 16).astype(np.float32))
+        np.testing.assert_array_equal(mw.data, _interp_axis_weights(2, 16).astype(np.float32))
+        assert not mh.requires_grad and not mw.requires_grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_table_gives_the_per_call_result(self, dtype):
+        grids = [(16, 16), (8, 8), (4, 4)]
+        table = bilinear_weights(grids, dtype)
+        rng = np.random.default_rng(25)
+        for src, dst in table:
+            x = Tensor(rng.normal(size=(2, src[0] * src[1], 3)), dtype=dtype)
+            out = upsample_bilinear(x, src, dst, table).data
+            assert out.dtype == dtype
+            np.testing.assert_array_equal(out, upsample_bilinear(x, src, dst).data)
+
+    def test_missing_pair_is_built_per_call(self):
+        x = Tensor(np.arange(6.0).reshape(6, 1))
+        table = bilinear_weights([(4, 4), (2, 2)], np.float64)
+        np.testing.assert_array_equal(upsample_bilinear(x, (2, 3), (4, 6), table).data,
+                                      upsample_bilinear(x, (2, 3), (4, 6)).data)
 
 
 class TestCrossEntropy:

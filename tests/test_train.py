@@ -3,6 +3,10 @@ a miniature configuration that trains in well under a second."""
 
 import dataclasses
 import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -45,6 +49,30 @@ def tiny_config(**over):
     merged = dict(TINY)
     merged.update(over)
     return resolve_config("desk", merged)
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def test_single_precision_process_never_loads_scipy_special(tmp_path):
+    # a fresh interpreter, so no other test has imported scipy into it
+    script = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        from tsgseg.config import resolve_config
+        from tsgseg.tensor import Tensor, gelu
+        from tsgseg.train import build_split, evaluate_model, train_run
+        cfg = resolve_config("desk", dict({TINY!r}, steps=2, precision="single"))
+        model, _ = train_run(cfg, {str(tmp_path / "run")!r})
+        evaluate_model(model, build_split(cfg, "val"), cfg.dtype)
+        assert "scipy.special" not in sys.modules, "single precision loaded scipy.special"
+        gelu(Tensor(np.ones(2)))
+        assert "scipy.special" in sys.modules, "float64 gelu did not load scipy.special"
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSplits:
