@@ -43,10 +43,6 @@ def tsgd_fuse(
     into an N x S gate matrix (rows sum to 1) that weights the features.
     """
     gates = head.gate(head.integrate_cross(prev_cross))
-    if gates.gates.shape[-1] != len(features_up):
-        raise ShapeError(
-            f"{gates.gates.shape[-1]}-way gates cannot fuse {len(features_up)} scales"
-        )
     return gated_sum(features_up, gates.gates), gates
 
 
@@ -72,9 +68,7 @@ class Decoder(Module):
             raise ValueError(f"unknown decoder fusion {fusion!r}")
         self.fusion = fusion
         self.upsample_weights = upsample_weights
-        self.num_classes = num_classes
         self.num_scales = num_scales
-        self.d_f = d_f
         self.queries = Parameter(np.zeros((num_classes, d_f), dtype=dtype))
         cfg = MhaConfig(heads=heads, model_dim=d_f)
         self.blocks = [DecoderBlock(cfg, mlp_dim, rng, dtype) for _ in range(num_blocks)]

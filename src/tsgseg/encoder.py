@@ -110,7 +110,6 @@ class PatchMerge(Module):
 
     def __init__(self, dim_in: int, dim_out: int, rng: np.random.Generator,
                  dtype=np.float64):
-        self.dim_in = dim_in
         self.proj = Linear(4 * dim_in, dim_out, rng, dtype)
 
     def __call__(self, fm: FeatureMap) -> FeatureMap:
@@ -125,15 +124,12 @@ class PatchMerge(Module):
 class Backbone(Module):
     """Stage pyramid producing per-stage features and final attention maps.
 
-    Built from the run config's first ``num_stages`` stages; the config
-    guarantees that its image size halves cleanly through all of them.
+    Built from the run config's kept stages; the config guarantees that its
+    image size halves cleanly through all of them.
     """
 
-    def __init__(self, cfg: RunConfig, num_stages: int, rng: np.random.Generator,
-                 dtype=np.float64):
-        if not 1 <= num_stages <= cfg.num_stages:
-            raise ValueError(f"backbone: cannot keep {num_stages} of {cfg.num_stages} stages")
-        dims = cfg.stage_dims[:num_stages]
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator, dtype=np.float64):
+        dims = cfg.stage_dims[:cfg.kept_stages]
         grid = cfg.stage_grids()[0]
         self.embed = PatchEmbed(cfg.patch_size, dims[0], grid, rng, cfg.positional, dtype)
         self.stages: list[list[EncoderBlock]] = []
@@ -143,7 +139,7 @@ class Backbone(Module):
             mha = MhaConfig(heads=heads, model_dim=dim)
             self.stages.append([EncoderBlock(mha, cfg.mlp_dim(dim), rng, dtype)
                                 for _ in range(blocks)])
-            if s + 1 < num_stages:
+            if s + 1 < len(dims):
                 self.merges.append(PatchMerge(dim, dims[s + 1], rng, dtype))
 
     def __call__(self, image: Tensor) -> tuple[list[FeatureMap], list[AttentionBundle]]:
@@ -198,19 +194,19 @@ class FusionStep(Module):
 class TsgeFusion(Module):
     """Refine backbone features into a common width, optionally gated.
 
-    Built from the run config's fusion settings for its first
-    ``num_stages`` stages. A gate head reads each stage's concatenated
-    head maps, heads x key count wide; the key count is a function of the
-    training grid, so models are tied to the image size they were built for.
+    Built from the run config's fusion settings for its kept stages. A gate
+    head reads each stage's concatenated head maps, heads x key count wide;
+    the key count is a function of the training grid, so models are tied to
+    the image size they were built for.
     ``upsample_weights`` is the model's ``bilinear_weights`` table, shared
     with the gate heads.
     """
 
-    def __init__(self, cfg: RunConfig, num_stages: int, rng: np.random.Generator,
-                 dtype=np.float64, upsample_weights: dict | None = None):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator, dtype=np.float64,
+                 upsample_weights: dict | None = None):
         self.kind = cfg.encoder_fusion
         self.upsample_weights = upsample_weights
-        dims = cfg.stage_dims[:num_stages]
+        dims = cfg.stage_dims[:cfg.kept_stages]
 
         if self.kind == "single":
             # Only the projection actually used is created, so every
@@ -219,7 +215,7 @@ class TsgeFusion(Module):
             return
 
         widths = [heads * gh * gw for heads, (gh, gw)
-                  in zip(cfg.stage_heads[:num_stages], cfg.stage_grids())]
+                  in zip(cfg.stage_heads, cfg.stage_grids())]
 
         def head(in_widths):
             return TsgHead(in_widths, cfg.d_a, cfg.tsg_hidden, num_scales=2, rng=rng,
@@ -230,7 +226,7 @@ class TsgeFusion(Module):
         gated = self.kind == "tsg"
         self.shared_head = head(widths) if gated and cfg.shared_tsg else None
         steps: list[FusionStep] = []
-        for s in range(num_stages - 1):  # step s fuses stage s+1 with the refined map
+        for s in range(len(dims) - 1):  # step s fuses stage s+1 with the refined map
             transform = Linear(dims[s], cfg.d_f, rng, dtype)
             step_head = (self.shared_head or head(widths[s:])) if gated else None
             steps.append(FusionStep(transform, step_head))

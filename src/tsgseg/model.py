@@ -43,8 +43,8 @@ class SegModel(Module):
     def __init__(self, cfg: RunConfig, rng: np.random.Generator, dtype=np.float64):
         self.cfg = cfg
         upsample_weights = bilinear_weights(cfg.stage_grids()[:cfg.kept_stages], dtype)
-        self.backbone = Backbone(cfg, cfg.kept_stages, rng, dtype)
-        self.fusion = TsgeFusion(cfg, cfg.kept_stages, rng, dtype, upsample_weights)
+        self.backbone = Backbone(cfg, rng, dtype)
+        self.fusion = TsgeFusion(cfg, rng, dtype, upsample_weights)
         self.decoder = Decoder(
             num_blocks=cfg.decoder_blocks, num_classes=cfg.num_classes,
             d_f=cfg.d_f, heads=cfg.decoder_heads,

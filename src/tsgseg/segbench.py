@@ -197,16 +197,12 @@ def flip_sample(sample: SegSample) -> SegSample:
     )
 
 
-def confusion_matrix(pred: np.ndarray, gt: np.ndarray, num_classes: int,
-                     ignore_index: int | None = None) -> np.ndarray:
+def confusion_matrix(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
     """C x C counts, rows = ground truth, columns = prediction."""
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
     p = np.asarray(pred).ravel()
     g = np.asarray(gt).ravel()
-    if ignore_index is not None:
-        keep = g != ignore_index
-        p, g = p[keep], g[keep]
     if p.size and (p.min() < 0 or p.max() >= num_classes or g.min() < 0
                    or g.max() >= num_classes):
         raise ValueError("labels outside [0, num_classes)")

@@ -101,29 +101,9 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Small operator sugar so model code reads naturally.
+    # ``a + b`` is the one operator the model code spells as an operator.
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self) -> "Tensor":
-        return tsum(self)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -264,18 +244,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _node(data, (a, b), backward)
-
-
-def transpose(x: Tensor) -> Tensor:
-    """Swap the last two axes, as a contiguous copy."""
-    if x.ndim < 2:
-        raise ShapeError(f"transpose: tensor of rank >= 2 required, got {x.shape}")
-    data = np.ascontiguousarray(np.swapaxes(x.data, -1, -2))
-
-    def backward(g):
-        _accumulate(x, np.swapaxes(g, -1, -2))
-
-    return _node(data, (x,), backward)
 
 
 def _normalize_exp_(x: np.ndarray, axis: int) -> None:
@@ -593,6 +561,11 @@ def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _node(data, (x,), backward)
 
 
+def transpose(x: Tensor) -> Tensor:
+    """Swap the last two axes, as a contiguous copy."""
+    return permute(x, (1, 0))
+
+
 def tsum(x: Tensor) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
     data = np.asarray(x.data.sum(), dtype=x.data.dtype)
@@ -670,12 +643,12 @@ def upsample_bilinear(
     return reshape(out, lead + (h2 * w2, d))
 
 
-def cross_entropy(logits: Tensor, labels, ignore_index: int = -1) -> Tensor:
+def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log-softmax probability of the true class.
 
-    ``logits`` is (..., C) and ``labels`` holds one integer per logits row,
-    shaped like the leading axes; entries equal to ``ignore_index`` are
-    excluded from the mean, which runs over every row of every sample.
+    ``logits`` is (..., C) and ``labels`` holds one integer in [0, C) per
+    logits row, shaped like the leading axes; the mean runs over every row
+    of every sample.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim < 2 or labels.shape != logits.shape[:-1]:
@@ -686,24 +659,18 @@ def cross_entropy(logits: Tensor, labels, ignore_index: int = -1) -> Tensor:
     flat = logits.data.reshape(-1, c)
     labels = labels.reshape(-1)
     n = flat.shape[0]
-    valid = labels != ignore_index
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise ValueError("cross_entropy: empty loss, every position is ignored")
-    lab = labels[valid]
-    if lab.min() < 0 or lab.max() >= c:
+    if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"cross_entropy: label outside [0, {c})")
 
     shifted = flat - flat.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logz
-    data = np.asarray(-logp[valid, lab].sum() / n_valid, dtype=logits.dtype)
+    rows = np.arange(n)
+    data = np.asarray(-logp[rows, labels].sum() / n, dtype=logits.dtype)
 
     def backward(g):
-        p = np.exp(logp)
-        grad = p.copy()
-        grad[np.arange(n)[valid], lab] -= 1.0
-        grad[~valid] = 0.0
-        _accumulate(logits, (grad * (float(g) / n_valid)).reshape(logits.shape))
+        grad = np.exp(logp)
+        grad[rows, labels] -= 1.0
+        _accumulate(logits, (grad * (float(g) / n)).reshape(logits.shape))
 
     return _node(data, (logits,), backward)

@@ -22,6 +22,7 @@ from .model import SegModel, build_model
 from .netpbm import read_ppm, write_pgm
 from .optim import AdamW, poly_lr
 from .segbench import (
+    BUCKETS,
     SegSample,
     confusion_matrix,
     count_samples,
@@ -58,10 +59,6 @@ def build_split(cfg: RunConfig, split: str) -> list[SegSample]:
     return [generate(sample_seed(cfg.data_seed, i), cfg) for i in range(lo, hi)]
 
 
-def _patch_label_cache(samples: list[SegSample], patch: int, num_classes: int):
-    return [patch_labels(s.labels, patch, num_classes).ravel() for s in samples]
-
-
 def _param_norm_table(model: SegModel) -> str:
     lines = ["parameter norms:"]
     for name, p in model.named_parameters():
@@ -95,7 +92,7 @@ def patch_accuracy(model: SegModel, samples, labels_flat, dtype) -> float:
     return int((pred == np.stack(labels_flat)).sum()) / pred.size
 
 
-def evaluate_model(model: SegModel, samples: list[SegSample], dtype=np.float64) -> dict:
+def evaluate_model(model: SegModel, samples: list[SegSample], dtype) -> dict:
     """Pixel-level metrics over a sample list (confusions summed, then IoU).
 
     Size buckets aggregate the bucket-restricted confusion counts across
@@ -104,14 +101,12 @@ def evaluate_model(model: SegModel, samples: list[SegSample], dtype=np.float64) 
     if not samples:
         raise ValueError("evaluate: empty dataset")
     c = model.cfg.num_classes
-    for sample in samples:
+    for i, sample in enumerate(samples):
         if sample.meta.get("num_classes", c) != c:
-            raise ValueError(
-                f"dataset has {sample.meta['num_classes']} classes, model has {c}"
-            )
+            raise ConfigError(
+                f"sample {i} has {sample.meta['num_classes']} classes, model has {c}")
     total = np.zeros((c, c), dtype=np.int64)
-    per_bucket = {b: np.zeros((c, c), dtype=np.int64)
-                  for b in ("small", "medium", "large")}
+    per_bucket = {b: np.zeros((c, c), dtype=np.int64) for b in BUCKETS}
     for sample, labels in zip(samples, predict_labels(model, samples, dtype)):
         mask = labels_to_mask(labels, model.target_grid, sample.labels.shape)
         total += confusion_matrix(mask, sample.labels, c)
@@ -141,7 +136,8 @@ def train_run(cfg: RunConfig, out_dir) -> tuple[SegModel, dict]:
     model = build_model(cfg, seed=cfg.seed, dtype=dtype)
     train_samples = build_split(cfg, "train")
     val_samples = build_split(cfg, "val")
-    labels_flat = _patch_label_cache(train_samples, cfg.patch_size, cfg.num_classes)
+    labels_flat = [patch_labels(s.labels, cfg.patch_size, cfg.num_classes).ravel()
+                   for s in train_samples]
     opt = AdamW(model.named_parameters(), weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
 
@@ -209,6 +205,12 @@ def _load_run_model(ckpt_path) -> tuple[SegModel, RunConfig]:
     return model, cfg
 
 
+def _check_image_size(cfg: RunConfig, image: np.ndarray, name: str) -> None:
+    h, w = image.shape[:2]
+    if (h, w) != (cfg.height, cfg.width):
+        raise ConfigError(f"{name} is {h}x{w}, model expects {cfg.height}x{cfg.width}")
+
+
 def evaluate_checkpoint(ckpt_path, data_dir, report_path) -> dict:
     """CLI eval: restore a run's model, score a saved dataset, write CSV."""
     model, cfg = _load_run_model(ckpt_path)
@@ -216,11 +218,13 @@ def evaluate_checkpoint(ckpt_path, data_dir, report_path) -> dict:
     if n == 0:
         raise ConfigError(f"no samples found in {data_dir}")
     samples = [load_sample(data_dir, i) for i in range(n)]
+    for i, sample in enumerate(samples):
+        _check_image_size(cfg, sample.image, f"sample {i}")
     report = evaluate_model(model, samples, cfg.dtype)
     lines = ["metric,value", f"mIoU,{report['mIoU']!r}"]
     for c, iou in enumerate(report["per_class"]):
         lines.append(f"iou_class_{c},{'' if iou is None else repr(iou)}")
-    for bucket in ("small", "medium", "large"):
+    for bucket in BUCKETS:
         v = report[bucket]
         lines.append(f"iou_{bucket},{'' if v is None else repr(v)}")
     with open(report_path, "w") as fh:
@@ -239,11 +243,7 @@ def dump_gates(ckpt_path, sample_path, out_dir) -> list[str]:
     if cfg.decoder_fusion != "tsg" or cfg.decoder_blocks < 2:
         raise ConfigError("model has no gated decoder fusion; nothing to dump")
     image = read_ppm(sample_path).astype(np.float64) / 255.0
-    if image.shape[:2] != (cfg.height, cfg.width):
-        raise ConfigError(
-            f"sample is {image.shape[0]}x{image.shape[1]}, "
-            f"model expects {cfg.height}x{cfg.width}"
-        )
+    _check_image_size(cfg, image, "sample")
     with no_grad():
         res = model(Tensor(image, dtype=cfg.dtype))
     os.makedirs(out_dir, exist_ok=True)
@@ -289,14 +289,11 @@ VARIANTS = {
     **{f"single_scale_{k}": _variant("single", "sum", single_stage=k) for k in (1, 2, 3)},
 }
 
+# Each ablation suite: the VARIANTS it runs, in results.csv order.
 SUITES = {
-    suite: [(name, VARIANTS[name]) for name in names]
-    for suite, names in {
-        "components": ["plain_sum", "fpn_sum", "tsge_only", "tsgd_only", "tsg"],
-        "scales": ["single_scale_1", "single_scale_2", "single_scale_3",
-                   "plain_sum", "tsg"],
-        "tsg-variants": ["tsg", "tsg_shared"],
-    }.items()
+    "components": ["plain_sum", "fpn_sum", "tsge_only", "tsgd_only", "tsg"],
+    "scales": ["single_scale_1", "single_scale_2", "single_scale_3", "plain_sum", "tsg"],
+    "tsg-variants": ["tsg", "tsg_shared"],
 }
 
 ABLATE_STEPS = 300
@@ -321,22 +318,19 @@ def ablate(suite: str, out_dir, seeds=(0, 1, 2), steps: int | None = None,
     base = resolve_config("desk", overrides or {})
     # eval_interval = steps: final evaluation only
     runs = [(name, seed, replace(base, seed=seed, precision="single", steps=steps,
-                                 eval_interval=steps, **variant))
-            for name, variant in SUITES[suite] for seed in seeds]
+                                 eval_interval=steps, **VARIANTS[name]))
+            for name in SUITES[suite] for seed in seeds]
     os.makedirs(out_dir, exist_ok=True)
     results: list[dict] = []
     lines = [ABLATE_HEADER]
     for name, seed, cfg in runs:
         _, summary = train_run(cfg, os.path.join(out_dir, f"{name}_seed{seed}"))
         report = summary["report"]
-        row = {"model": name, "seed": seed, "mIoU": report["mIoU"],
-               "small": report["small"], "medium": report["medium"],
-               "large": report["large"]}
-        results.append(row)
+        results.append({"model": name, "seed": seed, "mIoU": report["mIoU"],
+                        **{b: report[b] for b in BUCKETS}})
         lines.append(
             f"{name},{seed},{report['mIoU']!r},"
-            + ",".join("" if report[b] is None else repr(report[b])
-                       for b in ("small", "medium", "large"))
+            + ",".join("" if report[b] is None else repr(report[b]) for b in BUCKETS)
         )
     with open(os.path.join(out_dir, "results.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")

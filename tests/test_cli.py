@@ -17,6 +17,7 @@ from tsgseg.segbench import (
     generate,
     load_sample,
     sample_seed,
+    save_sample,
 )
 from tsgseg.train import SUITES
 
@@ -183,6 +184,29 @@ class TestErrors:
                                        "--report", str(tmp_path / "report.csv")])
         assert line == f"tsgseg: error: no samples found in {data}"
         assert not (tmp_path / "report.csv").exists()
+
+    def eval_error(self, capsys, tiny_run, data) -> str:
+        report = data.parent / "report.csv"
+        line = self.run_error(capsys, ["eval", "--ckpt", str(tiny_run / "model.ckpt"),
+                                       "--data", str(data), "--report", str(report)])
+        assert not report.exists()
+        return line
+
+    def test_eval_on_samples_of_wrong_size(self, tmp_path, tiny_run, capsys):
+        data = tmp_path / "big"
+        data.mkdir()
+        for i in range(2):
+            save_sample(str(data), i, generate(i, tiny_config(height=16 * (i + 1),
+                                                              width=16 * (i + 1))))
+        line = self.eval_error(capsys, tiny_run, data)
+        assert line == "tsgseg: error: sample 1 is 32x32, model expects 16x16"
+
+    def test_eval_on_samples_of_other_class_count(self, tmp_path, tiny_run, capsys):
+        data = tmp_path / "seven"
+        data.mkdir()
+        save_sample(str(data), 0, generate(0, tiny_config(num_classes=7)))
+        line = self.eval_error(capsys, tiny_run, data)
+        assert line == "tsgseg: error: sample 0 has 7 classes, model has 4"
 
     def test_gates_sample_of_wrong_size(self, tmp_path, tiny_run, capsys):
         sample = tmp_path / "wide.ppm"

@@ -74,7 +74,7 @@ class TestFuse:
     def test_scale_count_mismatch(self):
         rng = np.random.default_rng(2)
         head = TsgHead([HEADS * C], d_a=6, hidden=5, num_scales=3, rng=rng)
-        with pytest.raises(ShapeError, match="scales"):
+        with pytest.raises(ShapeError, match="2 feature maps vs gate width 3"):
             tsgd_fuse([Tensor(np.zeros((N, D_F)))] * 2, gated_bundle(rng), head)
 
     def test_patch_normalized_maps_rejected(self):

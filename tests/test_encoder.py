@@ -42,7 +42,7 @@ def synthetic_pyramid(rng):
 def tsg_fusion(rng, **overrides) -> TsgeFusion:
     """Fusion over all three stages, or over the kept ones of a single-stage config."""
     cfg = three_stage_config(d_f=8, d_a=6, tsg_hidden=5, **overrides)
-    return TsgeFusion(cfg, cfg.single_stage or cfg.num_stages, rng)
+    return TsgeFusion(cfg, rng)
 
 
 def fusion_params(fusion: TsgeFusion) -> dict:
@@ -107,7 +107,7 @@ class TestPatchMerge:
 class TestBackbone:
     def test_stage_shapes(self):
         rng = np.random.default_rng(5)
-        bb = Backbone(three_stage_config(), 3, rng)
+        bb = Backbone(three_stage_config(), rng)
         feats, bundles = bb(Tensor(rng.uniform(size=(16, 16, 3))))
         assert [(f.h, f.w) for f in feats] == GRIDS
         assert [f.data.shape[1] for f in feats] == DIMS
@@ -119,7 +119,7 @@ class TestBackbone:
     def test_bundle_comes_from_last_block(self):
         cfg = three_stage_config(stage_blocks=(2, 1, 1))
         rng = np.random.default_rng(6)
-        bb = Backbone(cfg, 3, rng)
+        bb = Backbone(cfg, rng)
         image = Tensor(rng.uniform(size=(16, 16, 3)))
         _, bundles = bb(image)
         # Stage 1 by hand: its second block's map is the one kept, not the first's
@@ -133,14 +133,12 @@ class TestBackbone:
         # 16 = patch size 4 halved twice; the config refuses other sizes
         with pytest.raises(ConfigError, match="height 24 must be a positive multiple of 16"):
             three_stage_config(height=24, width=24)
-        with pytest.raises(ValueError, match="keep 4 of 3 stages"):
-            Backbone(three_stage_config(), 4, np.random.default_rng(7))
 
     def test_deterministic_given_seed(self):
         img = np.random.default_rng(8).uniform(size=(16, 16, 3))
         outs = []
         for _ in range(2):
-            bb = Backbone(three_stage_config(), 3, np.random.default_rng(42))
+            bb = Backbone(three_stage_config(), np.random.default_rng(42))
             feats, _ = bb(Tensor(img))
             outs.append([f.data.data.copy() for f in feats])
         for a, b in zip(*outs):

@@ -161,12 +161,6 @@ class TestConfusion:
         np.testing.assert_array_equal(confusion_matrix(pred, gt, 4),
                                       oracles.confusion(pred, gt, 4))
 
-    def test_ignore_index(self):
-        pred = np.array([[0, 1], [1, 0]])
-        gt = np.array([[0, 1], [2, 2]])
-        counts = confusion_matrix(pred, gt, 3, ignore_index=2)
-        assert counts.sum() == 2 and counts[0, 0] == 1 and counts[1, 1] == 1
-
     def test_validation(self):
         with pytest.raises(ValueError):
             confusion_matrix(np.zeros((2, 2)), np.zeros((2, 3)), 2)

@@ -98,13 +98,6 @@ class TestElementwise:
         np.testing.assert_allclose(mul(Tensor(a), Tensor(b)).data, a * b)
         np.testing.assert_allclose(scale(Tensor(a), -2.5).data, -2.5 * a)
 
-    def test_operator_sugar(self):
-        a = Tensor([[1.0, 2.0]])
-        b = Tensor([[3.0, 5.0]])
-        np.testing.assert_allclose((a - b).data, [[-2.0, -3.0]])
-        np.testing.assert_allclose((-a).data, [[-1.0, -2.0]])
-        np.testing.assert_allclose((2.0 * a).data, [[2.0, 4.0]])
-
     def test_broadcast_gradients(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -582,20 +575,10 @@ class TestCrossEntropy:
             x0 = rng.normal(size=(6, 3))
             check_grad(lambda t: cross_entropy(t, labels), x0)
 
-    def test_ignore_index(self):
-        rng = np.random.default_rng(25)
-        x = rng.normal(size=(4, 3))
-        full = cross_entropy(Tensor(x[:2]), np.array([0, 1]))
-        masked = cross_entropy(Tensor(x), np.array([0, 1, -1, -1]))
-        np.testing.assert_allclose(float(masked.data), float(full.data),
-                                   atol=1e-12)
-        xt = Tensor(x, requires_grad=True)
-        cross_entropy(xt, np.array([0, 1, -1, -1])).backward()
-        np.testing.assert_allclose(xt.grad[2:], np.zeros((2, 3)))
-
-    def test_empty_loss(self):
-        with pytest.raises(ValueError, match="empty"):
-            cross_entropy(Tensor(np.zeros((2, 3))), np.array([-1, -1]))
+    def test_negative_label_rejected(self):
+        # no label value is ignored: -1 is out of range like any other
+        with pytest.raises(ValueError, match=r"label outside \[0, 3\)"):
+            cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, -1]))
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):

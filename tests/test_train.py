@@ -174,7 +174,7 @@ class TestEvaluate:
         cfg = tiny_config()
         model = build_model(cfg, seed=0)
         samples = build_split(cfg, "val")
-        report = evaluate_model(model, samples)
+        report = evaluate_model(model, samples, np.float64)
         gt = np.concatenate([s.labels.ravel() for s in samples])
         classes_present = {int(c) for c in np.unique(gt)}
         expected = [(gt == 0).mean() if c == 0 else 0.0
@@ -193,14 +193,14 @@ class TestEvaluate:
         cfg = tiny_config()
         model = build_model(cfg, seed=0)
         with pytest.raises(ValueError, match="empty"):
-            evaluate_model(model, [])
+            evaluate_model(model, [], np.float64)
 
     def test_class_count_mismatch_rejected(self):
         cfg = tiny_config()
         model = build_model(cfg, seed=0)
         samples = build_split(tiny_config(num_classes=3), "val")
         with pytest.raises(ValueError, match="classes"):
-            evaluate_model(model, samples)
+            evaluate_model(model, samples, np.float64)
 
     def test_chunked_scoring_matches_one_image_at_a_time(self):
         # Five images span a full chunk and a partial one; the pooled
@@ -218,7 +218,7 @@ class TestEvaluate:
             mask = labels_to_mask(labels, model.target_grid, s.labels.shape)
             conf += confusion_matrix(mask, s.labels, cfg.num_classes)
         per_class, mean = iou_from_confusion(conf)
-        report = evaluate_model(model, samples)
+        report = evaluate_model(model, samples, np.float64)
         assert report["per_class"] == per_class
         assert report["mIoU"] == mean
 
@@ -243,7 +243,7 @@ class TestEvaluate:
         samples = build_split(cfg, "val")
         samples[1] = build_split(tiny_config(height=32, width=32), "val")[1]
         with pytest.raises(ValueError, match="sizes"):
-            evaluate_model(model, samples)
+            evaluate_model(model, samples, np.float64)
 
     def test_patch_accuracy_fresh_model(self):
         cfg = tiny_config()
@@ -365,15 +365,12 @@ class TestDumpGates:
 class TestAblate:
     def test_suite_definitions(self):
         assert set(SUITES) == {"components", "scales", "tsg-variants"}
-        assert [name for name, _ in SUITES["components"]] == [
+        assert SUITES["components"] == [
             "plain_sum", "fpn_sum", "tsge_only", "tsgd_only", "tsg"]
-        assert [name for name, _ in SUITES["scales"]] == [
+        assert SUITES["scales"] == [
             "single_scale_1", "single_scale_2", "single_scale_3",
             "plain_sum", "tsg"]
-        assert [name for name, _ in SUITES["tsg-variants"]] == [
-            "tsg", "tsg_shared"]
-        for suite in SUITES.values():
-            assert all(overrides is VARIANTS[name] for name, overrides in suite)
+        assert SUITES["tsg-variants"] == ["tsg", "tsg_shared"]
         # every variant is a valid config, and every one is run by some suite
         for overrides in VARIANTS.values():
             cfg = dataclasses.replace(helpers.tiny_model_config(), **overrides)
@@ -382,7 +379,7 @@ class TestAblate:
             cfg = dataclasses.replace(helpers.tiny_model_config(),
                                       **VARIANTS[f"single_scale_{k}"])
             assert (cfg.encoder_fusion, cfg.single_stage) == ("single", k)
-        assert {name for suite in SUITES.values() for name, _ in suite} == set(VARIANTS)
+        assert {name for suite in SUITES.values() for name in suite} == set(VARIANTS)
 
     def test_base_override_cannot_change_a_variant(self):
         # A base config with shared heads must not make the plain tsg rows
