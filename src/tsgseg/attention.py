@@ -100,13 +100,13 @@ class _Attention(Module):
     """The core both attention layers share: the query, key, value and
     output projections, built in that order, and the attention product."""
 
-    def __init__(self, cfg: MhaConfig, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, cfg: MhaConfig, rng: np.random.Generator):
         self.cfg = cfg
         d = cfg.model_dim
-        self.wq = Linear(d, d, rng, dtype)
-        self.wk = Linear(d, d, rng, dtype)
-        self.wv = Linear(d, d, rng, dtype)
-        self.wo = Linear(d, d, rng, dtype)
+        self.wq = Linear(d, d, rng)
+        self.wk = Linear(d, d, rng)
+        self.wv = Linear(d, d, rng)
+        self.wo = Linear(d, d, rng)
 
     def _attend(self, queries: Tensor, memory: Tensor,
                 gate_softmax: bool = False) -> tuple[Tensor, Tensor, Tensor | None]:
@@ -157,13 +157,12 @@ class MultiheadCrossAttention(_Attention):
 class EncoderBlock(Module):
     """Pre-norm residual block: attention then MLP, each behind a layernorm."""
 
-    def __init__(self, cfg: MhaConfig, mlp_dim: int, rng: np.random.Generator,
-                 dtype=np.float64):
+    def __init__(self, cfg: MhaConfig, mlp_dim: int, rng: np.random.Generator):
         d = cfg.model_dim
-        self.norm1 = LayerNorm(d, dtype)
-        self.attn = MultiheadSelfAttention(cfg, rng, dtype)
-        self.norm2 = LayerNorm(d, dtype)
-        self.mlp = Mlp(d, mlp_dim, d, rng, dtype)
+        self.norm1 = LayerNorm(d)
+        self.attn = MultiheadSelfAttention(cfg, rng)
+        self.norm2 = LayerNorm(d)
+        self.mlp = Mlp(d, mlp_dim, d, rng)
 
     def __call__(self, tokens: Tensor) -> tuple[Tensor, AttentionBundle]:
         attended, bundle = self.attn(self.norm1(tokens))
@@ -177,15 +176,14 @@ class DecoderBlock(Module):
     to the memory, then an MLP. The memory enters the cross-attention
     unnormalized; only the query stream is layer-normalized."""
 
-    def __init__(self, cfg: MhaConfig, mlp_dim: int, rng: np.random.Generator,
-                 dtype=np.float64):
+    def __init__(self, cfg: MhaConfig, mlp_dim: int, rng: np.random.Generator):
         d = cfg.model_dim
-        self.norm1 = LayerNorm(d, dtype)
-        self.self_attn = MultiheadSelfAttention(cfg, rng, dtype)
-        self.norm2 = LayerNorm(d, dtype)
-        self.cross_attn = MultiheadCrossAttention(cfg, rng, dtype)
-        self.norm3 = LayerNorm(d, dtype)
-        self.mlp = Mlp(d, mlp_dim, d, rng, dtype)
+        self.norm1 = LayerNorm(d)
+        self.self_attn = MultiheadSelfAttention(cfg, rng)
+        self.norm2 = LayerNorm(d)
+        self.cross_attn = MultiheadCrossAttention(cfg, rng)
+        self.norm3 = LayerNorm(d)
+        self.mlp = Mlp(d, mlp_dim, d, rng)
 
     def __call__(
         self, queries: Tensor, memory: Tensor

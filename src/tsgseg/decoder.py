@@ -60,8 +60,8 @@ class Decoder(Module):
     def __init__(self, num_blocks: int, num_classes: int, d_f: int, heads: int,
                  mlp_dim: int, num_scales: int, d_a: int, hidden: int,
                  rng: np.random.Generator, fusion: str = "tsg",
-                 shared_head: bool = False, dtype=np.float64,
-                 integration_bias: bool = True, upsample_weights: dict | None = None):
+                 shared_head: bool = False, integration_bias: bool = True,
+                 upsample_weights: dict | None = None):
         if num_blocks < 1:
             raise ValueError("decoder needs at least one block")
         if fusion not in DECODER_FUSIONS:
@@ -69,13 +69,13 @@ class Decoder(Module):
         self.fusion = fusion
         self.upsample_weights = upsample_weights
         self.num_scales = num_scales
-        self.queries = Parameter(np.zeros((num_classes, d_f), dtype=dtype))
+        self.queries = Parameter(np.zeros((num_classes, d_f)))
         cfg = MhaConfig(heads=heads, model_dim=d_f)
-        self.blocks = [DecoderBlock(cfg, mlp_dim, rng, dtype) for _ in range(num_blocks)]
+        self.blocks = [DecoderBlock(cfg, mlp_dim, rng) for _ in range(num_blocks)]
         self.gate_heads: list[TsgHead] = []
         if fusion == "tsg" and num_blocks >= 2:
             def head() -> TsgHead:  # reads the transposed cross maps, concatenated
-                return TsgHead([heads * num_classes], d_a, hidden, num_scales, rng, dtype,
+                return TsgHead([heads * num_classes], d_a, hidden, num_scales, rng,
                                integration_bias=integration_bias)
 
             shared = head() if shared_head else None

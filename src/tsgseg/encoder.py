@@ -77,15 +77,13 @@ class PatchEmbed(Module):
     """
 
     def __init__(self, patch_size: int, dim: int, grid: tuple[int, int],
-                 rng: np.random.Generator, positional: bool, dtype=np.float64):
+                 rng: np.random.Generator, positional: bool):
         self.patch_size = patch_size
         self.grid = grid
-        self.proj = Linear(patch_size * patch_size * 3, dim, rng, dtype)
+        self.proj = Linear(patch_size * patch_size * 3, dim, rng)
         self.pos: Parameter | None = None
         if positional:
-            self.pos = Parameter(
-                rng.normal(0.0, 0.02, size=(grid[0] * grid[1], dim)).astype(dtype)
-            )
+            self.pos = Parameter(rng.normal(0.0, 0.02, size=(grid[0] * grid[1], dim)))
 
     def __call__(self, image: Tensor) -> FeatureMap:
         p = self.patch_size
@@ -108,9 +106,8 @@ class PatchEmbed(Module):
 class PatchMerge(Module):
     """Concatenate each 2x2 neighborhood and project; halves both grid axes."""
 
-    def __init__(self, dim_in: int, dim_out: int, rng: np.random.Generator,
-                 dtype=np.float64):
-        self.proj = Linear(4 * dim_in, dim_out, rng, dtype)
+    def __init__(self, dim_in: int, dim_out: int, rng: np.random.Generator):
+        self.proj = Linear(4 * dim_in, dim_out, rng)
 
     def __call__(self, fm: FeatureMap) -> FeatureMap:
         if fm.h % 2 or fm.w % 2:
@@ -128,19 +125,19 @@ class Backbone(Module):
     image size halves cleanly through all of them.
     """
 
-    def __init__(self, cfg: RunConfig, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         dims = cfg.stage_dims[:cfg.kept_stages]
         grid = cfg.stage_grids()[0]
-        self.embed = PatchEmbed(cfg.patch_size, dims[0], grid, rng, cfg.positional, dtype)
+        self.embed = PatchEmbed(cfg.patch_size, dims[0], grid, rng, cfg.positional)
         self.stages: list[list[EncoderBlock]] = []
         self.merges: list[PatchMerge] = []
         for s, (blocks, dim, heads) in enumerate(
                 zip(cfg.stage_blocks, dims, cfg.stage_heads)):
             mha = MhaConfig(heads=heads, model_dim=dim)
-            self.stages.append([EncoderBlock(mha, cfg.mlp_dim(dim), rng, dtype)
+            self.stages.append([EncoderBlock(mha, cfg.mlp_dim(dim), rng)
                                 for _ in range(blocks)])
             if s + 1 < len(dims):
-                self.merges.append(PatchMerge(dim, dims[s + 1], rng, dtype))
+                self.merges.append(PatchMerge(dim, dims[s + 1], rng))
 
     def __call__(self, image: Tensor) -> tuple[list[FeatureMap], list[AttentionBundle]]:
         fm = self.embed(image)
@@ -202,7 +199,7 @@ class TsgeFusion(Module):
     with the gate heads.
     """
 
-    def __init__(self, cfg: RunConfig, rng: np.random.Generator, dtype=np.float64,
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator,
                  upsample_weights: dict | None = None):
         self.kind = cfg.encoder_fusion
         self.upsample_weights = upsample_weights
@@ -211,7 +208,7 @@ class TsgeFusion(Module):
         if self.kind == "single":
             # Only the projection actually used is created, so every
             # parameter of a single-scale model receives gradients.
-            self.proj = Linear(dims[-1], cfg.d_f, rng, dtype)
+            self.proj = Linear(dims[-1], cfg.d_f, rng)
             return
 
         widths = [heads * gh * gw for heads, (gh, gw)
@@ -219,15 +216,15 @@ class TsgeFusion(Module):
 
         def head(in_widths):
             return TsgHead(in_widths, cfg.d_a, cfg.tsg_hidden, num_scales=2, rng=rng,
-                           dtype=dtype, integration_bias=cfg.integration_bias,
+                           integration_bias=cfg.integration_bias,
                            upsample_weights=upsample_weights)
 
-        self.top_proj = Linear(dims[-1], cfg.d_f, rng, dtype)
+        self.top_proj = Linear(dims[-1], cfg.d_f, rng)
         gated = self.kind == "tsg"
         self.shared_head = head(widths) if gated and cfg.shared_tsg else None
         steps: list[FusionStep] = []
         for s in range(len(dims) - 1):  # step s fuses stage s+1 with the refined map
-            transform = Linear(dims[s], cfg.d_f, rng, dtype)
+            transform = Linear(dims[s], cfg.d_f, rng)
             step_head = (self.shared_head or head(widths[s:])) if gated else None
             steps.append(FusionStep(transform, step_head))
         self.steps = steps

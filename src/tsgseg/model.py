@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .decoder import Decoder, predict_scores
 from .encoder import Backbone, TsgeFusion
 from .module import Module
@@ -37,24 +37,26 @@ class SegModel(Module):
     one: the hierarchy is feed-forward, so the kept stage's features are
     unchanged and no parameter sits outside the gradient path. Every
     upsampling runs between two of the kept stages' grids, so their
-    interpolation weights are built once, here.
+    interpolation weights are built once, here, in ``cfg.precision``. The
+    modules build in float64, and the model casts every tensor it holds to
+    that precision once, as the last step of construction.
     """
 
-    def __init__(self, cfg: RunConfig, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         self.cfg = cfg
-        upsample_weights = bilinear_weights(cfg.stage_grids()[:cfg.kept_stages], dtype)
-        self.backbone = Backbone(cfg, rng, dtype)
-        self.fusion = TsgeFusion(cfg, rng, dtype, upsample_weights)
+        upsample_weights = bilinear_weights(cfg.stage_grids()[:cfg.kept_stages], cfg.dtype)
+        self.backbone = Backbone(cfg, rng)
+        self.fusion = TsgeFusion(cfg, rng, upsample_weights)
         self.decoder = Decoder(
             num_blocks=cfg.decoder_blocks, num_classes=cfg.num_classes,
             d_f=cfg.d_f, heads=cfg.decoder_heads,
             mlp_dim=cfg.mlp_dim(cfg.d_f),
             num_scales=cfg.decoder_scales, d_a=cfg.d_a, hidden=cfg.tsg_hidden,
             rng=rng, fusion=cfg.decoder_fusion, shared_head=cfg.shared_tsg,
-            dtype=dtype, integration_bias=cfg.integration_bias,
-            upsample_weights=upsample_weights,
+            integration_bias=cfg.integration_bias, upsample_weights=upsample_weights,
         )
         self.target_grid = cfg.stage_grids()[0]
+        self.cast(cfg.dtype)
 
     def __call__(self, image: Tensor, forced_gates=None) -> ForwardResult:
         """Segment an (H, W, 3) image, or a (B, H, W, 3) batch in one graph.
@@ -70,8 +72,13 @@ class SegModel(Module):
                              decoder_gates=dec_gates)
 
 
-def build_model(cfg: RunConfig, seed: int, dtype=np.float64) -> SegModel:
-    return SegModel(cfg, np.random.default_rng(seed), dtype)
+def build_model(cfg: RunConfig, seed: int, dtype=None) -> SegModel:
+    """The seeded model for ``cfg``, in ``cfg.precision``; a ``dtype``, if
+    given, must name that precision."""
+    if dtype is not None and np.dtype(dtype) != np.dtype(cfg.dtype):
+        raise ConfigError(f"build_model: dtype {np.dtype(dtype)} disagrees with "
+                          f"precision {cfg.precision!r} ({np.dtype(cfg.dtype)})")
+    return SegModel(cfg, np.random.default_rng(seed))
 
 
 def copy_matching_parameters(src: Module, dst: Module) -> list[str]:

@@ -66,14 +66,12 @@ class TsgHead(Module):
     """
 
     def __init__(self, in_widths: list[int], d_a: int, hidden: int,
-                 num_scales: int, rng: np.random.Generator, dtype=np.float64,
+                 num_scales: int, rng: np.random.Generator,
                  integration_bias: bool = True, upsample_weights: dict | None = None):
         self.upsample_weights = upsample_weights
-        self.integrators = [
-            Linear(w, d_a, rng, dtype, bias=integration_bias) for w in in_widths
-        ]
-        self.norm = LayerNorm(d_a, dtype)
-        self.mlp = Mlp(d_a, hidden, num_scales, rng, dtype, zero_init_out=True)
+        self.integrators = [Linear(w, d_a, rng, bias=integration_bias) for w in in_widths]
+        self.norm = LayerNorm(d_a)
+        self.mlp = Mlp(d_a, hidden, num_scales, rng, zero_init_out=True)
 
     def integrate_self(self, bundles: list[AttentionBundle], start: int = 0) -> Tensor:
         """Fuse self-attention bundles into one N x d_A map on the first

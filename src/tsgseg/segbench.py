@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 
 BUCKETS = ("small", "medium", "large")
@@ -265,7 +265,10 @@ def load_sample(dir_path: str, index: int) -> SegSample:
     image = read_ppm(stem + ".ppm").astype(np.float64) / 255.0
     labels = read_pgm(stem + ".pgm").astype(np.int64)
     with open(stem + ".json") as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{stem}.json is not valid JSON: {exc}") from None
     return SegSample(image=image, labels=labels, meta=meta)
 
 

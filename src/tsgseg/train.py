@@ -105,6 +105,9 @@ def evaluate_model(model: SegModel, samples: list[SegSample], dtype) -> dict:
         if sample.meta.get("num_classes", c) != c:
             raise ConfigError(
                 f"sample {i} has {sample.meta['num_classes']} classes, model has {c}")
+        top = int(sample.labels.max())
+        if top >= c:
+            raise ConfigError(f"sample {i} has label {top}, model has {c} classes")
     total = np.zeros((c, c), dtype=np.int64)
     per_bucket = {b: np.zeros((c, c), dtype=np.int64) for b in BUCKETS}
     for sample, labels in zip(samples, predict_labels(model, samples, dtype)):
@@ -133,7 +136,7 @@ def train_run(cfg: RunConfig, out_dir) -> tuple[SegModel, dict]:
     """
     os.makedirs(out_dir, exist_ok=True)
     dtype = cfg.dtype
-    model = build_model(cfg, seed=cfg.seed, dtype=dtype)
+    model = build_model(cfg, seed=cfg.seed)
     train_samples = build_split(cfg, "train")
     val_samples = build_split(cfg, "val")
     labels_flat = [patch_labels(s.labels, cfg.patch_size, cfg.num_classes).ravel()
@@ -200,7 +203,7 @@ def _load_run_model(ckpt_path) -> tuple[SegModel, RunConfig]:
             f"no config.resolved next to {ckpt_path}; cannot rebuild the model"
         )
     cfg = resolve_config(overrides=load_config_file(cfg_path))
-    model = build_model(cfg, seed=cfg.seed, dtype=cfg.dtype)
+    model = build_model(cfg, seed=cfg.seed)
     load_model(ckpt_path, model)
     return model, cfg
 
@@ -218,8 +221,11 @@ def evaluate_checkpoint(ckpt_path, data_dir, report_path) -> dict:
     if n == 0:
         raise ConfigError(f"no samples found in {data_dir}")
     samples = [load_sample(data_dir, i) for i in range(n)]
-    for i, sample in enumerate(samples):
+    for i, sample in enumerate(samples):  # evaluate_model checks the classes
         _check_image_size(cfg, sample.image, f"sample {i}")
+        (lh, lw), (h, w) = sample.labels.shape, sample.image.shape[:2]
+        if (lh, lw) != (h, w):
+            raise ConfigError(f"sample {i} label map is {lh}x{lw}, its image is {h}x{w}")
     report = evaluate_model(model, samples, cfg.dtype)
     lines = ["metric,value", f"mIoU,{report['mIoU']!r}"]
     for c, iou in enumerate(report["per_class"]):

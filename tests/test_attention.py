@@ -190,8 +190,10 @@ class TestCrossAttention:
         # Both layers run one core: given the same four weight sets, cross
         # attention from a token set to itself is bit for bit self-attention.
         cfg = MhaConfig(2, 6)
-        attn = MultiheadSelfAttention(cfg, np.random.default_rng(12), dtype)
-        cross = MultiheadCrossAttention(cfg, np.random.default_rng(13), dtype)
+        attn = MultiheadSelfAttention(cfg, np.random.default_rng(12))
+        cross = MultiheadCrossAttention(cfg, np.random.default_rng(13))
+        attn.cast(dtype)
+        cross.cast(dtype)
         pairs = list(zip(attn.named_parameters(), cross.named_parameters()))
         assert [a for (a, _), _ in pairs] == [b for _, (b, _) in pairs]
         assert [a for (a, _), _ in pairs][::2] == ["wq.w", "wk.w", "wv.w", "wo.w"]

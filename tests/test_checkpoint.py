@@ -88,7 +88,7 @@ class TestFormat:
 
 class TestModelRoundtrip:
     def test_save_load_restores_forward(self, tmp_path):
-        cfg = helpers.tiny_model_config()
+        cfg = helpers.tiny_model_config(precision="single")
         model = build_model(cfg, seed=3, dtype=np.float32)
         path = tmp_path / "model.ckpt"
         save_model(path, model)

@@ -11,7 +11,7 @@ from tsgseg.checkpoint import save_model
 from tsgseg.cli import main
 from tsgseg.config import format_config, resolve_config
 from tsgseg.model import build_model
-from tsgseg.netpbm import write_ppm
+from tsgseg.netpbm import read_pgm, write_pgm, write_ppm
 from tsgseg.segbench import (
     count_samples,
     generate,
@@ -207,6 +207,34 @@ class TestErrors:
         save_sample(str(data), 0, generate(0, tiny_config(num_classes=7)))
         line = self.eval_error(capsys, tiny_run, data)
         assert line == "tsgseg: error: sample 0 has 7 classes, model has 4"
+
+    def saved_pair(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        for i in range(2):
+            save_sample(str(data), i, generate(sample_seed(77, i), tiny_config()))
+        return data
+
+    def test_eval_on_truncated_meta(self, tmp_path, tiny_run, capsys):
+        data = self.saved_pair(tmp_path)
+        meta = data / "sample_0001.json"
+        meta.write_text(meta.read_text()[:20])
+        line = self.eval_error(capsys, tiny_run, data)
+        assert line.startswith(f"tsgseg: error: {meta} is not valid JSON: ")
+
+    def test_eval_on_label_outside_class_range(self, tmp_path, tiny_run, capsys):
+        data = self.saved_pair(tmp_path)
+        labels = read_pgm(str(data / "sample_0000.pgm")).copy()
+        labels[0, 0] = 9
+        write_pgm(str(data / "sample_0000.pgm"), labels)
+        line = self.eval_error(capsys, tiny_run, data)
+        assert line == "tsgseg: error: sample 0 has label 9, model has 4 classes"
+
+    def test_eval_on_label_map_of_wrong_size(self, tmp_path, tiny_run, capsys):
+        data = self.saved_pair(tmp_path)
+        write_pgm(str(data / "sample_0000.pgm"), np.zeros((8, 8), dtype=np.uint8))
+        line = self.eval_error(capsys, tiny_run, data)
+        assert line == "tsgseg: error: sample 0 label map is 8x8, its image is 16x16"
 
     def test_gates_sample_of_wrong_size(self, tmp_path, tiny_run, capsys):
         sample = tmp_path / "wide.ppm"

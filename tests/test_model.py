@@ -46,7 +46,8 @@ class TestConfig:
         # The README's quick start states the desk model's size.
         stated = re.search(r"~(\d+)k parameters", README.read_text())
         assert stated is not None
-        model = build_model(resolve_config("desk"), seed=0, dtype=np.float32)
+        model = build_model(resolve_config("desk", {"precision": "single"}), seed=0,
+                            dtype=np.float32)
         count = sum(p.data.size for p in model.parameters())
         assert count == 485_514
         assert round(count / 1000) == int(stated.group(1))
@@ -97,10 +98,52 @@ class TestForward:
             np.testing.assert_array_equal(pa.data, pb.data)
 
 
+def reachable_arrays(obj, seen=None) -> list[np.ndarray]:
+    """Every numpy array reachable from ``obj`` through attributes, lists,
+    tuples and dict values."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).values()
+    else:
+        return []
+    return [a for item in items for a in reachable_arrays(item, seen)]
+
+
+class TestPrecision:
+    def test_single_precision_config_builds_float32(self):
+        model = build_model(helpers.tiny_model_config(precision="single"), seed=0)
+        assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+
+    def test_dtype_must_agree_with_precision(self):
+        with pytest.raises(ConfigError, match="float32 disagrees with precision 'double'"):
+            build_model(helpers.tiny_model_config(), seed=0, dtype=np.float32)
+
+    def test_single_precision_model_holds_no_float64_array(self):
+        cfg = helpers.tiny_model_config(precision="single", integration_bias=False)
+        model = build_model(cfg, seed=0)
+        arrays = reachable_arrays(model)
+        zero_biases = [lin.b.data for head in model.decoder.gate_heads
+                       for lin in head.integrators]
+        table = [t.data for pair in model.decoder.upsample_weights.values() for t in pair]
+        assert zero_biases and table
+        held = {id(a) for a in arrays}
+        assert all(id(a) in held for a in zero_biases + table)
+        assert {a.dtype for a in arrays if a.dtype.kind == "f"} == {np.dtype(np.float32)}
+
+
 class TestUpsampleWeights:
     @pytest.mark.parametrize("variant", ["tsg", "tsg_shared", "fpn_sum", "single_scale_2"])
     def test_built_once_per_model(self, variant, monkeypatch):
-        cfg = helpers.tiny_model_config(**VARIANTS[variant])
+        cfg = helpers.tiny_model_config(precision="single", **VARIANTS[variant])
         model = build_model(cfg, seed=0, dtype=np.float32)
         table = model.decoder.upsample_weights
         assert model.fusion.upsample_weights is table

@@ -99,7 +99,8 @@ class TestIntegrateSelf:
         grids = [(4, 6), (2, 3), (2, 2)]
         heads, batch, start = 2, 2, 1
         head = TsgHead([7] + [heads * g[0] * g[1] for g in grids], d_a=5, hidden=4,
-                       num_scales=2, rng=rng, dtype=dtype)
+                       num_scales=2, rng=rng)
+        head.cast(dtype)
         for lin in head.integrators:
             lin.b.data = (100.0 + rng.normal(size=lin.b.shape)).astype(dtype)
         bundles = [gridded_self_bundle(rng, g, heads, batch, dtype) for g in grids]
