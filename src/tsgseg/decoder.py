@@ -53,21 +53,17 @@ class Decoder(Module):
     ``"tsg"`` re-fuses with gates from the previous block's cross maps,
     ``"sum"`` repeats the plain sum. With a single candidate scale the sum
     rule is the natural choice; gate heads are only built when used.
-    ``upsample_weights`` is a ``bilinear_weights`` table for the feature
-    grids and the target grid.
     """
 
     def __init__(self, num_blocks: int, num_classes: int, d_f: int, heads: int,
                  mlp_dim: int, num_scales: int, d_a: int, hidden: int,
                  rng: np.random.Generator, fusion: str = "tsg",
-                 shared_head: bool = False, integration_bias: bool = True,
-                 upsample_weights: dict | None = None):
+                 shared_head: bool = False, integration_bias: bool = True):
         if num_blocks < 1:
             raise ValueError("decoder needs at least one block")
         if fusion not in DECODER_FUSIONS:
             raise ValueError(f"unknown decoder fusion {fusion!r}")
         self.fusion = fusion
-        self.upsample_weights = upsample_weights
         self.num_scales = num_scales
         self.queries = Parameter(np.zeros((num_classes, d_f)))
         cfg = MhaConfig(heads=heads, model_dim=d_f)
@@ -90,8 +86,7 @@ class Decoder(Module):
         gate heads (baseline-equivalence runs).
         """
         n = target_grid[0] * target_grid[1]
-        ups = [upsample_bilinear(fm.data, fm.grid, target_grid, self.upsample_weights)
-               for fm in features]
+        ups = [upsample_bilinear(fm.data, fm.grid, target_grid) for fm in features]
         queries = self.queries
         gates_out: list[ScaleGates] = []
         prev_gated: AttentionBundle | None = None

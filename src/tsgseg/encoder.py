@@ -168,7 +168,7 @@ def upsample_attention(bundle: AttentionBundle, target: tuple[int, int]) -> Atte
     Nothing in the model calls it: ``TsgHead.integrate_self`` projects
     each bundle at its own grid and upsamples the projection. It is kept
     for ``perfbench/tracing.py``, which traces it by name, and for its
-    tests, until ROADMAP item 5 drops the name.
+    tests, until ROADMAP item 6 drops the name.
     """
     if bundle.grid is None:
         raise ShapeError("upsample_attention: bundle carries no grid metadata")
@@ -195,14 +195,10 @@ class TsgeFusion(Module):
     head reads each stage's concatenated head maps, heads x key count wide;
     the key count is a function of the training grid, so models are tied to
     the image size they were built for.
-    ``upsample_weights`` is the model's ``bilinear_weights`` table, shared
-    with the gate heads.
     """
 
-    def __init__(self, cfg: RunConfig, rng: np.random.Generator,
-                 upsample_weights: dict | None = None):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         self.kind = cfg.encoder_fusion
-        self.upsample_weights = upsample_weights
         dims = cfg.stage_dims[:cfg.kept_stages]
 
         if self.kind == "single":
@@ -216,8 +212,7 @@ class TsgeFusion(Module):
 
         def head(in_widths):
             return TsgHead(in_widths, cfg.d_a, cfg.tsg_hidden, num_scales=2, rng=rng,
-                           integration_bias=cfg.integration_bias,
-                           upsample_weights=upsample_weights)
+                           integration_bias=cfg.integration_bias)
 
         self.top_proj = Linear(dims[-1], cfg.d_f, rng)
         gated = self.kind == "tsg"
@@ -252,8 +247,7 @@ class TsgeFusion(Module):
             fm, coarse = features[s], refined[-1]
             fused = self.steps[s].transform(fm.data)
             if self.kind != "none":
-                up = upsample_bilinear(coarse.data, coarse.grid, fm.grid,
-                                       self.upsample_weights)
+                up = upsample_bilinear(coarse.data, coarse.grid, fm.grid)
                 if self.kind == "fpn":
                     fused = up + fused
                 else:
@@ -268,6 +262,4 @@ class TsgeFusion(Module):
             return constant_gates(forced, fm.h * fm.w, 2, fm.data.dtype)
         head = self.steps[s].head
         assert head is not None
-        integrated = head.integrate_self(bundles[s:],
-                                         start=s if head is self.shared_head else 0)
-        return head.gate(integrated)
+        return head.gate(head.integrate_self(bundles[s:]))

@@ -20,7 +20,7 @@ from .decoder import Decoder, predict_scores
 from .encoder import Backbone, TsgeFusion
 from .module import Module
 from .scale_gate import ScaleGates
-from .tensor import ShapeError, Tensor, bilinear_weights
+from .tensor import ShapeError, Tensor
 
 
 @dataclass
@@ -35,25 +35,22 @@ class SegModel(Module):
 
     Single-scale variants keep only the backbone stages up to the selected
     one: the hierarchy is feed-forward, so the kept stage's features are
-    unchanged and no parameter sits outside the gradient path. Every
-    upsampling runs between two of the kept stages' grids, so their
-    interpolation weights are built once, here, in ``cfg.precision``. The
-    modules build in float64, and the model casts every tensor it holds to
-    that precision once, as the last step of construction.
+    unchanged and no parameter sits outside the gradient path. The modules
+    build in float64, and the model casts every tensor it holds to
+    ``cfg.precision`` once, as the last step of construction.
     """
 
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         self.cfg = cfg
-        upsample_weights = bilinear_weights(cfg.stage_grids()[:cfg.kept_stages], cfg.dtype)
         self.backbone = Backbone(cfg, rng)
-        self.fusion = TsgeFusion(cfg, rng, upsample_weights)
+        self.fusion = TsgeFusion(cfg, rng)
         self.decoder = Decoder(
             num_blocks=cfg.decoder_blocks, num_classes=cfg.num_classes,
             d_f=cfg.d_f, heads=cfg.decoder_heads,
             mlp_dim=cfg.mlp_dim(cfg.d_f),
             num_scales=cfg.decoder_scales, d_a=cfg.d_a, hidden=cfg.tsg_hidden,
             rng=rng, fusion=cfg.decoder_fusion, shared_head=cfg.shared_tsg,
-            integration_bias=cfg.integration_bias, upsample_weights=upsample_weights,
+            integration_bias=cfg.integration_bias,
         )
         self.target_grid = cfg.stage_grids()[0]
         self.cast(cfg.dtype)
@@ -72,12 +69,18 @@ class SegModel(Module):
                              decoder_gates=dec_gates)
 
 
+def check_precision(cfg: RunConfig, dtype, caller: str) -> None:
+    """Raise ``ConfigError`` unless ``dtype`` names ``cfg.precision``."""
+    if np.dtype(dtype) != np.dtype(cfg.dtype):
+        raise ConfigError(f"{caller}: dtype {np.dtype(dtype)} disagrees with "
+                          f"precision {cfg.precision!r} ({np.dtype(cfg.dtype)})")
+
+
 def build_model(cfg: RunConfig, seed: int, dtype=None) -> SegModel:
     """The seeded model for ``cfg``, in ``cfg.precision``; a ``dtype``, if
     given, must name that precision."""
-    if dtype is not None and np.dtype(dtype) != np.dtype(cfg.dtype):
-        raise ConfigError(f"build_model: dtype {np.dtype(dtype)} disagrees with "
-                          f"precision {cfg.precision!r} ({np.dtype(cfg.dtype)})")
+    if dtype is not None:
+        check_precision(cfg, dtype, "build_model")
     return SegModel(cfg, np.random.default_rng(seed))
 
 

@@ -31,27 +31,31 @@ def write_pgm(path, gray: np.ndarray) -> None:
 
 def _read(path, magic: bytes, channels: int) -> np.ndarray:
     """Header, then exactly the pixel bytes it announces; sizes are checked
-    against the bytes in the file before the array is built."""
+    against the bytes in the file before the array is built. Every error
+    starts with ``path``."""
+    def error(msg: str) -> NetpbmError:
+        return NetpbmError(f"{path}: {msg}")
+
     with open(path, "rb") as fh:
         if fh.read(2) != magic:
-            raise NetpbmError(f"bad magic, expected {magic.decode()}")
+            raise error(f"bad magic, expected {magic.decode()}")
         fields: list[bytes] = []
         while len(fields) < 3:
             line = fh.readline()
             if not line:
-                raise NetpbmError("truncated header")
+                raise error("truncated header")
             fields.extend(line.split(b"#", 1)[0].split())
         raw = fh.read()
     if not all(tok.isdigit() for tok in fields[:3]):
-        raise NetpbmError(f"header sizes must be non-negative integers, got {fields[:3]}")
+        raise error(f"header sizes must be non-negative integers, got {fields[:3]}")
     w, h, maxval = (int(tok) for tok in fields[:3])
     if maxval != 255:
-        raise NetpbmError(f"unsupported maxval {maxval}")
+        raise error(f"unsupported maxval {maxval}")
     if w < 1 or h < 1:
-        raise NetpbmError(f"image size {w}x{h} must be positive")
+        raise error(f"image size {w}x{h} must be positive")
     need = w * h * channels
     if len(raw) < need:
-        raise NetpbmError("truncated pixel data")
+        raise error("truncated pixel data")
     shape = (h, w, channels) if channels > 1 else (h, w)
     return np.frombuffer(raw[:need], dtype=np.uint8).reshape(shape)
 

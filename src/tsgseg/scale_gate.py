@@ -59,21 +59,19 @@ class TsgHead(Module):
 
     ``in_widths`` lists the feature width of each evidence source (one per
     backbone stage for self-attention use, a single entry for cross-attention
-    use). A head built for all stages can serve several fusion steps by
-    passing ``start`` to skip the sources a given step does not consume.
-    ``upsample_weights`` is a ``bilinear_weights`` table for the grids its
-    sources are upsampled between.
+    use). The bundles a call passes are its trailing sources, so a head built
+    for all stages serves every fusion step: a step that consumes the last k
+    stages uses the last k integrators.
     """
 
     def __init__(self, in_widths: list[int], d_a: int, hidden: int,
                  num_scales: int, rng: np.random.Generator,
-                 integration_bias: bool = True, upsample_weights: dict | None = None):
-        self.upsample_weights = upsample_weights
+                 integration_bias: bool = True):
         self.integrators = [Linear(w, d_a, rng, bias=integration_bias) for w in in_widths]
         self.norm = LayerNorm(d_a)
         self.mlp = Mlp(d_a, hidden, num_scales, rng, zero_init_out=True)
 
-    def integrate_self(self, bundles: list[AttentionBundle], start: int = 0) -> Tensor:
+    def integrate_self(self, bundles: list[AttentionBundle]) -> Tensor:
         """Fuse self-attention bundles into one N x d_A map on the first
         bundle's grid.
 
@@ -81,10 +79,10 @@ class TsgHead(Module):
         the projection is upsampled to the first bundle's grid. Bundles
         without a grid must already share the first bundle's row count.
         """
-        if start + len(bundles) > len(self.integrators):
+        start = len(self.integrators) - len(bundles)
+        if start < 0:
             raise ShapeError(
-                f"gate head has {len(self.integrators)} sources, "
-                f"got {len(bundles)} starting at {start}"
+                f"gate head has {len(self.integrators)} sources, got {len(bundles)}"
             )
         target = bundles[0].grid
         rows = bundles[0].stacked.shape[-2]
@@ -99,7 +97,7 @@ class TsgHead(Module):
             integrator = self.integrators[start + i]
             proj = head_linear(bundle.stacked, integrator.w, integrator.b)
             if target is not None and bundle.grid not in (None, target):
-                proj = upsample_bilinear(proj, bundle.grid, target, self.upsample_weights)
+                proj = upsample_bilinear(proj, bundle.grid, target)
             total = proj if total is None else total + proj
         assert total is not None
         return total

@@ -52,6 +52,10 @@ def _rect_mask(h: int, w: int, obj: dict) -> np.ndarray:
     return m
 
 
+# The geometry keys ``object_mask`` reads for each object kind.
+_SHAPE_KEYS = {"rect": ("y0", "x0", "h", "w"), "ellipse": ("cy", "cx", "ry", "rx")}
+
+
 def _ellipse_mask(h: int, w: int, obj: dict) -> np.ndarray:
     yy, xx = np.mgrid[0:h, 0:w]
     dy = (yy + 0.5 - obj["cy"]) / obj["ry"]
@@ -269,7 +273,37 @@ def load_sample(dir_path: str, index: int) -> SegSample:
             meta = json.load(fh)
         except ValueError as exc:
             raise ConfigError(f"{stem}.json is not valid JSON: {exc}") from None
+    _check_meta(meta, stem + ".json", image.shape[:2])
     return SegSample(image=image, labels=labels, meta=meta)
+
+
+def _check_meta(meta, path: str, image_hw: tuple[int, int]) -> None:
+    """Raise ``ConfigError`` naming ``path`` unless ``meta`` is an object
+    like the one ``save_sample`` writes: an ``hw`` of the image's two sizes
+    and an ``objects`` list whose entries hold every key ``object_mask`` and
+    ``bucket_masks`` read."""
+    def error(msg: str) -> ConfigError:
+        return ConfigError(f"{path} is not a sample description: {msg}")
+
+    if not isinstance(meta, dict):
+        raise error(f"expected a JSON object, got {type(meta).__name__}")
+    hw = meta.get("hw")
+    if not (isinstance(hw, list) and len(hw) == 2
+            and all(type(n) is int for n in hw)):
+        raise error(f"'hw' must be two integers, got {hw!r}")
+    objects = meta.get("objects")
+    if not isinstance(objects, list):
+        raise error(f"'objects' must be a list, got {objects!r}")
+    for i, obj in enumerate(objects):
+        if not isinstance(obj, dict) or obj.get("kind") not in _SHAPE_KEYS:
+            raise error(f"object {i} has no 'kind' of {sorted(_SHAPE_KEYS)}")
+        if obj.get("bucket") not in BUCKETS:
+            raise error(f"object {i} has no 'bucket' of {list(BUCKETS)}")
+        missing = [k for k in _SHAPE_KEYS[obj["kind"]] if k not in obj]
+        if missing:
+            raise error(f"object {i} ({obj['kind']}) lacks {missing}")
+    if tuple(hw) != tuple(image_hw):
+        raise error(f"'hw' is {hw}, its image is {image_hw[0]}x{image_hw[1]}")
 
 
 def count_samples(dir_path: str) -> int:

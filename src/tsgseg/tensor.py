@@ -31,6 +31,7 @@ Conventions:
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 
 import numpy as np
@@ -56,7 +57,6 @@ __all__ = [
     "permute",
     "tsum",
     "upsample_bilinear",
-    "bilinear_weights",
     "cross_entropy",
     "no_grad",
 ]
@@ -595,35 +595,28 @@ def _interp_axis_weights(n_src: int, n_dst: int) -> np.ndarray:
     return m
 
 
-def _weight_pair(src_hw, dst_hw, dtype) -> tuple[Tensor, Tensor]:
-    return (Tensor(_interp_axis_weights(src_hw[0], dst_hw[0]), dtype=dtype),
-            Tensor(_interp_axis_weights(src_hw[1], dst_hw[1]), dtype=dtype))
+@functools.lru_cache(maxsize=None)
+def _weight_pair(src_hw: tuple[int, int], dst_hw: tuple[int, int],
+                 dtype: np.dtype) -> tuple[Tensor, Tensor]:
+    """The (H' x H, W' x W) weights ``upsample_bilinear`` applies, in ``dtype``.
 
-
-def bilinear_weights(grids: list[tuple[int, int]], dtype) -> dict:
-    """Constant weights for upsampling between fixed grids.
-
-    ``grids`` holds (h, w) tuples, finest first. The result maps each
-    (coarser, finer) pair of distinct grids to the (H' x H, W' x W) pair
-    ``upsample_bilinear`` applies, cast to ``dtype``: a model builds it once
-    and passes it to every call, instead of each call rebuilding its weights.
+    Built once per grid pair and dtype in a process, as read-only arrays.
     """
-    return {(src, dst): _weight_pair(src, dst, dtype)
-            for i, dst in enumerate(grids) for src in grids[i + 1:] if src != dst}
+    pair = (Tensor(_interp_axis_weights(src_hw[0], dst_hw[0]), dtype=dtype),
+            Tensor(_interp_axis_weights(src_hw[1], dst_hw[1]), dtype=dtype))
+    for t in pair:
+        t.data.flags.writeable = False
+    return pair
 
 
-def upsample_bilinear(
-    x: Tensor, src_hw: tuple[int, int], dst_hw: tuple[int, int],
-    weights: dict | None = None,
-) -> Tensor:
+def upsample_bilinear(x: Tensor, src_hw: tuple[int, int], dst_hw: tuple[int, int]) -> Tensor:
     """Channelwise bilinear upsampling of a flattened (..., H*W, d) field.
 
     Uses the align-corners=false convention. Only enlargement is supported;
     equal sizes return the input unchanged. The interpolation is separable:
     the W-axis weights act on the (..., H, W, d) grid, then the H-axis
     weights on its (..., H, W'*d) rows, so gradients come from ``matmul``.
-    The weights are taken from a ``bilinear_weights`` table when it holds
-    the (src_hw, dst_hw) pair, and are built for this call otherwise.
+    The weights come from ``_weight_pair`` at ``x``'s dtype.
     """
     h, w = src_hw
     h2, w2 = dst_hw
@@ -636,8 +629,7 @@ def upsample_bilinear(
     if (h2, w2) == (h, w):
         return x
     lead, d = x.shape[:-2], x.shape[-1]
-    pair = weights.get((src_hw, dst_hw)) if weights else None
-    mh, mw = pair if pair is not None else _weight_pair(src_hw, dst_hw, x.dtype)
+    mh, mw = _weight_pair((h, w), (h2, w2), x.dtype)
     rows = matmul(mw, reshape(x, lead + (h, w, d)))
     out = matmul(mh, reshape(rows, lead + (h, w2 * d)))
     return reshape(out, lead + (h2 * w2, d))

@@ -18,7 +18,7 @@ from .checkpoint import load_model, save_model
 from .config import (ConfigError, RunConfig, format_config, load_config_file,
                      resolve_config)
 from .decoder import labels_to_mask
-from .model import SegModel, build_model
+from .model import SegModel, build_model, check_precision
 from .netpbm import read_ppm, write_pgm
 from .optim import AdamW, poly_lr
 from .segbench import (
@@ -78,17 +78,20 @@ def _chunks(items: list) -> list[list]:
     return [items[lo:lo + EVAL_CHUNK] for lo in range(0, len(items), EVAL_CHUNK)]
 
 
-def predict_labels(model: SegModel, samples: list[SegSample], dtype) -> np.ndarray:
+def predict_labels(model: SegModel, samples: list[SegSample]) -> np.ndarray:
     """Each sample's (N,) patch labels: the highest-scoring class, ties to the
-    lowest class index. Images are scored EVAL_CHUNK at a time, without
-    recording a graph."""
+    lowest class index. Images are scored at the model's precision,
+    EVAL_CHUNK at a time, without recording a graph."""
+    dtype = model.cfg.dtype
     with no_grad():
         return np.concatenate([np.argmax(model(_images(chunk, dtype)).scores.data, axis=-1)
                                for chunk in _chunks(samples)])
 
 
 def patch_accuracy(model: SegModel, samples, labels_flat, dtype) -> float:
-    pred = predict_labels(model, samples, dtype)
+    """Share of patches labeled right; ``dtype`` must be the model's."""
+    check_precision(model.cfg, dtype, "patch_accuracy")
+    pred = predict_labels(model, samples)
     return int((pred == np.stack(labels_flat)).sum()) / pred.size
 
 
@@ -96,8 +99,10 @@ def evaluate_model(model: SegModel, samples: list[SegSample], dtype) -> dict:
     """Pixel-level metrics over a sample list (confusions summed, then IoU).
 
     Size buckets aggregate the bucket-restricted confusion counts across
-    samples before the IoU division. Labels come from ``predict_labels``.
+    samples before the IoU division. Labels come from ``predict_labels``;
+    ``dtype`` must be the model's.
     """
+    check_precision(model.cfg, dtype, "evaluate_model")
     if not samples:
         raise ValueError("evaluate: empty dataset")
     c = model.cfg.num_classes
@@ -110,7 +115,7 @@ def evaluate_model(model: SegModel, samples: list[SegSample], dtype) -> dict:
             raise ConfigError(f"sample {i} has label {top}, model has {c} classes")
     total = np.zeros((c, c), dtype=np.int64)
     per_bucket = {b: np.zeros((c, c), dtype=np.int64) for b in BUCKETS}
-    for sample, labels in zip(samples, predict_labels(model, samples, dtype)):
+    for sample, labels in zip(samples, predict_labels(model, samples)):
         mask = labels_to_mask(labels, model.target_grid, sample.labels.shape)
         total += confusion_matrix(mask, sample.labels, c)
         for bucket, bmask in bucket_masks(sample.meta).items():

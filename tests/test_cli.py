@@ -222,6 +222,28 @@ class TestErrors:
         line = self.eval_error(capsys, tiny_run, data)
         assert line.startswith(f"tsgseg: error: {meta} is not valid JSON: ")
 
+    @pytest.mark.parametrize("text,cause", [
+        ("{}", "'hw' must be two integers, got None"),
+        ("[1]", "expected a JSON object, got list"),
+        ('{"hw": [64, 64], "objects": [{}]}', "object 0 has no 'kind' of ['ellipse', 'rect']"),
+        ('{"hw": [8, 8], "objects": []}', "'hw' is [8, 8], its image is 16x16"),
+    ])
+    def test_eval_on_meta_of_wrong_shape(self, tmp_path, tiny_run, capsys, text, cause):
+        data = self.saved_pair(tmp_path)
+        meta = data / "sample_0001.json"
+        meta.write_text(text)
+        line = self.eval_error(capsys, tiny_run, data)
+        assert line == f"tsgseg: error: {meta} is not a sample description: {cause}"
+
+    @pytest.mark.parametrize("name,cut", [("sample_0001.ppm", -1), ("sample_0000.pgm", 13)])
+    def test_eval_names_a_corrupt_image(self, tmp_path, tiny_run, capsys, name, cut):
+        # A truncated image, and a label map cut to its header.
+        data = self.saved_pair(tmp_path)
+        path = data / name
+        path.write_bytes(path.read_bytes()[:cut])
+        line = self.eval_error(capsys, tiny_run, data)
+        assert line == f"tsgseg: error: {path}: truncated pixel data"
+
     def test_eval_on_label_outside_class_range(self, tmp_path, tiny_run, capsys):
         data = self.saved_pair(tmp_path)
         labels = read_pgm(str(data / "sample_0000.pgm")).copy()

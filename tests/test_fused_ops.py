@@ -289,7 +289,8 @@ def unfused_cross_attention(self, queries, memory, gate_softmax=False):
     return out, AttentionBundle(att, softmax_axis=1, kind=CROSS_KIND), gated
 
 
-def unfused_integrate_self(self, bundles, start=0):
+def unfused_integrate_self(self, bundles):
+    start = len(self.integrators) - len(bundles)
     target = bundles[0].grid
     total = None
     for i, bundle in enumerate(bundles):

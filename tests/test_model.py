@@ -133,32 +133,31 @@ class TestPrecision:
         arrays = reachable_arrays(model)
         zero_biases = [lin.b.data for head in model.decoder.gate_heads
                        for lin in head.integrators]
-        table = [t.data for pair in model.decoder.upsample_weights.values() for t in pair]
-        assert zero_biases and table
+        assert zero_biases
         held = {id(a) for a in arrays}
-        assert all(id(a) in held for a in zero_biases + table)
+        assert all(id(a) in held for a in zero_biases)
         assert {a.dtype for a in arrays if a.dtype.kind == "f"} == {np.dtype(np.float32)}
 
 
 class TestUpsampleWeights:
     @pytest.mark.parametrize("variant", ["tsg", "tsg_shared", "fpn_sum", "single_scale_2"])
     def test_built_once_per_model(self, variant, monkeypatch):
+        # Once per process, in fact: a second model of the same config
+        # builds no weight matrices, and a cleared cache gives the same scores.
         cfg = helpers.tiny_model_config(precision="single", **VARIANTS[variant])
-        model = build_model(cfg, seed=0, dtype=np.float32)
-        table = model.decoder.upsample_weights
-        assert model.fusion.upsample_weights is table
-        for step in getattr(model.fusion, "steps", []):
-            assert step.head is None or step.head.upsample_weights is table
         image = Tensor(np.stack([run_image(1), run_image(2)]), dtype=np.float32)
         calls = []
         real = tensor_module._interp_axis_weights
         monkeypatch.setattr(tensor_module, "_interp_axis_weights",
                             lambda *a: calls.append(a) or real(*a))
-        scores = model(image).scores.data
-        assert calls == []
-        table.clear()  # every upsampling now builds its weights per call
-        np.testing.assert_array_equal(model(image).scores.data, scores)
-        assert calls
+        tensor_module._weight_pair.cache_clear()
+        build_model(cfg, seed=0)(image)
+        built = len(calls)
+        scores = build_model(cfg, seed=0)(image).scores.data
+        assert built and len(calls) == built  # a second model of the config builds none
+        tensor_module._weight_pair.cache_clear()
+        np.testing.assert_array_equal(build_model(cfg, seed=0)(image).scores.data, scores)
+        assert len(calls) == 2 * built
 
     def test_weights_are_not_parameters(self):
         cfg = helpers.tiny_model_config()

@@ -57,7 +57,7 @@ class TestIntegrateSelf:
         rng = np.random.default_rng(1)
         head = TsgHead([8, 8, 8], d_a=4, hidden=4, num_scales=3, rng=rng)
         b = random_self_bundle(rng, rows=4, heads=2)
-        got = head.integrate_self([b], start=2).data
+        got = head.integrate_self([b]).data
         ref = oracles.integrate_self_maps(
             [[m.data for m in b.maps]], [helpers.lin_params(head.integrators[2])])
         np.testing.assert_allclose(got, ref, atol=1e-12)
@@ -66,8 +66,8 @@ class TestIntegrateSelf:
         rng = np.random.default_rng(2)
         head = TsgHead([8, 8], d_a=4, hidden=4, num_scales=2, rng=rng)
         b = random_self_bundle(rng, rows=4, heads=2)
-        with pytest.raises(ShapeError):
-            head.integrate_self([b, b], start=1)
+        with pytest.raises(ShapeError, match="2 sources, got 3"):
+            head.integrate_self([b, b, b])
 
     def test_row_mismatch_rejected(self):
         rng = np.random.default_rng(3)
@@ -104,7 +104,7 @@ class TestIntegrateSelf:
         for lin in head.integrators:
             lin.b.data = (100.0 + rng.normal(size=lin.b.shape)).astype(dtype)
         bundles = [gridded_self_bundle(rng, g, heads, batch, dtype) for g in grids]
-        got = head.integrate_self(bundles, start=start)
+        got = head.integrate_self(bundles)
         assert got.shape == (batch, 24, 5) and got.dtype == dtype
         params = [helpers.lin_params(l) for l in head.integrators[start:]]
         for i in range(batch):
@@ -251,9 +251,9 @@ class TestGatedSum:
 
 class TestSharedHeadAcrossSteps:
     def test_same_parameters_serve_two_offsets(self):
-        # A head built for three sources can score a two-source step via
-        # start=1; the result must equal a dedicated head with identical
-        # trailing integrators.
+        # A head built for three sources scores a two-source step with its
+        # last two integrators; the result must equal a dedicated head with
+        # identical trailing integrators.
         rng = np.random.default_rng(16)
         shared = TsgHead([10, 10, 10], d_a=4, hidden=4, num_scales=2, rng=rng)
         helpers.randomize_gate_mlps(shared, rng)
@@ -270,7 +270,7 @@ class TestSharedHeadAcrossSteps:
             getattr(solo.mlp, name).b.data = getattr(shared.mlp, name).b.data.copy()
         b1 = random_self_bundle(rng, rows=5, heads=2)
         b2 = random_self_bundle(rng, rows=5, heads=2)
-        a_shared = shared.integrate_self([b1, b2], start=1)
+        a_shared = shared.integrate_self([b1, b2])
         a_solo = solo.integrate_self([b1, b2])
         np.testing.assert_allclose(a_shared.data, a_solo.data, atol=1e-12)
         np.testing.assert_allclose(shared.gate(a_shared).gates.data,

@@ -12,8 +12,8 @@ from tsgseg.tensor import (
     Tensor,
     _erf_float32,
     _interp_axis_weights,
+    _weight_pair,
     add,
-    bilinear_weights,
     concat,
     cross_entropy,
     gelu,
@@ -528,33 +528,20 @@ class TestUpsampleBilinear:
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-5)
 
 
-class TestBilinearWeights:
-    def test_every_coarser_to_finer_pair(self):
-        table = bilinear_weights([(16, 16), (8, 8), (8, 8), (4, 2)], np.float32)
-        assert sorted(table) == [((4, 2), (8, 8)), ((4, 2), (16, 16)),
-                                 ((8, 8), (16, 16))]
-        mh, mw = table[((4, 2), (16, 16))]
-        assert mh.dtype == mw.dtype == np.float32
-        np.testing.assert_array_equal(mh.data, _interp_axis_weights(4, 16).astype(np.float32))
-        np.testing.assert_array_equal(mw.data, _interp_axis_weights(2, 16).astype(np.float32))
-        assert not mh.requires_grad and not mw.requires_grad
-
+class TestWeightPair:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_table_gives_the_per_call_result(self, dtype):
-        grids = [(16, 16), (8, 8), (4, 4)]
-        table = bilinear_weights(grids, dtype)
+    def test_cached_read_only_in_callers_dtype(self, dtype):
         rng = np.random.default_rng(25)
-        for src, dst in table:
+        for src, dst in (((4, 2), (16, 16)), ((8, 8), (16, 16)), ((2, 3), (4, 6))):
             x = Tensor(rng.normal(size=(2, src[0] * src[1], 3)), dtype=dtype)
-            out = upsample_bilinear(x, src, dst, table).data
+            out = upsample_bilinear(x, src, dst).data
             assert out.dtype == dtype
-            np.testing.assert_array_equal(out, upsample_bilinear(x, src, dst).data)
-
-    def test_missing_pair_is_built_per_call(self):
-        x = Tensor(np.arange(6.0).reshape(6, 1))
-        table = bilinear_weights([(4, 4), (2, 2)], np.float64)
-        np.testing.assert_array_equal(upsample_bilinear(x, (2, 3), (4, 6), table).data,
-                                      upsample_bilinear(x, (2, 3), (4, 6)).data)
+            mh, mw = _weight_pair(src, dst, x.dtype)
+            assert _weight_pair(src, dst, x.dtype)[0] is mh  # served from the cache
+            for t, n, n2 in ((mh, src[0], dst[0]), (mw, src[1], dst[1])):
+                assert t.dtype == dtype and not t.requires_grad
+                assert not t.data.flags.writeable
+                np.testing.assert_array_equal(t.data, _interp_axis_weights(n, n2).astype(dtype))
 
 
 class TestCrossEntropy:

@@ -233,7 +233,8 @@ class TestEvaluate:
         def model(images):
             return ForwardResult(scores=Tensor(np.stack([scores] * images.shape[0])))
 
-        labels = predict_labels(model, samples, np.float64)
+        model.cfg = tiny_config()  # predict_labels scores at the model's precision
+        labels = predict_labels(model, samples)
         assert labels.shape == (5, 16)
         np.testing.assert_array_equal(labels, [[0, 2] + [3] * 14] * 5)
 
@@ -255,6 +256,24 @@ class TestEvaluate:
         acc = patch_accuracy(model, samples, labels, np.float64)
         expected = np.concatenate(labels) == 0
         np.testing.assert_allclose(acc, expected.mean())
+
+    def test_scoring_dtype_must_be_the_models(self, monkeypatch):
+        # A single-precision model is scored in float32; a float64 request
+        # is refused rather than silently running the model in float64.
+        cfg = tiny_config(precision="single")
+        model = build_model(cfg, seed=0)
+        samples = build_split(cfg, "val")
+        for score in (lambda: evaluate_model(model, samples, np.float64),
+                      lambda: patch_accuracy(model, samples, [], np.float64)):
+            with pytest.raises(ConfigError, match="float64 disagrees with precision 'single'"):
+                score()
+        seen = []
+        real = model.__class__.__call__
+        monkeypatch.setattr(model.__class__, "__call__",
+                            lambda self, image: seen.append(image.dtype) or real(self, image))
+        report = evaluate_model(model, samples, np.float32)
+        assert seen and set(seen) == {np.dtype(np.float32)}
+        assert 0.0 <= report["mIoU"] <= 1.0
 
 
 class TestEvaluateCheckpoint:
