@@ -74,6 +74,9 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             parser.error(f"gen-data: --count must be >= 1, got {args.count}")
         overrides = load_config_file(args.config) if args.config else {}
         cfg = resolve_config(overrides=overrides)
+        if cfg.num_classes > 256:
+            parser.error(f"gen-data: labels are stored as 8-bit PGM, so num_classes "
+                         f"must be <= 256, got {cfg.num_classes}")
         os.makedirs(args.out, exist_ok=True)
         for i in range(args.count):
             save_sample(args.out, i, generate(sample_seed(args.seed, i), cfg))
@@ -82,7 +85,9 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
     if args.command == "train":
         overrides = load_config_file(args.config) if args.config else {}
-        cfg = resolve_config(overrides=overrides, seed=args.seed)
+        if args.seed is not None:
+            overrides["seed"] = args.seed
+        cfg = resolve_config(overrides=overrides)
         _, summary = train_run(cfg, args.out)
         report = summary["report"]
         print(f"final loss {summary['final_loss']:.4f}  "

@@ -23,15 +23,16 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .decoder import DECODER_FUSIONS
-from .encoder import FUSION_KINDS
-
 
 class ConfigError(ValueError):
     pass
 
 
 PRESETS = ("desk",)
+# Fusion rules: the encoder's top-down merge, and the decoder's memory rule
+# for every block after the first.
+FUSION_KINDS = ("tsg", "fpn", "none", "single")
+DECODER_FUSIONS = ("tsg", "sum")
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ class RunConfig:
     decoder_blocks: int = 3
     decoder_heads: int = 4
     num_classes: int = 5  # includes background class 0
-    encoder_fusion: str = "tsg"  # tsg | fpn | none | single
-    decoder_fusion: str = "tsg"  # tsg | sum
+    encoder_fusion: str = "tsg"  # one of FUSION_KINDS
+    decoder_fusion: str = "tsg"  # one of DECODER_FUSIONS
     single_stage: int | None = None
     shared_tsg: bool = False
     integration_bias: bool = True
@@ -132,6 +133,10 @@ class RunConfig:
                 f"got {self.decoder_fusion!r}")
         if self.encoder_fusion == "single" and self.single_stage is None:
             raise ConfigError("encoder_fusion=single requires single_stage")
+        if self.encoder_fusion != "single" and self.single_stage is not None:
+            raise ConfigError(
+                f"single_stage {self.single_stage} requires encoder_fusion=single, "
+                f"got {self.encoder_fusion!r}")
         if self.encoder_fusion == "single" and not 1 <= self.single_stage <= self.num_stages:
             raise ConfigError(
                 f"single_stage must be in [1, {self.num_stages}], got {self.single_stage}")
@@ -231,12 +236,11 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def resolve_config(preset: str = "desk", overrides: dict | None = None,
-                   seed: int | None = None) -> RunConfig:
+def resolve_config(preset: str = "desk", overrides: dict | None = None) -> RunConfig:
     """Preset defaults plus overrides, fully typed and validated.
 
     String overrides are converted to the field's type; other values are
-    taken as they are. ``seed`` wins over an override of the same key.
+    taken as they are.
     """
     values = {"preset": preset}
     for key, text in (overrides or {}).items():
@@ -246,8 +250,6 @@ def resolve_config(preset: str = "desk", overrides: dict | None = None,
             values[key] = _convert(key, text) if isinstance(text, str) else text
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from None
-    if seed is not None:
-        values["seed"] = seed
     return RunConfig(**values)
 
 

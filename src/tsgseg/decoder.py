@@ -17,8 +17,6 @@ from .module import Module, Parameter
 from .scale_gate import ScaleGates, TsgHead, constant_gates, gated_sum
 from .tensor import ShapeError, Tensor, matmul, scale, transpose, upsample_bilinear
 
-DECODER_FUSIONS = ("tsg", "sum")
-
 
 def tsgd_fuse_first(features_up: list[Tensor]) -> Tensor:
     """Ungated memory for the first decoder block: plain sum across scales."""
@@ -53,18 +51,14 @@ class Decoder(Module):
     ``"tsg"`` re-fuses with gates from the previous block's cross maps,
     ``"sum"`` repeats the plain sum. With a single candidate scale the sum
     rule is the natural choice; gate heads are only built when used.
+    ``RunConfig`` checks the block count and the fusion name.
     """
 
     def __init__(self, num_blocks: int, num_classes: int, d_f: int, heads: int,
                  mlp_dim: int, num_scales: int, d_a: int, hidden: int,
                  rng: np.random.Generator, fusion: str = "tsg",
                  shared_head: bool = False, integration_bias: bool = True):
-        if num_blocks < 1:
-            raise ValueError("decoder needs at least one block")
-        if fusion not in DECODER_FUSIONS:
-            raise ValueError(f"unknown decoder fusion {fusion!r}")
         self.fusion = fusion
-        self.num_scales = num_scales
         self.queries = Parameter(np.zeros((num_classes, d_f)))
         cfg = MhaConfig(heads=heads, model_dim=d_f)
         self.blocks = [DecoderBlock(cfg, mlp_dim, rng) for _ in range(num_blocks)]
@@ -95,7 +89,7 @@ class Decoder(Module):
             if i == 0 or self.fusion == "sum":
                 memory = tsgd_fuse_first(ups)
             elif forced_gates is not None:
-                gates = constant_gates(forced_gates, n, self.num_scales, ups[0].dtype)
+                gates = constant_gates(forced_gates, n, len(ups), ups[0].dtype)
                 memory = gated_sum(ups, gates.gates)
                 gates_out.append(gates)
             else:

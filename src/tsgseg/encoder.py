@@ -21,19 +21,14 @@ compatible with the gated model:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .attention import AttentionBundle, EncoderBlock, MhaConfig
+from .config import RunConfig
 from .module import Linear, Module, Parameter
 from .scale_gate import ScaleGates, TsgHead, constant_gates, gated_sum
 from .tensor import ShapeError, Tensor, permute, reshape, upsample_bilinear
-
-if TYPE_CHECKING:
-    from .config import RunConfig
-
-FUSION_KINDS = ("tsg", "fpn", "none", "single")
 
 
 @dataclass

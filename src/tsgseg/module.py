@@ -99,13 +99,12 @@ class Linear(Module):
 class LayerNorm(Module):
     """Learned per-row standardization."""
 
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gamma = Parameter(np.ones(dim))
         self.beta = Parameter(np.zeros(dim))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layernorm(x, self.gamma, self.beta, self.eps)
+        return layernorm(x, self.gamma, self.beta)
 
 
 class Mlp(Module):

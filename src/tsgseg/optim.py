@@ -11,6 +11,10 @@ class OptimError(Exception):
     pass
 
 
+BETAS = (0.9, 0.999)  # decay rates of the first and second moment estimates
+EPS = 1e-8  # added to the root of the second moment before dividing
+
+
 def poly_lr(step: int, total: int, lr0: float, power: float = 0.9) -> float:
     """lr0 * (1 - step/total)^power, from lr0 at step 0 down to 0 at total."""
     if total <= 0:
@@ -24,12 +28,9 @@ class AdamW:
     """Decoupled weight decay: decay scales with lr but bypasses the moments."""
 
     def __init__(self, named_params: list[tuple[str, Parameter]],
-                 weight_decay: float = 0.01,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+                 weight_decay: float = 0.01):
         self.named_params = list(named_params)
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for _, p in self.named_params]
         self.v = [np.zeros_like(p.data) for _, p in self.named_params]
@@ -37,7 +38,7 @@ class AdamW:
     def step(self, lr: float) -> None:
         """One update over all parameters; every gradient must be populated."""
         self.step_count += 1
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         for i, (name, p) in enumerate(self.named_params):
@@ -49,7 +50,7 @@ class AdamW:
             m_hat = self.m[i] / bc1
             v_hat = self.v[i] / bc2
             new = p.data - lr * self.weight_decay * p.data \
-                - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                - lr * m_hat / (np.sqrt(v_hat) + EPS)
             p.data = new.astype(p.data.dtype, copy=False)
 
     def zero_grad(self) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import colorsys
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -54,6 +55,20 @@ def _rect_mask(h: int, w: int, obj: dict) -> np.ndarray:
 
 # The geometry keys ``object_mask`` reads for each object kind.
 _SHAPE_KEYS = {"rect": ("y0", "x0", "h", "w"), "ellipse": ("cy", "cx", "ry", "rx")}
+
+
+def _finite(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+# What each geometry key must hold for ``object_mask`` to draw it: rect keys
+# slice the pixel grid, and ellipse radii divide.
+_GEOMETRY_RULES = {
+    **dict.fromkeys(_SHAPE_KEYS["rect"], ("an integer", lambda v: type(v) is int)),
+    **dict.fromkeys(("cy", "cx"), ("a finite number", _finite)),
+    **dict.fromkeys(("ry", "rx"), ("a positive finite number",
+                                   lambda v: _finite(v) and v > 0)),
+}
 
 
 def _ellipse_mask(h: int, w: int, obj: dict) -> np.ndarray:
@@ -116,7 +131,7 @@ def _draw_object(rng, cfg: RunConfig) -> dict | None:
     return obj
 
 
-def generate(seed: int, cfg: RunConfig | None = None) -> SegSample:
+def generate(seed: int, cfg: RunConfig) -> SegSample:
     """Render one sample, fully determined by (seed, cfg).
 
     Larger objects are painted first, so smaller ones stay visible on top;
@@ -124,7 +139,6 @@ def generate(seed: int, cfg: RunConfig | None = None) -> SegSample:
     earlier ones). Objects that cannot fit after bounded retries are
     dropped and counted in ``meta["dropped"]``.
     """
-    cfg = cfg or RunConfig()
     h, w = cfg.height, cfg.width
     rng = np.random.Generator(np.random.Philox(key=seed))
 
@@ -180,25 +194,6 @@ def id_map(meta: dict) -> np.ndarray:
     for i, obj in enumerate(meta["objects"]):
         ids[object_mask((h, w), obj)] = i + 1
     return ids
-
-
-def flip_sample(sample: SegSample) -> SegSample:
-    """Horizontal mirror of image, labels, and object coordinates."""
-    h, w = sample.labels.shape
-    meta = json.loads(json.dumps(sample.meta))
-    for obj in meta["objects"]:
-        if obj["kind"] == "rect":
-            obj["x0"] = w - (obj["x0"] + obj["w"])
-        else:
-            obj["cx"] = w - obj["cx"]
-        y0, x0, y1, x1 = obj["bbox"]
-        obj["bbox"] = [y0, w - x1, y1, w - x0]
-    meta["flipped"] = not sample.meta.get("flipped", False)
-    return SegSample(
-        image=np.ascontiguousarray(sample.image[:, ::-1]),
-        labels=np.ascontiguousarray(sample.labels[:, ::-1]),
-        meta=meta,
-    )
 
 
 def confusion_matrix(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
@@ -281,7 +276,7 @@ def _check_meta(meta, path: str, image_hw: tuple[int, int]) -> None:
     """Raise ``ConfigError`` naming ``path`` unless ``meta`` is an object
     like the one ``save_sample`` writes: an ``hw`` of the image's two sizes
     and an ``objects`` list whose entries hold every key ``object_mask`` and
-    ``bucket_masks`` read."""
+    ``bucket_masks`` read, with geometry ``object_mask`` can draw."""
     def error(msg: str) -> ConfigError:
         return ConfigError(f"{path} is not a sample description: {msg}")
 
@@ -302,6 +297,11 @@ def _check_meta(meta, path: str, image_hw: tuple[int, int]) -> None:
         missing = [k for k in _SHAPE_KEYS[obj["kind"]] if k not in obj]
         if missing:
             raise error(f"object {i} ({obj['kind']}) lacks {missing}")
+        for key in _SHAPE_KEYS[obj["kind"]]:
+            need, ok = _GEOMETRY_RULES[key]
+            if not ok(obj[key]):
+                raise error(f"object {i} ({obj['kind']}) '{key}' must be {need}, "
+                            f"got {obj[key]!r}")
     if tuple(hw) != tuple(image_hw):
         raise error(f"'hw' is {hw}, its image is {image_hw[0]}x{image_hw[1]}")
 

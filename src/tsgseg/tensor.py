@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+LAYERNORM_EPS = 1e-5  # added to every row variance in ``layernorm``
 
 
 class ShapeError(ValueError):
@@ -314,11 +315,12 @@ def attention_probs(q: Tensor, k: Tensor, c: float, axis: int = -1) -> Tensor:
     return _node(data, (q, k), backward)
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-row standardization followed by an affine map.
 
     ``x`` is (..., d); ``gamma`` and ``beta`` are length-d vectors. Variance is
-    the biased per-row estimate; ``eps`` keeps zero-variance rows finite.
+    the biased per-row estimate; ``LAYERNORM_EPS`` keeps zero-variance rows
+    finite.
     """
     if x.ndim < 1:
         raise ShapeError(f"layernorm: input of rank >= 1 required, got {x.shape}")
@@ -328,12 +330,10 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
             f"layernorm: gamma/beta must have shape ({d},), "
             f"got {gamma.shape} and {beta.shape}"
         )
-    if eps <= 0:
-        raise ValueError("layernorm: eps must be positive")
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = xc * inv
     data = xhat * gamma.data + beta.data
 

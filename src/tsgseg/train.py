@@ -26,7 +26,6 @@ from .segbench import (
     SegSample,
     confusion_matrix,
     count_samples,
-    flip_sample,
     generate,
     iou_from_confusion,
     load_sample,
@@ -136,16 +135,19 @@ def evaluate_model(model: SegModel, samples: list[SegSample], dtype) -> dict:
 def train_run(cfg: RunConfig, out_dir) -> tuple[SegModel, dict]:
     """Train per config; write config.resolved, metrics.csv, model.ckpt.
 
-    Each step sends its whole batch through one graph. The validation report
-    of the last step, which always evaluates, is the summary's report.
+    Each step sends its whole batch through one graph; a flipped draw mirrors
+    the image and its patch-label grid, which keeps every patch's pixels and
+    so its majority label. The validation report of the last step, which
+    always evaluates, is the summary's report.
     """
     os.makedirs(out_dir, exist_ok=True)
     dtype = cfg.dtype
     model = build_model(cfg, seed=cfg.seed)
     train_samples = build_split(cfg, "train")
     val_samples = build_split(cfg, "val")
-    labels_flat = [patch_labels(s.labels, cfg.patch_size, cfg.num_classes).ravel()
-                   for s in train_samples]
+    grids = [patch_labels(s.labels, cfg.patch_size, cfg.num_classes)
+             for s in train_samples]
+    labels_flat = [grid.ravel() for grid in grids]
     opt = AdamW(model.named_parameters(), weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
 
@@ -157,16 +159,15 @@ def train_run(cfg: RunConfig, out_dir) -> tuple[SegModel, dict]:
     for step in range(cfg.steps):
         lr = poly_lr(step, cfg.steps, cfg.lr0, cfg.poly_power)
         idx = rng.integers(0, len(train_samples), size=cfg.batch_size)
-        batch, labels = [], []
+        images, labels = [], []
         for i in idx:
-            sample, lab = train_samples[i], labels_flat[i]
+            image, grid = train_samples[i].image, grids[i]
             if cfg.flip and rng.random() < 0.5:
-                sample = flip_sample(sample)
-                lab = patch_labels(sample.labels, cfg.patch_size,
-                                   cfg.num_classes).ravel()
-            batch.append(sample)
-            labels.append(lab)
-        loss = cross_entropy(model(_images(batch, dtype)).scores, np.stack(labels))
+                image, grid = image[:, ::-1], grid[:, ::-1]
+            images.append(image)
+            labels.append(grid)
+        loss = cross_entropy(model(Tensor(np.stack(images), dtype=dtype)).scores,
+                             np.stack(labels).reshape(len(idx), -1))
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
             table = _param_norm_table(model)

@@ -68,6 +68,18 @@ class TestGenData:
         assert f"{flag} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_too_many_classes_rejected_before_output(self, tmp_path, capsys):
+        # Labels are stored as 8-bit PGM.
+        path = tmp_path / "wide.cfg"
+        path.write_text("num_classes = 300\n")
+        out = tmp_path / "data"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--seed", "1", "--count", "3", "--out", str(out),
+                  "--config", str(path)])
+        assert exc.value.code == 2
+        assert "num_classes must be <= 256, got 300" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_run_artifacts(self, tiny_run, capsys):
@@ -79,6 +91,15 @@ class TestTrain:
                    "--out", str(tmp_path)])
         assert rc == 0
         assert "seed = 9" in (tmp_path / "config.resolved").read_text()
+
+    def test_seed_flag_wins_over_config_file(self, tmp_path):
+        path = tmp_path / "seeded.cfg"
+        path.write_text(format_config(tiny_config(seed=3)))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(path), "--seed", "11",
+                     "--out", str(out)]) == 0
+        resolved = (out / "config.resolved").read_text().splitlines()
+        assert "seed = 11" in resolved and "seed = 3" not in resolved
 
 
 class TestEval:
@@ -142,6 +163,11 @@ class TestAblate:
         err = capsys.readouterr().err
         assert "--seeds" in err and problem in err
         assert not out.exists()
+
+
+def _one_object(fields: str) -> str:
+    """Sample meta text for a 16x16 image holding one small object."""
+    return f'{{"hw": [16, 16], "objects": [{{"bucket": "small", {fields}}}]}}'
 
 
 class TestErrors:
@@ -227,6 +253,12 @@ class TestErrors:
         ("[1]", "expected a JSON object, got list"),
         ('{"hw": [64, 64], "objects": [{}]}', "object 0 has no 'kind' of ['ellipse', 'rect']"),
         ('{"hw": [8, 8], "objects": []}', "'hw' is [8, 8], its image is 16x16"),
+        (_one_object('"kind": "ellipse", "cy": "a", "cx": 2, "ry": 1, "rx": 1'),
+         "object 0 (ellipse) 'cy' must be a finite number, got 'a'"),
+        (_one_object('"kind": "ellipse", "cy": 2, "cx": 2, "ry": 0, "rx": 1'),
+         "object 0 (ellipse) 'ry' must be a positive finite number, got 0"),
+        (_one_object('"kind": "rect", "y0": 1.5, "x0": 0, "h": 2, "w": 2'),
+         "object 0 (rect) 'y0' must be an integer, got 1.5"),
     ])
     def test_eval_on_meta_of_wrong_shape(self, tmp_path, tiny_run, capsys, text, cause):
         data = self.saved_pair(tmp_path)

@@ -67,7 +67,7 @@ class TestResolve:
         cfg = resolve_config("desk", {
             "steps": "25", "lr0": "5e-4", "flip": "true",
             "stage_dims": "8,16,32", "size_mix": "0.5,0.25,0.25",
-            "single_stage": "2", "precision": "single",
+            "encoder_fusion": "single", "single_stage": "2", "precision": "single",
         })
         assert cfg.steps == 25 and cfg.lr0 == 5e-4 and cfg.flip is True
         assert cfg.stage_dims == (8, 16, 32)
@@ -81,9 +81,6 @@ class TestResolve:
     def test_non_string_overrides_pass_through(self):
         cfg = resolve_config("desk", {"steps": 7, "stage_dims": (4, 8, 16)})
         assert cfg.steps == 7 and cfg.stage_dims == (4, 8, 16)
-
-    def test_seed_argument_wins(self):
-        assert resolve_config("desk", {"seed": "3"}, seed=11).seed == 11
 
     def test_bad_bool(self):
         with pytest.raises(ConfigError, match="boolean"):
@@ -146,6 +143,7 @@ class TestResolve:
         ("noise", {"noise": float("inf")}),
         ("size_mix", {"size_mix": (float("nan"), 0.5, 0.5)}),
         ("size_mix", {"size_mix": (0.5, float("inf"), 0.5)}),
+        ("single_stage", {"single_stage": 2}),
     ])
     def test_bad_value_named(self, key, overrides):
         with pytest.raises(ConfigError, match=key):

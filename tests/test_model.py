@@ -36,7 +36,10 @@ class TestConfig:
             assert (cfg.kept_stages, cfg.decoder_scales) == (k, 1)
             model = build_model(cfg, seed=0)
             assert len(model.backbone.stages) == k
-            assert model.decoder.num_scales == 1
+            # the decoder receives one refined map
+            features, bundles = model.backbone(Tensor(run_image()))
+            refined, _ = model.fusion(features, bundles)
+            assert len(refined) == 1
 
     def test_stage_list_alignment(self):
         with pytest.raises(ConfigError, match="equal length"):

@@ -16,7 +16,6 @@ from tsgseg.segbench import (
     class_color,
     confusion_matrix,
     count_samples,
-    flip_sample,
     generate,
     id_map,
     iou_from_confusion,
@@ -122,35 +121,6 @@ class TestIdMap:
         ]}
         ids = id_map(meta)
         assert ids[0, 0] == 1 and ids[1, 1] == 2 and ids[2, 2] == 2
-
-
-class TestFlip:
-    def test_arrays_mirrored(self):
-        s = generate(5, CFG)
-        f = flip_sample(s)
-        np.testing.assert_array_equal(f.labels, s.labels[:, ::-1])
-        np.testing.assert_array_equal(f.image, s.image[:, ::-1])
-        assert f.meta["flipped"] is True
-
-    def test_meta_still_rederives_labels(self):
-        for seed in (0, 5, 8):
-            f = flip_sample(generate(seed, CFG))
-            np.testing.assert_array_equal(f.labels,
-                                          oracles.rasterize_labels(f.meta))
-
-    def test_involution(self):
-        s = generate(6, CFG)
-        ff = flip_sample(flip_sample(s))
-        np.testing.assert_array_equal(ff.labels, s.labels)
-        np.testing.assert_array_equal(ff.image, s.image)
-        assert ff.meta.get("flipped") is False
-
-    def test_original_untouched(self):
-        s = generate(7, CFG)
-        labels_before = s.labels.copy()
-        flip_sample(s)
-        np.testing.assert_array_equal(s.labels, labels_before)
-        assert "flipped" not in s.meta
 
 
 class TestConfusion:
@@ -280,6 +250,17 @@ class TestPatchLabels:
     def test_divisibility(self):
         with pytest.raises(ValueError):
             patch_labels(np.zeros((5, 4), dtype=np.int64), 2, 2)
+
+    @pytest.mark.parametrize("size", [64, 128])
+    def test_mirror_commutes(self, size):
+        # A flipped training draw mirrors the patch-label grid instead of
+        # re-deriving it from the mirrored label map.
+        cfg = RunConfig(height=size, width=size)
+        for seed in range(4):
+            labels = generate(seed, cfg).labels
+            np.testing.assert_array_equal(
+                patch_labels(labels[:, ::-1], cfg.patch_size, cfg.num_classes),
+                patch_labels(labels, cfg.patch_size, cfg.num_classes)[:, ::-1])
 
 
 class TestStorage:
