@@ -41,17 +41,33 @@ class AdamW:
         b1, b2 = BETAS
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
+        decay = lr * self.weight_decay
         for i, (name, p) in enumerate(self.named_params):
             if p.grad is None:
                 raise OptimError(f"parameter {name!r} has no gradient")
-            g = p.grad
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            new = p.data - lr * self.weight_decay * p.data \
-                - lr * m_hat / (np.sqrt(v_hat) + EPS)
-            p.data = new.astype(p.data.dtype, copy=False)
+            g, m, v = p.grad, self.m[i], self.v[i]
+            # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g in place; the
+            # new value p - lr wd p - lr (m / bc1) / (sqrt(v / bc2) + eps) is
+            # built in scratch s, in the formula's operation order (out= keeps
+            # a 0-d parameter's values arrays, not numpy scalars).
+            s, u = np.empty_like(p.data), np.empty_like(p.data)
+            np.multiply(g, 1.0 - b1, out=s)
+            m *= b1
+            m += s
+            np.multiply(g, 1.0 - b2, out=s)
+            s *= g
+            v *= b2
+            v += s
+            np.divide(m, bc1, out=u)
+            u *= lr
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += EPS
+            u /= s
+            np.multiply(p.data, decay, out=s)
+            np.subtract(p.data, s, out=s)
+            s -= u
+            p.data = s
 
     def zero_grad(self) -> None:
         for _, p in self.named_params:

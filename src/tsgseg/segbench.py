@@ -276,7 +276,8 @@ def _check_meta(meta, path: str, image_hw: tuple[int, int]) -> None:
     """Raise ``ConfigError`` naming ``path`` unless ``meta`` is an object
     like the one ``save_sample`` writes: an ``hw`` of the image's two sizes
     and an ``objects`` list whose entries hold every key ``object_mask`` and
-    ``bucket_masks`` read, with geometry ``object_mask`` can draw."""
+    ``bucket_masks`` read, with geometry ``object_mask`` can draw and, for
+    a rect, wholly inside the image."""
     def error(msg: str) -> ConfigError:
         return ConfigError(f"{path} is not a sample description: {msg}")
 
@@ -302,6 +303,13 @@ def _check_meta(meta, path: str, image_hw: tuple[int, int]) -> None:
             if not ok(obj[key]):
                 raise error(f"object {i} ({obj['kind']}) '{key}' must be {need}, "
                             f"got {obj[key]!r}")
+        if obj["kind"] == "rect":
+            for start, size, n in (("y0", "h", image_hw[0]), ("x0", "w", image_hw[1])):
+                lo, span = obj[start], obj[size]
+                if not (lo >= 0 and span >= 1 and lo + span <= n):
+                    raise error(f"object {i} (rect) needs 0 <= {start}, {size} >= 1 and "
+                                f"{start} + {size} <= {n}, got {start} = {lo}, "
+                                f"{size} = {span}")
     if tuple(hw) != tuple(image_hw):
         raise error(f"'hw' is {hw}, its image is {image_hw[0]}x{image_hw[1]}")
 

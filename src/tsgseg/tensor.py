@@ -4,7 +4,11 @@ The engine is deliberately small: it implements exactly the operations the
 segmentation model needs, each as a function that computes the forward value
 with numpy and registers a closure routing the output gradient back to its
 inputs. ``backward()`` on a scalar walks the recorded graph once in reverse
-topological order.
+topological order and consumes it: each node drops its closure and its
+inputs once its closure has run, so every activation is freed as soon as no
+node still waiting for backward needs it, and after the call only the leaves
+are left. A second ``backward()`` through a consumed node raises
+``RuntimeError``; build a new graph instead.
 
 Conventions:
 
@@ -23,9 +27,10 @@ Conventions:
 - The ``g`` a backward closure receives is its own node's grad, which no
   other tensor holds: ``_accumulate`` keeps a first contribution only when
   the closure that passed it owns it, and the node's grad is dropped once
-  its closure returns. So a closure may overwrite ``g``; the softmax
-  backwards turn it into their input's grad in place. A closure must not
-  keep ``g`` or pass the same array to two different tensors.
+  its closure returns. So a closure may overwrite ``g``; the softmax,
+  layernorm, gelu, scale and mul backwards turn it into an input's grad in
+  place. A closure must not keep ``g`` or pass the same array to two
+  different tensors, and no op writes to an array it did not allocate.
 """
 
 from __future__ import annotations
@@ -112,12 +117,18 @@ class Tensor:
     def backward(self) -> None:
         """Populate ``grad`` of every requires_grad tensor reachable from here.
 
-        The tensor must be scalar (0-d). Contributions accumulate into leaf
-        grads; an intermediate's grad is dropped once passed on.
+        The tensor must be scalar (0-d) and must require grad. Contributions
+        accumulate into leaf grads; an intermediate's grad is dropped once
+        passed on, and each node is consumed (see the module docstring).
         """
         if self.data.ndim != 0:
             raise ShapeError(
                 f"backward: loss must be scalar, got shape {self.data.shape}"
+            )
+        if not self.requires_grad:
+            raise RuntimeError(
+                "backward: the loss does not require grad; it was built under "
+                "no_grad() or from tensors none of which requires grad"
             )
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -129,16 +140,34 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _consumed:
+                raise RuntimeError(_CONSUMED)
             seen.add(id(node))
             stack.append((node, True))
             for child in node._children:
                 if id(child) not in seen:
                     stack.append((child, False))
         _accumulate(self, np.ones((), dtype=self.data.dtype))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        # Popping drops topo's reference, so a node whose consumers have all
+        # run is freed once the loop moves on.
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
                 node.grad = None
+            node._children = ()
+            node._backward = _consumed
+
+
+_CONSUMED = ("backward: this tensor's graph was already consumed by an earlier "
+             "backward(); run the forward pass again to build a new graph")
+
+
+def _consumed(g):
+    """The closure of a node that backward has consumed."""
+    raise RuntimeError(_CONSUMED)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -211,7 +240,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         _accumulate(a, _unbroadcast(g * b.data, a.shape).astype(a.dtype, copy=False))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape).astype(b.dtype, copy=False))
+        g *= a.data
+        _accumulate(b, _unbroadcast(g, b.shape).astype(b.dtype, copy=False))
 
     return _node(data, (a, b), backward)
 
@@ -222,7 +252,8 @@ def scale(x: Tensor, c: float) -> Tensor:
     data = x.data * c
 
     def backward(g):
-        _accumulate(x, (g * c).astype(x.dtype, copy=False))
+        g *= c
+        _accumulate(x, g)
 
     return _node(data, (x,), backward)
 
@@ -330,20 +361,40 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             f"layernorm: gamma/beta must have shape ({d},), "
             f"got {gamma.shape} and {beta.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = xc * inv
-    data = xhat * gamma.data + beta.data
+    # Row moments as a sum over d, then one division: ``mean`` divides in
+    # float64, which rounds to the same float32 bits.
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu /= d
+    xhat = x.data - mu
+    data = np.multiply(xhat, xhat)
+    inv = np.add.reduce(data, axis=-1, keepdims=True)
+    inv /= d
+    inv += LAYERNORM_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=data)
+    data += beta.data
 
     def backward(g):
-        gg = g * gamma.data
-        m1 = gg.mean(axis=-1, keepdims=True)
-        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(x, (gg - m1 - xhat * m2) * inv)
-        _accumulate(gamma, (g * xhat).reshape(-1, d).sum(axis=0))
-        _accumulate(beta, g.reshape(-1, d).sum(axis=0))
+        tmp = g * xhat
+        dgamma = tmp.reshape(-1, d).sum(axis=0)
+        dbeta = g.reshape(-1, d).sum(axis=0)
+        # g becomes x's grad: (gg - mean(gg) - xhat * mean(gg * xhat)) * inv
+        # with gg = g * gamma.
+        g *= gamma.data
+        m1 = np.add.reduce(g, axis=-1, keepdims=True)
+        m1 /= d
+        np.multiply(g, xhat, out=tmp)
+        m2 = np.add.reduce(tmp, axis=-1, keepdims=True)
+        m2 /= d
+        g -= m1
+        np.multiply(xhat, m2, out=tmp)
+        g -= tmp
+        g *= inv
+        _accumulate(x, g)
+        _accumulate(gamma, dgamma)
+        _accumulate(beta, dbeta)
 
     return _node(data, (x, gamma, beta), backward)
 
@@ -406,8 +457,15 @@ def gelu(x: Tensor) -> Tensor:
     data = x.data * cdf
 
     def backward(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        _accumulate(x, (g * (cdf + x.data * pdf)).astype(x.dtype, copy=False))
+        # g * (cdf + x * pdf), with pdf = exp(-x^2 / 2) / sqrt(2 pi)
+        t = np.multiply(x.data, -0.5, out=np.empty_like(x.data))  # 0-d stays an array
+        t *= x.data
+        np.exp(t, out=t)
+        t *= _INV_SQRT2PI
+        t *= x.data
+        t += cdf
+        g *= t
+        _accumulate(x, g)
 
     return _node(data.astype(x.dtype, copy=False), (x,), backward)
 
@@ -421,7 +479,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.shape != (w.shape[1],):
         raise ShapeError(f"linear: bias shape {b.shape} does not match w {w.shape}")
     rows = x.data.reshape(-1, x.shape[-1])
-    data = (rows @ w.data + b.data).reshape(x.shape[:-1] + b.shape)
+    data = rows @ w.data
+    data += b.data
+    data = data.reshape(x.shape[:-1] + b.shape)
 
     def backward(g):
         g = g.reshape(-1, g.shape[-1])
@@ -663,6 +723,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     def backward(g):
         grad = np.exp(logp)
         grad[rows, labels] -= 1.0
-        _accumulate(logits, (grad * (float(g) / n)).reshape(logits.shape))
+        grad *= float(g) / n
+        _accumulate(logits, grad.reshape(logits.shape))
 
     return _node(data, (logits,), backward)

@@ -259,6 +259,11 @@ class TestErrors:
          "object 0 (ellipse) 'ry' must be a positive finite number, got 0"),
         (_one_object('"kind": "rect", "y0": 1.5, "x0": 0, "h": 2, "w": 2'),
          "object 0 (rect) 'y0' must be an integer, got 1.5"),
+        # a rect that starts above the image, and one that runs past its edge
+        (_one_object('"kind": "rect", "y0": -2, "x0": 0, "h": 4, "w": 2'),
+         "object 0 (rect) needs 0 <= y0, h >= 1 and y0 + h <= 16, got y0 = -2, h = 4"),
+        (_one_object('"kind": "rect", "y0": 0, "x0": 14, "h": 2, "w": 4'),
+         "object 0 (rect) needs 0 <= x0, w >= 1 and x0 + w <= 16, got x0 = 14, w = 4"),
     ])
     def test_eval_on_meta_of_wrong_shape(self, tmp_path, tiny_run, capsys, text, cause):
         data = self.saved_pair(tmp_path)

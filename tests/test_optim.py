@@ -101,6 +101,25 @@ class TestAdamW:
         opt.step(lr=1e-3)
         assert p.data.dtype == np.float32
 
+    def test_step_writes_no_caller_array(self):
+        # Moments update in place; grads and the arrays the parameters held
+        # before the step keep their values.
+        rng = np.random.default_rng(3)
+        params = [Parameter(rng.normal(size=shape).astype(np.float32))
+                  for shape in ((3, 4), (4,), ())]
+        for p in params:
+            p.grad = rng.normal(size=p.shape).astype(np.float32)
+        opt = AdamW([(str(i), p) for i, p in enumerate(params)])
+        for _ in range(2):
+            before = [(p.data, p.data.copy(), p.grad, p.grad.copy()) for p in params]
+            opt.step(lr=0.1)
+            for p, (data, data_copy, grad, grad_copy) in zip(params, before):
+                np.testing.assert_array_equal(data, data_copy)
+                assert p.grad is grad
+                np.testing.assert_array_equal(grad, grad_copy)
+                assert p.data is not data and p.data.dtype == np.float32
+                assert isinstance(p.data, np.ndarray) and p.data.shape == p.shape
+
     def test_parameters_updated_independently(self):
         a, b = scalar_param(1.0), scalar_param(1.0)
         a.grad = np.array(1.0)

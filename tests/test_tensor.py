@@ -2,6 +2,7 @@
 against central finite differences."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -588,15 +589,50 @@ class TestBackward:
         with pytest.raises(ShapeError):
             Tensor(np.zeros(3), requires_grad=True).backward()
 
-    def test_second_backward_on_one_graph_doubles_leaf_grad(self):
-        # Intermediate grads are dropped once passed on, so the second call
-        # adds exactly what the first one did.
+    def test_second_backward_on_one_graph_raises(self):
+        # backward consumes the graph; a second call must not add the same
+        # gradients again.
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         loss = tsum(mul(x, x))
         loss.backward()
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
+        with pytest.raises(RuntimeError, match="already consumed"):
+            loss.backward()
+        np.testing.assert_allclose(x.grad, [2.0, 4.0])
+
+    def test_reused_intermediate_raises_when_reached(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        sq = mul(x, x)
+        tsum(sq).backward()
+        again = tsum(scale(sq, 3.0))  # the forward value is still there
+        np.testing.assert_allclose(again.data, 15.0)
+        with pytest.raises(RuntimeError, match="already consumed"):
+            again.backward()
+
+    def test_backward_frees_intermediates(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        hidden = gelu(linear(x, Tensor(np.ones((3, 4)), requires_grad=True),
+                             Tensor(np.zeros(4))))
+        freed = weakref.ref(hidden.data)
+        loss = tsum(hidden)
+        del hidden
+        assert freed() is not None  # the graph holds it until backward
         loss.backward()
-        np.testing.assert_allclose(x.grad, [4.0, 8.0])
+        assert freed() is None
+        assert loss._children == ()
+        assert x.grad is not None
+
+    @pytest.mark.parametrize("build", ["constants", "no_grad"])
+    def test_loss_without_grad_raises(self, build):
+        x = Tensor(np.ones(3), requires_grad=True)
+        if build == "no_grad":
+            with no_grad():
+                loss = tsum(mul(x, x))
+        else:
+            loss = tsum(mul(Tensor(np.ones(3)), Tensor(np.ones(3))))
+        with pytest.raises(RuntimeError, match="does not require grad"):
+            loss.backward()
+        assert x.grad is None
 
     def test_accumulation_without_zeroing(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -616,6 +652,48 @@ class TestBackward:
         tsum(mul(x, c)).backward()
         np.testing.assert_allclose(x.grad, np.full(3, 2.0))
         assert c.grad is None
+
+
+# Ops whose forward or backward writes into arrays in place, each as
+# (inputs, function of the input tensors).
+IN_PLACE_OPS = {
+    "layernorm": (lambda rng: [rng.normal(size=(2, 3, 5)), rng.normal(size=5),
+                               rng.normal(size=5)], layernorm),
+    "gelu": (lambda rng: [rng.normal(size=(3, 4))], gelu),
+    "linear": (lambda rng: [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)),
+                            rng.normal(size=5)], linear),
+    "scale": (lambda rng: [rng.normal(size=(3, 4))], lambda x: scale(x, 0.3)),
+    "mul": (lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=(3, 1))], mul),
+    "cross_entropy": (lambda rng: [rng.normal(size=(2, 3, 4))],
+                      lambda x: cross_entropy(x, np.array([[0, 3, 1], [2, 2, 0]]))),
+}
+
+
+class TestInPlaceKernels:
+    """In-place kernels write only to arrays they allocated or to their own
+    node's grad: never to an input, a parameter or a grad a leaf holds."""
+
+    @pytest.mark.parametrize("op", sorted(IN_PLACE_OPS))
+    def test_inputs_and_kept_grads_untouched(self, op):
+        make, fn = IN_PLACE_OPS[op]
+        arrays = make(np.random.default_rng(5))
+        saved = [a.copy() for a in arrays]
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+
+        def loss():
+            out = fn(*leaves)
+            # two consumers of the output, so its grad is an accumulated sum
+            return tsum(add(out, scale(out, 2.0))) if out.ndim else out
+
+        loss().backward()
+        first = [t.grad for t in leaves]
+        copies = [g.copy() for g in first]
+        loss().backward()  # accumulates into the grads the leaves hold
+        for t, a, s, g, c in zip(leaves, arrays, saved, first, copies):
+            assert t.data is a
+            np.testing.assert_array_equal(a, s)
+            assert t.grad is g
+            np.testing.assert_array_equal(t.grad, 2.0 * c)
 
 
 class TestNoGrad:
