@@ -84,7 +84,8 @@ def load_model(path, model) -> None:
 
     The file and the model must carry exactly the same parameter names;
     mismatches in either direction are reported by name. Loading casts to
-    the model's dtype; nothing is modified if validation fails.
+    the model's dtype; a float32 model takes the parsed arrays themselves,
+    so each value is copied once. Nothing is modified if validation fails.
     """
     stored = load_checkpoint(path)
     params = dict(model.named_parameters())
@@ -102,4 +103,4 @@ def load_model(path, model) -> None:
             )
     for name, arr in stored.items():
         p = params[name]
-        p.data = arr.astype(p.data.dtype)
+        p.data = arr.astype(p.data.dtype, copy=False)

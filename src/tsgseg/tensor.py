@@ -36,8 +36,10 @@ Conventions:
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -68,6 +70,39 @@ __all__ = [
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 LAYERNORM_EPS = 1e-5  # added to every row variance in ``layernorm``
+
+# glibc's malloc maps every block above its mmap threshold on its own and
+# unmaps it on free, and gives the heap top back to the kernel above its trim
+# threshold; both thresholds move with what the process frees. Since
+# ``backward`` frees each graph as it goes, the next op would fault the same
+# pages back in. Fixed thresholds keep freed activations in the heap for
+# reuse. Every array of a float32 batch-4 64x64 step is below 4 MiB; the larger
+# attention maps of 128x128 images stay mapped on their own, since keeping
+# them in the heap raised peak memory by about 25 MB.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, malloc.h
+MALLOPT_SETTINGS = ((_M_MMAP_THRESHOLD, 4 << 20), (_M_TRIM_THRESHOLD, 32 << 20))
+
+
+def _set_allocator_policy(libc=None) -> bool:
+    """Apply ``MALLOPT_SETTINGS`` through glibc's ``mallopt``; True when every
+    call succeeded. Without glibc (not Linux, or a C library that lacks
+    ``gnu_get_libc_version`` or ``mallopt``) nothing is set and nothing is
+    raised."""
+    if libc is None:
+        if not sys.platform.startswith("linux"):
+            return False
+        try:
+            libc = ctypes.CDLL(None)
+        except OSError:
+            return False
+    if not (hasattr(libc, "gnu_get_libc_version") and hasattr(libc, "mallopt")):
+        return False
+    mallopt = libc.mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all([mallopt(param, value) == 1 for param, value in MALLOPT_SETTINGS])
+
+
+ALLOCATOR_POLICY_SET = _set_allocator_policy()
 
 
 class ShapeError(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
+from tsgseg import checkpoint
 from tsgseg.checkpoint import (
     MAGIC,
     CheckpointError,
@@ -117,6 +118,36 @@ class TestModelRoundtrip:
                                   sorted(clone.named_parameters())):
             assert q.data.dtype == np.float64
             np.testing.assert_array_equal(p.data.astype(np.float32), q.data)
+
+    def test_single_precision_load_copies_once(self, tmp_path, monkeypatch):
+        cfg = helpers.tiny_model_config(precision="single")
+        path = tmp_path / "model.ckpt"
+        save_model(path, build_model(cfg, seed=3))
+        parsed = {}
+
+        def recording_load(p):
+            parsed.update(load_checkpoint(p))
+            return parsed
+
+        monkeypatch.setattr(checkpoint, "load_checkpoint", recording_load)
+        clone = build_model(cfg, seed=9)
+        load_model(path, clone)
+        on_file = load_checkpoint(path)
+        for name, p in clone.named_parameters():
+            assert p.data is parsed[name]
+            assert p.data.dtype == np.float32 and p.data.flags.writeable
+            np.testing.assert_array_equal(p.data, on_file[name])
+
+    def test_double_precision_load_widens(self, tmp_path):
+        cfg = helpers.tiny_model_config()
+        path = tmp_path / "model.ckpt"
+        save_model(path, build_model(cfg, seed=3))
+        clone = build_model(cfg, seed=9)
+        load_model(path, clone)
+        on_file = load_checkpoint(path)
+        for name, p in clone.named_parameters():
+            assert p.data.dtype == np.float64
+            np.testing.assert_array_equal(p.data, on_file[name].astype(np.float64))
 
     def test_unknown_parameter_rejected(self, tmp_path):
         cfg = helpers.tiny_model_config()
