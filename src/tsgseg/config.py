@@ -46,7 +46,6 @@ class RunConfig:
     stage_dims: tuple[int, ...] = (32, 64, 128)
     stage_heads: tuple[int, ...] = (2, 4, 4)
     stage_blocks: tuple[int, ...] = (1, 1, 1)
-    positional: bool = True
     mlp_ratio: float = 2.0
     d_f: int = 64
     d_a: int = 64
@@ -58,7 +57,6 @@ class RunConfig:
     decoder_fusion: str = "tsg"  # one of DECODER_FUSIONS
     single_stage: int | None = None
     shared_tsg: bool = False
-    integration_bias: bool = True
     # data
     train_samples: int = 200
     val_samples: int = 50
@@ -78,6 +76,8 @@ class RunConfig:
     eval_interval: int = 100
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_type(f.name, f.type, getattr(self, f.name))
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r} (choose from {PRESETS})")
         if self.precision not in ("double", "single"):
@@ -181,6 +181,36 @@ class RunConfig:
 
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass but no count; numpy integer scalars are counts
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# Field type -> what it accepts, in words, and the test. A float field takes
+# integers too.
+_KINDS = {
+    "int": ("an integer", _is_int),
+    "int | None": ("an integer or none", lambda v: v is None or _is_int(v)),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _check_type(key: str, tp: str, value) -> None:
+    """Reject a value ``format_config`` would write in a form that does not
+    read back, such as a list, a fractional count or a bool count."""
+    if tp.startswith("tuple["):
+        entry = tp[len("tuple["):].split(",")[0]
+        want, test = f"a tuple of {entry} entries", _KINDS[entry][1]
+        ok = isinstance(value, tuple) and all(test(v) for v in value)
+    else:
+        want, test = _KINDS[tp]
+        ok = test(value)
+    if not ok:
+        raise ConfigError(f"{key} must be {want}, got {type(value).__name__} {value!r}")
 
 
 def _parse_bool(text: str) -> bool:

@@ -57,7 +57,7 @@ class Decoder(Module):
     def __init__(self, num_blocks: int, num_classes: int, d_f: int, heads: int,
                  mlp_dim: int, num_scales: int, d_a: int, hidden: int,
                  rng: np.random.Generator, fusion: str = "tsg",
-                 shared_head: bool = False, integration_bias: bool = True):
+                 shared_head: bool = False):
         self.fusion = fusion
         self.queries = Parameter(np.zeros((num_classes, d_f)))
         cfg = MhaConfig(heads=heads, model_dim=d_f)
@@ -65,8 +65,7 @@ class Decoder(Module):
         self.gate_heads: list[TsgHead] = []
         if fusion == "tsg" and num_blocks >= 2:
             def head() -> TsgHead:  # reads the transposed cross maps, concatenated
-                return TsgHead([heads * num_classes], d_a, hidden, num_scales, rng,
-                               integration_bias=integration_bias)
+                return TsgHead([heads * num_classes], d_a, hidden, num_scales, rng)
 
             shared = head() if shared_head else None
             self.gate_heads = [shared or head() for _ in range(num_blocks - 1)]

@@ -65,20 +65,19 @@ def _cells_to_rows(x: Tensor, lead: tuple[int, ...], h: int, w: int, k: int) -> 
 
 
 class PatchEmbed(Module):
-    """Non-overlapping patch flattening plus a linear projection.
+    """Non-overlapping patch flattening, a linear projection and a learned
+    positional table.
 
-    The learned positional table, when enabled, is sized for a fixed input
-    grid; images of other sizes are rejected.
+    The positional table is sized for a fixed input grid; images of other
+    sizes are rejected.
     """
 
     def __init__(self, patch_size: int, dim: int, grid: tuple[int, int],
-                 rng: np.random.Generator, positional: bool):
+                 rng: np.random.Generator):
         self.patch_size = patch_size
         self.grid = grid
         self.proj = Linear(patch_size * patch_size * 3, dim, rng)
-        self.pos: Parameter | None = None
-        if positional:
-            self.pos = Parameter(rng.normal(0.0, 0.02, size=(grid[0] * grid[1], dim)))
+        self.pos = Parameter(rng.normal(0.0, 0.02, size=(grid[0] * grid[1], dim)))
 
     def __call__(self, image: Tensor) -> FeatureMap:
         p = self.patch_size
@@ -92,9 +91,7 @@ class PatchEmbed(Module):
                 f"patch_embed: image {h}x{w} does not match configured grid "
                 f"{self.grid} at patch size {p}"
             )
-        tokens = self.proj(_cells_to_rows(image, image.shape[:-3], h, w, p))
-        if self.pos is not None:
-            tokens = tokens + self.pos
+        tokens = self.proj(_cells_to_rows(image, image.shape[:-3], h, w, p)) + self.pos
         return FeatureMap(data=tokens, h=h // p, w=w // p, stage=1)
 
 
@@ -123,7 +120,7 @@ class Backbone(Module):
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         dims = cfg.stage_dims[:cfg.kept_stages]
         grid = cfg.stage_grids()[0]
-        self.embed = PatchEmbed(cfg.patch_size, dims[0], grid, rng, cfg.positional)
+        self.embed = PatchEmbed(cfg.patch_size, dims[0], grid, rng)
         self.stages: list[list[EncoderBlock]] = []
         self.merges: list[PatchMerge] = []
         for s, (blocks, dim, heads) in enumerate(
@@ -206,8 +203,7 @@ class TsgeFusion(Module):
                   in zip(cfg.stage_heads, cfg.stage_grids())]
 
         def head(in_widths):
-            return TsgHead(in_widths, cfg.d_a, cfg.tsg_hidden, num_scales=2, rng=rng,
-                           integration_bias=cfg.integration_bias)
+            return TsgHead(in_widths, cfg.d_a, cfg.tsg_hidden, num_scales=2, rng=rng)
 
         self.top_proj = Linear(dims[-1], cfg.d_f, rng)
         gated = self.kind == "tsg"

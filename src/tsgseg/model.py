@@ -36,7 +36,7 @@ class SegModel(Module):
     Single-scale variants keep only the backbone stages up to the selected
     one: the hierarchy is feed-forward, so the kept stage's features are
     unchanged and no parameter sits outside the gradient path. The modules
-    build in float64, and the model casts every tensor it holds to
+    build in float64, and the model casts every parameter it holds to
     ``cfg.precision`` once, as the last step of construction.
     """
 
@@ -50,7 +50,6 @@ class SegModel(Module):
             mlp_dim=cfg.mlp_dim(cfg.d_f),
             num_scales=cfg.decoder_scales, d_a=cfg.d_a, hidden=cfg.tsg_hidden,
             rng=rng, fusion=cfg.decoder_fusion, shared_head=cfg.shared_tsg,
-            integration_bias=cfg.integration_bias,
         )
         self.target_grid = cfg.stage_grids()[0]
         self.cast(cfg.dtype)

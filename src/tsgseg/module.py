@@ -4,8 +4,9 @@ A module's parameters are discovered by walking its attributes: bare
 ``Parameter`` values, child modules, and lists of either. Names are the
 attribute path (lists contribute their index), which is what the checkpoint
 format keys on, so attribute names double as the persistence schema.
-Modules build their tensors in float64; ``Module.cast`` moves a built tree
-to another precision in one pass.
+Every tensor a module holds is a ``Parameter``. Modules build their
+parameters in float64; ``Module.cast`` moves a built tree to another
+precision in one pass.
 """
 
 from __future__ import annotations
@@ -34,23 +35,23 @@ class Module:
         reported once, under the first path encountered.
         """
         out: list[tuple[str, Parameter]] = []
-        self._collect(prefix, out, set(), Parameter)
+        self._collect(prefix, out, set())
         return out
 
-    def _collect(self, prefix: str, out, seen: set[int], kind: type) -> None:
+    def _collect(self, prefix: str, out, seen: set[int]) -> None:
         if id(self) in seen:
             return
         seen.add(id(self))
         for name, value in vars(self).items():
             path = f"{prefix}{name}" if not prefix else f"{prefix}.{name}"
-            _collect_value(path, value, out, seen, kind)
+            _collect_value(path, value, out, seen)
 
     def cast(self, dtype) -> None:
-        """Cast every tensor under this module, trainable or fixed, to ``dtype``."""
-        tensors: list[tuple[str, Tensor]] = []
-        self._collect("", tensors, set(), Tensor)
-        for _, t in tensors:
-            t.data = t.data.astype(dtype, copy=False)
+        """Cast every parameter under this module to ``dtype``."""
+        # Not parameters(): its second list per build shifts the glibc heap
+        # layout that a 128x128 training run's peak memory is sensitive to.
+        for _, p in self.named_parameters():
+            p.data = p.data.astype(dtype, copy=False)
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
@@ -60,16 +61,16 @@ class Module:
             p.grad = None
 
 
-def _collect_value(path: str, value, out, seen: set[int], kind: type) -> None:
-    if isinstance(value, kind):
+def _collect_value(path: str, value, out, seen: set[int]) -> None:
+    if isinstance(value, Parameter):
         if id(value) not in seen:
             seen.add(id(value))
             out.append((path, value))
     elif isinstance(value, Module):
-        value._collect(path, out, seen, kind)
+        value._collect(path, out, seen)
     elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
-            _collect_value(f"{path}.{i}", item, out, seen, kind)
+            _collect_value(f"{path}.{i}", item, out, seen)
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int):
@@ -82,15 +83,10 @@ class Linear(Module):
     """Affine layer ``x @ w + b``."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
-                 zero_init: bool = False, bias: bool = True):
+                 zero_init: bool = False):
         w = np.zeros((d_in, d_out)) if zero_init else glorot(rng, d_in, d_out)
         self.w = Parameter(w)
-        # A disabled bias stays a plain zero tensor: it joins the forward
-        # computation but is not a trainable parameter.
-        if bias:
-            self.b = Parameter(np.zeros(d_out))
-        else:
-            self.b = Tensor(np.zeros(d_out))
+        self.b = Parameter(np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.w, self.b)

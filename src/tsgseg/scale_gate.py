@@ -65,9 +65,8 @@ class TsgHead(Module):
     """
 
     def __init__(self, in_widths: list[int], d_a: int, hidden: int,
-                 num_scales: int, rng: np.random.Generator,
-                 integration_bias: bool = True):
-        self.integrators = [Linear(w, d_a, rng, bias=integration_bias) for w in in_widths]
+                 num_scales: int, rng: np.random.Generator):
+        self.integrators = [Linear(w, d_a, rng) for w in in_widths]
         self.norm = LayerNorm(d_a)
         self.mlp = Mlp(d_a, hidden, num_scales, rng, zero_init_out=True)
 

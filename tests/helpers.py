@@ -56,7 +56,7 @@ def tiny_model_config(**overrides) -> RunConfig:
     """Smallest config exercising all three stages and gated fusion."""
     base = dict(
         height=16, width=16, patch_size=4, stage_dims=(4, 6, 8),
-        stage_heads=(2, 2, 2), stage_blocks=(1, 1, 1), positional=True,
+        stage_heads=(2, 2, 2), stage_blocks=(1, 1, 1),
         mlp_ratio=1.0, d_f=8, d_a=6, tsg_hidden=6, decoder_blocks=3,
         decoder_heads=2, num_classes=4, encoder_fusion="tsg",
         decoder_fusion="tsg",

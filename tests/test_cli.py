@@ -202,6 +202,25 @@ class TestErrors:
                                        "--report", str(tmp_path / "report.csv")])
         assert line.startswith("tsgseg: error: no config.resolved next to")
 
+    @pytest.mark.parametrize("key, after", [("positional", "stage_blocks"),
+                                            ("integration_bias", "shared_tsg")])
+    def test_eval_on_config_with_removed_key(self, tmp_path, tiny_run, capsys, key, after):
+        # A config.resolved written while the key existed lists it after the
+        # same neighbour.
+        run = tmp_path / "old_run"
+        run.mkdir()
+        (run / "model.ckpt").write_bytes((tiny_run / "model.ckpt").read_bytes())
+        lines = (tiny_run / "config.resolved").read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"{after} =")) + 1
+        lines.insert(at, f"{key} = true")
+        (run / "config.resolved").write_text("\n".join(lines) + "\n")
+        line = self.run_error(capsys, ["eval", "--ckpt", str(run / "model.ckpt"),
+                                       "--data", str(tmp_path),
+                                       "--report", str(tmp_path / "report.csv")])
+        assert line == (f"tsgseg: error: {run / 'config.resolved'}: "
+                        f"line {at + 1}: unknown key {key!r}")
+        assert not (tmp_path / "report.csv").exists()
+
     def test_eval_on_empty_data_dir(self, tmp_path, tiny_run, capsys):
         data = tmp_path / "empty"
         data.mkdir()

@@ -1,6 +1,8 @@
 """Config parsing, presets, validation, and round-tripping."""
 
 import dataclasses
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from tsgseg.config import (
 )
 from tsgseg.model import build_model
 from tsgseg.segbench import generate
+from tsgseg.train import VARIANTS
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestParse:
@@ -154,6 +159,62 @@ class TestResolve:
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             RunConfig().steps = 5
+
+
+class TestTypes:
+    """A config holds only values that ``format_config`` writes in a form
+    that reads back: a list, a fractional count or a bool count would build
+    a run that ``tsgseg eval`` cannot reload."""
+
+    @pytest.mark.parametrize("overrides, key, got", [
+        ({"stage_dims": [32, 64, 128]}, "stage_dims", "list"),
+        ({"stage_heads": (2, 4.0, 4)}, "stage_heads", "tuple"),
+        ({"size_mix": [0.45, 0.2, 0.35]}, "size_mix", "list"),
+        ({"steps": 2.5}, "steps", "float"),
+        ({"steps": True}, "steps", "bool"),
+        ({"seed": np.float64(3.0)}, "seed", "float64"),
+        ({"lr0": True}, "lr0", "bool"),
+        ({"lr0": np.float32(1e-3)}, "lr0", "float32"),
+        ({"flip": 1}, "flip", "int"),
+        ({"precision": 2}, "precision", "int"),
+        ({"encoder_fusion": None}, "encoder_fusion", "NoneType"),
+        ({"encoder_fusion": "single", "single_stage": 2.0}, "single_stage", "float"),
+    ])
+    def test_wrong_type_named(self, overrides, key, got):
+        pattern = f"^{key} must be .*, got {got} "
+        with pytest.raises(ConfigError, match=pattern):
+            resolve_config("desk", overrides)
+        with pytest.raises(ConfigError, match=pattern):
+            dataclasses.replace(RunConfig(), **overrides)
+
+    def test_numeric_forms_accepted(self):
+        cfg = RunConfig(steps=np.int64(3), seed=np.uint32(5), mlp_ratio=2,
+                        lr0=np.float64(1e-3), size_mix=(1, 0, 0))
+        assert (cfg.steps, cfg.seed, cfg.mlp_ratio, cfg.size_mix) == (3, 5, 2.0, (1, 0, 0))
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_variant_round_trips(self, variant, precision):
+        cfg = resolve_config("desk", {**VARIANTS[variant], "precision": precision})
+        raw = parse_config_text(format_config(cfg))
+        assert resolve_config(raw.pop("preset"), raw) == cfg
+
+    def test_benchmark_style_config_builds(self):
+        # The overrides perfbench's worker passes for each workload.
+        for size, steps, train, val in ((64, 10, 20, 4), (128, 2, 8, 2), (64, 12, 16, 4)):
+            cfg = resolve_config("desk", {
+                "precision": "single", "height": size, "width": size, "steps": steps,
+                "eval_interval": steps, "seed": 7, "data_seed": 7,
+                "train_samples": train, "val_samples": val})
+            assert (cfg.height, cfg.steps, cfg.train_samples) == (size, steps, train)
+
+
+class TestReadme:
+    def test_key_groups_name_exactly_the_fields(self):
+        groups = re.search(r"Key groups:(.*?)\)\.", README.read_text(), re.S)
+        assert groups is not None
+        named = re.findall(r"`([^`]*)`", groups.group(1))
+        assert sorted(named) == sorted(f.name for f in dataclasses.fields(RunConfig))
 
 
 class TestRoundtrip:

@@ -55,12 +55,14 @@ def fusion_params(fusion: TsgeFusion) -> dict:
 
 class TestPatchEmbed:
     def test_patch_extraction_order(self):
-        # An averaging projection reduces each token to its patch mean, which
-        # an explicit per-pixel loop can verify.
+        # An averaging projection, with the positional table zeroed, reduces
+        # each token to its patch mean, which an explicit per-pixel loop can
+        # verify.
         rng = np.random.default_rng(0)
-        embed = PatchEmbed(4, 1, (3, 2), rng, positional=False)
+        embed = PatchEmbed(4, 1, (3, 2), rng)
         embed.proj.w.data = np.full((48, 1), 1.0 / 48)
         embed.proj.b.data = np.zeros(1)
+        embed.pos.data = np.zeros_like(embed.pos.data)
         image = rng.uniform(size=(12, 8, 3))
         fm = embed(Tensor(image))
         assert (fm.h, fm.w, fm.stage) == (3, 2, 1)
@@ -69,7 +71,7 @@ class TestPatchEmbed:
 
     def test_positional_table_added(self):
         rng = np.random.default_rng(1)
-        embed = PatchEmbed(4, 5, (2, 2), rng, positional=True)
+        embed = PatchEmbed(4, 5, (2, 2), rng)
         image = rng.uniform(size=(8, 8, 3))
         with_pos = embed(Tensor(image)).data.data
         pos = embed.pos.data.copy()
@@ -79,7 +81,7 @@ class TestPatchEmbed:
 
     def test_size_mismatch_rejected(self):
         rng = np.random.default_rng(2)
-        embed = PatchEmbed(4, 5, (2, 2), rng, positional=False)
+        embed = PatchEmbed(4, 5, (2, 2), rng)
         with pytest.raises(ShapeError):
             embed(Tensor(np.zeros((12, 8, 3))))
         with pytest.raises(ShapeError):

@@ -101,14 +101,14 @@ class TestForward:
             np.testing.assert_array_equal(pa.data, pb.data)
 
 
-def reachable_arrays(obj, seen=None) -> list[np.ndarray]:
-    """Every numpy array reachable from ``obj`` through attributes, lists,
-    tuples and dict values."""
+def reachable(obj, kind: type, seen=None) -> list:
+    """Every ``kind`` instance reachable from ``obj`` through attributes,
+    lists, tuples and dict values, each once; the walk stops at them."""
     seen = set() if seen is None else seen
     if id(obj) in seen:
         return []
     seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, kind):
         return [obj]
     if isinstance(obj, dict):
         items = obj.values()
@@ -118,7 +118,7 @@ def reachable_arrays(obj, seen=None) -> list[np.ndarray]:
         items = vars(obj).values()
     else:
         return []
-    return [a for item in items for a in reachable_arrays(item, seen)]
+    return [a for item in items for a in reachable(item, kind, seen)]
 
 
 class TestPrecision:
@@ -131,15 +131,24 @@ class TestPrecision:
             build_model(helpers.tiny_model_config(), seed=0, dtype=np.float32)
 
     def test_single_precision_model_holds_no_float64_array(self):
-        cfg = helpers.tiny_model_config(precision="single", integration_bias=False)
-        model = build_model(cfg, seed=0)
-        arrays = reachable_arrays(model)
-        zero_biases = [lin.b.data for head in model.decoder.gate_heads
-                       for lin in head.integrators]
-        assert zero_biases
-        held = {id(a) for a in arrays}
-        assert all(id(a) in held for a in zero_biases)
+        model = build_model(helpers.tiny_model_config(precision="single"), seed=0)
+        arrays = reachable(model, np.ndarray)
         assert {a.dtype for a in arrays if a.dtype.kind == "f"} == {np.dtype(np.float32)}
+
+
+class TestHeldTensors:
+    # Module.cast casts the parameters alone, which is every tensor only if
+    # modules hold nothing else.
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_every_held_tensor_is_a_parameter(self, variant, precision):
+        cfg = helpers.tiny_model_config(precision=precision, **VARIANTS[variant])
+        model = build_model(cfg, seed=0)
+        held = reachable(model, Tensor)
+        params = model.parameters()
+        assert len(held) == len(params)
+        assert {id(t) for t in held} == {id(p) for p in params}
+        assert {p.data.dtype for p in params} == {np.dtype(cfg.dtype)}
 
 
 class TestUpsampleWeights:

@@ -121,13 +121,6 @@ class TestIntegrateSelf:
         with pytest.raises(ShapeError, match="smaller"):
             head.integrate_self([coarse, fine])
 
-    def test_no_bias_mode(self):
-        rng = np.random.default_rng(4)
-        head = TsgHead([8], d_a=4, hidden=4, num_scales=2, rng=rng,
-                       integration_bias=False)
-        assert not head.integrators[0].b.requires_grad
-        np.testing.assert_allclose(head.integrators[0].b.data, np.zeros(4))
-
 
 class TestIntegrateCross:
     def test_matches_loop_reference(self):
