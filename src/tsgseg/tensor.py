@@ -23,7 +23,7 @@ Conventions:
 - Gradients accumulate. Repeated ``backward()`` calls without zeroing add
   their contributions; training code must clear grads before each step.
 - Tensors are immutable after construction except for grad accumulation and
-  in-place parameter updates performed by the optimizer between steps.
+  the parameter updates the optimizer makes between steps.
 - The ``g`` a backward closure receives is its own node's grad, which no
   other tensor holds: ``_accumulate`` keeps a first contribution only when
   the closure that passed it owns it, and the node's grad is dropped once
@@ -77,10 +77,15 @@ LAYERNORM_EPS = 1e-5  # added to every row variance in ``layernorm``
 # ``backward`` frees each graph as it goes, the next op would fault the same
 # pages back in. Fixed thresholds keep freed activations in the heap for
 # reuse. Every array of a float32 batch-4 64x64 step is below 4 MiB; the larger
-# attention maps of 128x128 images stay mapped on their own, since keeping
-# them in the heap raised peak memory by about 25 MB.
+# attention maps of 128x128 images get a mapping of their own when no freed
+# heap block fits them, since a lower ceiling raised peak memory by about
+# 25 MB. A 128x128 batch-4 step frees more than 64 MiB at the heap top at
+# once, so the trim threshold is 128 MiB: at 32 or 64 MiB every such step
+# gave its activations back and faulted them in again. That holds only
+# while nothing else churns the heap, which is why AdamW keeps its state in
+# flat buffers allocated once.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, malloc.h
-MALLOPT_SETTINGS = ((_M_MMAP_THRESHOLD, 4 << 20), (_M_TRIM_THRESHOLD, 32 << 20))
+MALLOPT_SETTINGS = ((_M_MMAP_THRESHOLD, 4 << 20), (_M_TRIM_THRESHOLD, 128 << 20))
 
 
 def _set_allocator_policy(libc=None) -> bool:
@@ -116,6 +121,10 @@ class Tensor:
     produced by operations inherit it from their inputs so the chain rule
     can flow through intermediates.
     """
+
+    # Where ``_accumulate`` puts a first gradient contribution; an optimizer
+    # sets it on each parameter it updates.
+    _grad_slot: np.ndarray | None = None
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -206,13 +215,20 @@ def _consumed(g):
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``. A first contribution is kept, not copied, so
-    a closure must pass an array (or a view of its own node's grad) that no
-    other tensor keeps."""
+    """Add ``g`` into ``t.grad``. A first contribution is copied into the
+    tensor's gradient slot when it has one of its shape (an optimizer's flat
+    gradient buffer; the copy has the same bits), and otherwise kept, not
+    copied, so a closure must pass an array (or a view of its own node's
+    grad) that no other tensor keeps."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=False)
+        slot = t._grad_slot
+        if slot is None or slot.shape != g.shape:
+            t.grad = g.astype(t.data.dtype, copy=False)
+        else:
+            np.copyto(slot, g)
+            t.grad = slot
     else:
         t.grad += g
 

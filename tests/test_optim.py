@@ -1,11 +1,18 @@
 """Optimizer and LR schedule against hand-computed trajectories."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
-from tsgseg.module import Parameter
-from tsgseg.optim import AdamW, OptimError, poly_lr
+from tsgseg.checkpoint import load_model, save_checkpoint
+from tsgseg.config import resolve_config
+from tsgseg.model import build_model
+from tsgseg.module import Module, Parameter
+from tsgseg.optim import BETAS, EPS, AdamW, OptimError, poly_lr
+from tsgseg.tensor import Tensor, add, cross_entropy, mul, tsum
+from tsgseg.train import VARIANTS
 
 
 def scalar_param(value: float, dtype=np.float64) -> Parameter:
@@ -143,3 +150,217 @@ class TestAdamW:
         np.testing.assert_allclose(deltas[0], 0.1, atol=1e-7)
         np.testing.assert_allclose(deltas[1], 0.1, atol=1e-7)
         assert opt.step_count == 2
+
+
+class ReferenceAdamW:
+    """The per-tensor AdamW step: one moment pair per parameter and the
+    formula's 16 operations in order, on arrays the caller passes."""
+
+    def __init__(self, arrays, weight_decay=0.01):
+        self.weight_decay = weight_decay
+        self.step_count = 0
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+
+    def step(self, lr, values, grads):
+        """The new values; ``values`` and ``grads`` are left as they are."""
+        self.step_count += 1
+        b1, b2 = BETAS
+        bc1 = 1.0 - b1 ** self.step_count
+        bc2 = 1.0 - b2 ** self.step_count
+        decay = lr * self.weight_decay
+        out = []
+        for p, g, m, v in zip(values, grads, self.m, self.v):
+            s, u = np.empty_like(p), np.empty_like(p)
+            np.multiply(g, 1.0 - b1, out=s)
+            m *= b1
+            m += s
+            np.multiply(g, 1.0 - b2, out=s)
+            s *= g
+            v *= b2
+            v += s
+            np.divide(m, bc1, out=u)
+            u *= lr
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += EPS
+            u /= s
+            np.multiply(p, decay, out=s)
+            np.subtract(p, s, out=s)
+            s -= u
+            out.append(s)
+        return out
+
+
+def assert_same_bits(got, want, name=""):
+    assert got.dtype == want.dtype and got.shape == want.shape, name
+    assert got.tobytes() == want.tobytes(), name
+
+
+def random_params(rng, dtype):
+    return [Parameter(rng.normal(size=shape).astype(dtype))
+            for shape in ((5, 3), (7,), (), (2, 3, 4), (1,))]
+
+
+class TestFlatBuffers:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_five_steps_match_the_per_tensor_step_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(11)
+        params = random_params(rng, dtype)
+        ref_values = [p.data.copy() for p in params]
+        opt = AdamW([(str(i), p) for i, p in enumerate(params)], weight_decay=0.05)
+        ref = ReferenceAdamW(ref_values, weight_decay=0.05)
+        for lr in (1e-2, 3e-3, 7e-4, 2e-2, 1e-4):
+            for p in params:
+                p.grad = rng.normal(size=p.shape).astype(dtype)
+            ref_values = ref.step(lr, ref_values, [p.grad for p in params])
+            opt.step(lr)
+            for i, (p, want) in enumerate(zip(params, ref_values)):
+                assert_same_bits(p.data, want, str(i))
+
+    def test_zero_dim_parameter_gets_its_gradient_in_its_slot(self):
+        w = Parameter(np.array(0.5))
+        x = Tensor(np.array([1.0, -2.0, 4.0]))
+        opt = AdamW([("w", w)])
+        ref = ReferenceAdamW([w.data.copy()])
+        values = [w.data.copy()]
+        for lr in (0.1, 0.05):
+            opt.zero_grad()
+            # w enters twice, so the slot takes a copy and then an addition
+            tsum(add(mul(x, w), mul(x, w))).backward()
+            assert w.grad.shape == () and np.shares_memory(w.grad, opt.grad)
+            assert_same_bits(w.grad, np.array(2 * (1.0 - 2.0 + 4.0)))
+            values = ref.step(lr, values, [w.grad.copy()])
+            opt.step(lr)
+            assert_same_bits(w.data, values[0])
+
+    @pytest.mark.parametrize("precision,variant", [
+        ("single", "tsg"), ("double", "tsg"), ("single", "tsg_shared")])
+    def test_desk_model_steps_match_the_per_tensor_step(self, precision, variant):
+        # Gradients from backward land in the optimizer's gradient buffer
+        # and equal, bit for bit, those of a twin model that has no optimizer.
+        cfg = replace(resolve_config("desk", {"precision": precision}),
+                      **VARIANTS[variant])
+        model, twin = build_model(cfg, seed=0), build_model(cfg, seed=0)
+        named = model.named_parameters()
+        opt = AdamW(named, weight_decay=cfg.weight_decay)
+        assert opt.grad.size == sum(p.data.size for _, p in named)
+        ref = ReferenceAdamW([p.data for p in twin.parameters()],
+                             weight_decay=cfg.weight_decay)
+        rng = np.random.default_rng(5)
+        images = rng.uniform(size=(2, cfg.height, cfg.width, 3))
+        gh, gw = model.target_grid
+        labels = rng.integers(0, cfg.num_classes, size=(2, gh * gw))
+        for lr in (1e-3, 4e-4):
+            for m in (model, twin):
+                m.zero_grad()
+                cross_entropy(m(Tensor(images, dtype=cfg.dtype)).scores, labels).backward()
+            new = ref.step(lr, [p.data for p in twin.parameters()],
+                           [p.grad for p in twin.parameters()])
+            for p, q in zip(twin.parameters(), new):
+                p.data = q
+            for (name, p), (_, q) in zip(named, twin.named_parameters()):
+                assert np.shares_memory(p.grad, opt.grad), name
+                assert_same_bits(p.grad, q.grad, name)
+            opt.step(lr)
+            for (name, p), (_, q) in zip(named, twin.named_parameters()):
+                assert_same_bits(p.data, q.data, name)
+
+    def test_shared_parameter_gets_one_slot(self):
+        cfg = replace(resolve_config("desk", {"precision": "single"}),
+                      **VARIANTS["tsg_shared"])
+        model = build_model(cfg, seed=0)
+        heads = model.decoder.gate_heads
+        assert len(heads) > 1 and all(h is heads[0] for h in heads)
+        opt = AdamW(model.named_parameters())
+        shared = heads[0].named_parameters()
+        assert shared
+        for _, p in shared:
+            assert sum(np.shares_memory(p.data, slot) for slot in opt.slots[0]) == 1
+
+    def test_rebound_value_is_the_one_the_next_step_updates(self, tmp_path):
+        # checkpoint.load_model rebinds each p.data to an array of its own.
+        class Tiny(Module):
+            def __init__(self):
+                self.w = Parameter(np.ones((2, 3), dtype=np.float32))
+                self.b = Parameter(np.zeros(3, dtype=np.float32))
+
+        model = Tiny()
+        named = model.named_parameters()
+        opt = AdamW(named)
+        ref = ReferenceAdamW([p.data.copy() for _, p in named])
+        grads = [np.full(p.shape, 0.25, dtype=np.float32) for _, p in named]
+        for (_, p), g in zip(named, grads):
+            p.grad = g
+        opt.step(0.1)
+        ref.step(0.1, [p.data.copy() for _, p in named], grads)
+        loaded = {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                  "b": np.array([1.0, -1.0, 0.5], dtype=np.float32)}
+        save_checkpoint(tmp_path / "m.ckpt", loaded)
+        load_model(tmp_path / "m.ckpt", model)
+        want = ref.step(0.05, [loaded[name] for name, _ in named], grads)
+        opt.step(0.05)
+        for (name, p), w in zip(named, want):
+            assert_same_bits(p.data, w, name)
+
+    def test_gradient_a_caller_sets_is_the_one_used(self):
+        w = Parameter(np.array([0.5, -1.0, 2.0]))
+        x = Tensor(np.array([1.0, 3.0, -2.0]))
+        opt = AdamW([("w", w)])
+        tsum(mul(x, w)).backward()
+        assert np.shares_memory(w.grad, opt.grad)
+        mine = w.grad * -3.0
+        w.grad = mine
+        want = ReferenceAdamW([w.data]).step(0.1, [w.data.copy()], [mine])
+        opt.step(0.1)
+        assert w.grad is mine
+        assert_same_bits(w.data, want[0])
+
+
+class TestBoundary:
+    def test_gradient_of_another_shape_named(self):
+        p = Parameter(np.ones(3))
+        p.grad = np.ones(1)  # would broadcast through every ufunc
+        opt = AdamW([("layer.w", p)])
+        with pytest.raises(OptimError, match=r"'layer.w'.*shape \(1,\)"):
+            opt.step(lr=0.1)
+
+    def test_gradient_of_another_dtype_named(self):
+        p = Parameter(np.ones(3, dtype=np.float32))
+        p.grad = np.ones(3)
+        opt = AdamW([("layer.w", p)])
+        with pytest.raises(OptimError, match=r"'layer.w'.*float64"):
+            opt.step(lr=0.1)
+
+    def test_parameters_of_two_dtypes_named(self):
+        a = Parameter(np.ones(2, dtype=np.float32))
+        b = Parameter(np.ones(2))
+        with pytest.raises(OptimError, match=r"'b'.*float64"):
+            AdamW([("a", a), ("b", b)])
+
+    def test_value_rebound_to_another_dtype_named(self):
+        p = Parameter(np.ones(2, dtype=np.float32))
+        opt = AdamW([("p", p)])
+        p.data, p.grad = np.ones(2), np.ones(2, dtype=np.float32)
+        with pytest.raises(OptimError, match=r"'p'.*float64"):
+            opt.step(lr=0.1)
+
+    def test_empty_parameter_list(self):
+        with pytest.raises(OptimError, match="at least one parameter"):
+            AdamW([])
+
+    def test_parameter_listed_twice_named(self):
+        p = Parameter(np.ones(2))
+        with pytest.raises(OptimError, match=r"'again' is listed twice.*'p'"):
+            AdamW([("p", p), ("again", p)])
+
+    def test_failed_check_changes_nothing(self):
+        a, b = Parameter(np.ones(2)), Parameter(np.ones(2))
+        opt = AdamW([("a", a), ("b", b)])
+        a.grad, b.grad = np.ones(2), np.ones(3)
+        before = a.data
+        with pytest.raises(OptimError, match="'b'"):
+            opt.step(lr=0.1)
+        assert a.data is before and opt.step_count == 0
+        np.testing.assert_array_equal(a.data, np.ones(2))
+        assert not opt.m.any() and not opt.v.any()

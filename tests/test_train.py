@@ -167,6 +167,29 @@ class TestTrainRun:
         assert plain["loss_history"] != flipped["loss_history"]
 
 
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_trained_model_pins_no_optimizer_state(tmp_path, monkeypatch, variant):
+    # A model kept after training holds views of the optimizer's value and
+    # gradient buffers, and so keeps the arrays those views are cut from;
+    # the moments and scratch must not be cut from the same arrays.
+    made = []
+
+    class Recorded(train_module.AdamW):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(train_module, "AdamW", Recorded)
+    cfg = dataclasses.replace(tiny_config(steps=2, eval_interval=2), **VARIANTS[variant])
+    model, _ = train_run(cfg, tmp_path)
+    (opt,) = made
+    for name, p in model.named_parameters():
+        for arr in (p.data, p.grad):
+            for state in (opt.m, opt.v, opt.scratch):
+                block = state if state.base is None else state.base
+                assert not np.shares_memory(arr, block), name
+
+
 class TestEvaluate:
     def test_fresh_model_scores_all_background(self):
         # Uniform class scores argmax to class 0 everywhere, so the expected
