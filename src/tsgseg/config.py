@@ -188,31 +188,6 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-# Field type -> what it accepts, in words, and the test. A float field takes
-# integers too.
-_KINDS = {
-    "int": ("an integer", _is_int),
-    "int | None": ("an integer or none", lambda v: v is None or _is_int(v)),
-    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "str": ("a string", lambda v: isinstance(v, str)),
-}
-
-
-def _check_type(key: str, tp: str, value) -> None:
-    """Reject a value ``format_config`` would write in a form that does not
-    read back, such as a list, a fractional count or a bool count."""
-    if tp.startswith("tuple["):
-        entry = tp[len("tuple["):].split(",")[0]
-        want, test = f"a tuple of {entry} entries", _KINDS[entry][1]
-        ok = isinstance(value, tuple) and all(test(v) for v in value)
-    else:
-        want, test = _KINDS[tp]
-        ok = test(value)
-    if not ok:
-        raise ConfigError(f"{key} must be {want}, got {type(value).__name__} {value!r}")
-
-
 def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("true", "yes", "1", "on"):
@@ -222,24 +197,40 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"not a boolean: {text!r}")
 
 
+# Field type -> what it accepts, in words, the test and the parser of its
+# config text. A float field takes integers too.
+_KINDS = {
+    "int": ("an integer", _is_int, int),
+    "int | None": ("an integer or none", lambda v: v is None or _is_int(v),
+                   lambda t: None if t.lower() in ("none", "") else int(t)),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float), float),
+    "bool": ("true or false", lambda v: isinstance(v, bool), _parse_bool),
+    "str": ("a string", lambda v: isinstance(v, str), str),
+}
+
+
+def _kind(tp: str):
+    """``_KINDS``'s entry for a field type; a tuple field's entries are its
+    entry type's, separated by commas in the config text."""
+    if not tp.startswith("tuple["):
+        return _KINDS[tp]
+    entry = tp[len("tuple["):].split(",")[0]
+    _, test, parse = _KINDS[entry]
+    return (f"a tuple of {entry} entries",
+            lambda v: isinstance(v, tuple) and all(test(e) for e in v),
+            lambda t: tuple(parse(tok) for tok in t.split(",") if tok.strip()))
+
+
+def _check_type(key: str, tp: str, value) -> None:
+    """Reject a value ``format_config`` would write in a form that does not
+    read back, such as a list, a fractional count or a bool count."""
+    want, test, _ = _kind(tp)
+    if not test(value):
+        raise ConfigError(f"{key} must be {want}, got {type(value).__name__} {value!r}")
+
+
 def _convert(key: str, text: str):
-    text = text.strip()
-    tp = _FIELDS[key].type
-    if key == "single_stage":
-        return None if text.lower() in ("none", "") else int(text)
-    if tp == "int":
-        return int(text)
-    if tp == "float":
-        return float(text)
-    if tp == "bool":
-        return _parse_bool(text)
-    if tp == "str":
-        return text
-    if tp.startswith("tuple[int"):
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    if tp.startswith("tuple[float"):
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    raise ConfigError(f"no converter for field {key}")
+    return _kind(_FIELDS[key].type)[2](text.strip())
 
 
 def parse_config_text(text: str) -> dict[str, str]:

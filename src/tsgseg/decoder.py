@@ -101,10 +101,6 @@ class Decoder(Module):
 
 def predict_scores(f_dec_last: Tensor, y: Tensor) -> Tensor:
     """Patch-class scores F Y^T / sqrt(d): the loss input and the model output."""
-    if f_dec_last.shape[-1] != y.shape[-1]:
-        raise ShapeError(
-            f"feature width {f_dec_last.shape[-1]} != query width {y.shape[-1]}"
-        )
     return scale(matmul(f_dec_last, transpose(y)), 1.0 / np.sqrt(y.shape[-1]))
 
 

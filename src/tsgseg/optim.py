@@ -45,10 +45,10 @@ class AdamW:
     buffer and points each ``p.data`` at its slot there; ``step`` writes the
     new values into the other buffer and points ``p.data`` at that slot, so
     the arrays a caller held before a step keep their values through it
-    (not through the step after, which writes that buffer again). Each
-    parameter's gradient slot becomes its ``_grad_slot``, into which
-    backward copies the first contribution. A ``p.data`` or ``p.grad`` a
-    caller rebinds is copied into its slot at the next step.
+    (not through the step after, which writes that buffer again). ``step``
+    gathers every ``p.grad`` into the gradient buffer; a ``p.data`` a caller
+    rebinds is copied into its slot at the next step. The optimizer sets no
+    attribute on a parameter but ``data``.
     """
 
     def __init__(self, named_params: list[tuple[str, Parameter]],
@@ -76,37 +76,31 @@ class AdamW:
                     for (_, p), end in zip(self.named_params, ends)]
 
         # One array per vector: a model kept after training then pins its
-        # value and gradient buffers, and none of the optimizer's state.
+        # value buffer, and none of the optimizer's state.
         self.buffers = (np.empty(size, dtype), np.empty(size, dtype))
         self.grad = np.empty(size, dtype)
         self.m, self.v = np.zeros(size, dtype), np.zeros(size, dtype)
         self.scratch = np.empty(size, dtype)
         self.slots = (slots(self.buffers[0]), slots(self.buffers[1]))
-        self.grad_slots = slots(self.grad)
-        for (_, p), slot, grad_slot in zip(self.named_params, self.slots[0],
-                                           self.grad_slots):
+        for (_, p), slot in zip(self.named_params, self.slots[0]):
             np.copyto(slot, p.data)
             p.data = slot
-            p._grad_slot = grad_slot
 
     def step(self, lr: float) -> None:
         """One update over all parameters; every gradient must be populated.
         Nothing changes when a gradient or value fails its check."""
         slots = self.slots[0]
-        for (name, p), slot, grad_slot in zip(self.named_params, slots,
-                                              self.grad_slots):
+        for (name, p), slot in zip(self.named_params, slots):
             if p.grad is None:
                 raise OptimError(f"parameter {name!r} has no gradient")
-            if p.grad is not grad_slot:
-                _check_array(name, "gradient", p.grad, grad_slot)
+            _check_array(name, "gradient", p.grad, slot)
             if p.data is not slot:
                 _check_array(name, "value", p.data, slot)
-        for (_, p), slot, grad_slot in zip(self.named_params, slots,
-                                           self.grad_slots):
-            if p.grad is not grad_slot:
-                np.copyto(grad_slot, p.grad)
+        for (_, p), slot in zip(self.named_params, slots):
             if p.data is not slot:
                 np.copyto(slot, p.data)
+        np.concatenate([p.grad.reshape(-1) for _, p in self.named_params],
+                       out=self.grad)
         self.step_count += 1
         b1, b2 = BETAS
         bc1 = 1.0 - b1 ** self.step_count

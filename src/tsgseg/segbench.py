@@ -274,10 +274,11 @@ def load_sample(dir_path: str, index: int) -> SegSample:
 
 def _check_meta(meta, path: str, image_hw: tuple[int, int]) -> None:
     """Raise ``ConfigError`` naming ``path`` unless ``meta`` is an object
-    like the one ``save_sample`` writes: an ``hw`` of the image's two sizes
-    and an ``objects`` list whose entries hold every key ``object_mask`` and
-    ``bucket_masks`` read, with geometry ``object_mask`` can draw and, for
-    a rect, wholly inside the image."""
+    like the one ``save_sample`` writes: an ``hw`` of the image's two sizes,
+    an integer ``num_classes`` if it has one, and an ``objects`` list whose
+    entries hold every key ``object_mask`` and ``bucket_masks`` read, with
+    geometry ``object_mask`` can draw and, for a rect, wholly inside the
+    image."""
     def error(msg: str) -> ConfigError:
         return ConfigError(f"{path} is not a sample description: {msg}")
 
@@ -287,6 +288,8 @@ def _check_meta(meta, path: str, image_hw: tuple[int, int]) -> None:
     if not (isinstance(hw, list) and len(hw) == 2
             and all(type(n) is int for n in hw)):
         raise error(f"'hw' must be two integers, got {hw!r}")
+    if "num_classes" in meta and type(meta["num_classes"]) is not int:
+        raise error(f"'num_classes' must be an integer, got {meta['num_classes']!r}")
     objects = meta.get("objects")
     if not isinstance(objects, list):
         raise error(f"'objects' must be a list, got {objects!r}")

@@ -122,10 +122,6 @@ class Tensor:
     can flow through intermediates.
     """
 
-    # Where ``_accumulate`` puts a first gradient contribution; an optimizer
-    # sets it on each parameter it updates.
-    _grad_slot: np.ndarray | None = None
-
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in _FLOAT_DTYPES:
@@ -215,20 +211,13 @@ def _consumed(g):
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``. A first contribution is copied into the
-    tensor's gradient slot when it has one of its shape (an optimizer's flat
-    gradient buffer; the copy has the same bits), and otherwise kept, not
-    copied, so a closure must pass an array (or a view of its own node's
-    grad) that no other tensor keeps."""
+    """Add ``g`` into ``t.grad``. A first contribution is kept, not copied
+    (a numpy scalar becomes a 0-d array), so a closure must pass an array
+    (or a view of its own node's grad) that no other tensor keeps."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        slot = t._grad_slot
-        if slot is None or slot.shape != g.shape:
-            t.grad = g.astype(t.data.dtype, copy=False)
-        else:
-            np.copyto(slot, g)
-            t.grad = slot
+        t.grad = np.asarray(g, dtype=t.data.dtype)
     else:
         t.grad += g
 

@@ -181,9 +181,11 @@ def train_run(cfg: RunConfig, out_dir) -> tuple[SegModel, dict]:
                 f"(batch indices {list(map(int, idx))}); see {report_path}"
             )
         loss_history.append(loss_value)
-        opt.zero_grad()
         loss.backward()
         opt.step(lr)
+        # freed before the next forward: a 128x128 step that kept them
+        # through it could land in a heap mode about 35 MB higher
+        opt.zero_grad()
         if (step + 1) % cfg.eval_interval == 0 or step + 1 == cfg.steps:
             report = evaluate_model(model, val_samples, dtype)
             rows.append(f"{step + 1},{lr!r},{loss_value!r},{report['mIoU']!r}")

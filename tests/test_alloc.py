@@ -115,9 +115,9 @@ def test_training_steps_do_not_fault_their_memory_back_in():
             if step == 2:
                 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             loss = cross_entropy(model(images).scores, labels)
-            opt.zero_grad()
             loss.backward()
             opt.step(1e-3)
+            opt.zero_grad()  # as train_run does: no gradient outlives its step
         print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 4)
     """)
     env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -272,6 +272,12 @@ class TestErrors:
         ("[1]", "expected a JSON object, got list"),
         ('{"hw": [64, 64], "objects": [{}]}', "object 0 has no 'kind' of ['ellipse', 'rect']"),
         ('{"hw": [8, 8], "objects": []}', "'hw' is [8, 8], its image is 16x16"),
+        # evaluate_model compares num_classes with the model's, so a string
+        # or a bool would read as a different count
+        ('{"hw": [16, 16], "num_classes": "4", "objects": []}',
+         "'num_classes' must be an integer, got '4'"),
+        ('{"hw": [16, 16], "num_classes": true, "objects": []}',
+         "'num_classes' must be an integer, got True"),
         (_one_object('"kind": "ellipse", "cy": "a", "cx": 2, "ry": 1, "rx": 1'),
          "object 0 (ellipse) 'cy' must be a finite number, got 'a'"),
         (_one_object('"kind": "ellipse", "cy": 2, "cx": 2, "ry": 0, "rx": 1'),

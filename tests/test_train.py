@@ -19,7 +19,7 @@ from tsgseg.decoder import labels_to_mask
 from tsgseg.model import ForwardResult, build_model
 from tsgseg.netpbm import read_pgm
 from tsgseg.segbench import confusion_matrix, iou_from_confusion, sample_seed, save_sample
-from tsgseg.tensor import Tensor
+from tsgseg.tensor import Tensor, cross_entropy
 from tsgseg.train import (
     ABLATE_HEADER,
     METRICS_HEADER,
@@ -169,9 +169,9 @@ class TestTrainRun:
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_trained_model_pins_no_optimizer_state(tmp_path, monkeypatch, variant):
-    # A model kept after training holds views of the optimizer's value and
-    # gradient buffers, and so keeps the arrays those views are cut from;
-    # the moments and scratch must not be cut from the same arrays.
+    # A model kept after training holds no gradient, and views of one of the
+    # optimizer's value buffers, so it keeps the array those views are cut
+    # from; the moments and scratch must not be cut from the same array.
     made = []
 
     class Recorded(train_module.AdamW):
@@ -184,10 +184,34 @@ def test_trained_model_pins_no_optimizer_state(tmp_path, monkeypatch, variant):
     model, _ = train_run(cfg, tmp_path)
     (opt,) = made
     for name, p in model.named_parameters():
-        for arr in (p.data, p.grad):
-            for state in (opt.m, opt.v, opt.scratch):
-                block = state if state.base is None else state.base
-                assert not np.shares_memory(arr, block), name
+        assert p.grad is None, name
+        for state in (opt.m, opt.v, opt.scratch):
+            block = state if state.base is None else state.base
+            assert not np.shares_memory(p.data, block), name
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_no_gradient_outlives_its_step(tmp_path, monkeypatch, variant):
+    # Each step's gradients are freed once the step has used them, so no
+    # forward runs while the last step's gradient arrays are still held, and
+    # the model train_run returns holds no gradient.
+    made, held = [], []
+
+    class Recorded(train_module.AdamW):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    def loss_of(scores, labels):
+        held.append([name for name, p in made[0].named_params if p.grad is not None])
+        return cross_entropy(scores, labels)
+
+    monkeypatch.setattr(train_module, "AdamW", Recorded)
+    monkeypatch.setattr(train_module, "cross_entropy", loss_of)
+    cfg = dataclasses.replace(tiny_config(steps=3, eval_interval=3), **VARIANTS[variant])
+    model, _ = train_run(cfg, tmp_path)
+    assert held == [[], [], []]
+    assert [name for name, p in model.named_parameters() if p.grad is not None] == []
 
 
 class TestEvaluate:
