@@ -56,10 +56,6 @@ class Module:
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
-
 
 def _collect_value(path: str, value, out, seen: set[int]) -> None:
     if isinstance(value, Parameter):

@@ -33,22 +33,22 @@ def _check_array(name: str, what: str, arr, slot: np.ndarray) -> None:
                          f"the parameter {slot.shape}")
     if arr.dtype != slot.dtype:
         raise OptimError(f"parameter {name!r}: {what} is {arr.dtype}, "
-                         f"the optimizer's buffers are {slot.dtype}")
+                         f"the optimizer's vectors are {slot.dtype}")
 
 
 class AdamW:
     """Decoupled weight decay: decay scales with lr but bypasses the moments.
 
     Every parameter has one slot, in list order, in each of the optimizer's
-    flat vectors: two value buffers, one gradient buffer, the two moments
-    and a scratch vector. ``__init__`` copies the values into the first
-    buffer and points each ``p.data`` at its slot there; ``step`` writes the
-    new values into the other buffer and points ``p.data`` at that slot, so
-    the arrays a caller held before a step keep their values through it
-    (not through the step after, which writes that buffer again). ``step``
-    gathers every ``p.grad`` into the gradient buffer; a ``p.data`` a caller
-    rebinds is copied into its slot at the next step. The optimizer sets no
-    attribute on a parameter but ``data``.
+    five flat vectors: the values, the gradients, the two moments and a
+    scratch vector. ``__init__`` copies the values into the value buffer and
+    points each ``p.data`` at its slot; ``step`` updates that buffer in
+    place, so each ``p.data`` is a view whose entries change at every step,
+    and a caller that wants to keep a value across a step must copy it.
+    ``step`` gathers every ``p.grad`` into the gradient buffer and leaves the
+    caller's gradients as they are; a ``p.data`` a caller rebinds is copied
+    into its slot at the next step and pointed back at it. The optimizer
+    sets no attribute on a parameter but ``data``.
     """
 
     def __init__(self, named_params: list[tuple[str, Parameter]],
@@ -70,35 +70,31 @@ class AdamW:
                                  f"the first parameter {dtype}")
         ends = np.cumsum([p.data.size for _, p in self.named_params]).tolist()
         size = ends[-1]
-
-        def slots(flat):
-            return [flat[end - p.data.size:end].reshape(p.shape)
-                    for (_, p), end in zip(self.named_params, ends)]
-
         # One array per vector: a model kept after training then pins its
         # value buffer, and none of the optimizer's state.
-        self.buffers = (np.empty(size, dtype), np.empty(size, dtype))
+        self.data = np.empty(size, dtype)
         self.grad = np.empty(size, dtype)
         self.m, self.v = np.zeros(size, dtype), np.zeros(size, dtype)
         self.scratch = np.empty(size, dtype)
-        self.slots = (slots(self.buffers[0]), slots(self.buffers[1]))
-        for (_, p), slot in zip(self.named_params, self.slots[0]):
+        self.slots = [self.data[end - p.data.size:end].reshape(p.shape)
+                      for (_, p), end in zip(self.named_params, ends)]
+        for (_, p), slot in zip(self.named_params, self.slots):
             np.copyto(slot, p.data)
             p.data = slot
 
     def step(self, lr: float) -> None:
         """One update over all parameters; every gradient must be populated.
         Nothing changes when a gradient or value fails its check."""
-        slots = self.slots[0]
-        for (name, p), slot in zip(self.named_params, slots):
+        for (name, p), slot in zip(self.named_params, self.slots):
             if p.grad is None:
                 raise OptimError(f"parameter {name!r} has no gradient")
             _check_array(name, "gradient", p.grad, slot)
             if p.data is not slot:
                 _check_array(name, "value", p.data, slot)
-        for (_, p), slot in zip(self.named_params, slots):
+        for (_, p), slot in zip(self.named_params, self.slots):
             if p.data is not slot:
                 np.copyto(slot, p.data)
+                p.data = slot
         np.concatenate([p.grad.reshape(-1) for _, p in self.named_params],
                        out=self.grad)
         self.step_count += 1
@@ -106,13 +102,12 @@ class AdamW:
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         decay = lr * self.weight_decay
-        g, m, v, s = self.grad, self.m, self.v, self.scratch
-        data, new = self.buffers
-        # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g in place; the new
-        # value (p - lr wd p) - lr (m / bc1) / (sqrt(v / bc2) + eps) is built
-        # in the other value buffer, which holds the step term first, in the
-        # formula's operation order, so every entry goes through the float
-        # operations of a per-tensor step.
+        x, g, m, v, s = self.data, self.grad, self.m, self.v, self.scratch
+        # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g in place; then the
+        # gradient buffer, free once the moments hold it, takes the step term,
+        # and x = (x - lr wd x) - lr (m / bc1) / (sqrt(v / bc2) + eps) in place,
+        # in the formula's operation order, so every entry goes through the
+        # float operations of a per-tensor step.
         np.multiply(g, 1.0 - b1, out=s)
         m *= b1
         m += s
@@ -120,18 +115,15 @@ class AdamW:
         s *= g
         v *= b2
         v += s
-        np.divide(m, bc1, out=new)
-        new *= lr
+        np.divide(m, bc1, out=g)
+        g *= lr
         np.divide(v, bc2, out=s)
         np.sqrt(s, out=s)
         s += EPS
-        new /= s
-        np.multiply(data, decay, out=s)
-        np.subtract(data, s, out=s)
-        np.subtract(s, new, out=new)
-        self.buffers, self.slots = self.buffers[::-1], self.slots[::-1]
-        for (_, p), slot in zip(self.named_params, self.slots[0]):
-            p.data = slot
+        g /= s
+        np.multiply(x, decay, out=s)
+        np.subtract(x, s, out=x)
+        x -= g
 
     def zero_grad(self) -> None:
         for _, p in self.named_params:

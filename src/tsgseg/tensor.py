@@ -21,7 +21,7 @@ Conventions:
 - Spatial fields are stored flattened, one row per grid cell in row-major
   order, with the grid shape carried separately by the caller.
 - Gradients accumulate. Repeated ``backward()`` calls without zeroing add
-  their contributions; training code must clear grads before each step.
+  their contributions; ``AdamW.zero_grad`` drops them after each step.
 - Tensors are immutable after construction except for grad accumulation and
   the parameter updates the optimizer makes between steps.
 - The ``g`` a backward closure receives is its own node's grad, which no
@@ -150,9 +150,6 @@ class Tensor:
     # ``a + b`` is the one operator the model code spells as an operator.
     def __add__(self, other):
         return add(self, other)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Populate ``grad`` of every requires_grad tensor reachable from here.

@@ -128,7 +128,7 @@ class TestSelfAttention:
             out, _ = attn(x)
             loss = tsum(mul(out, Tensor(w_out)))
             for _, t in attn.named_parameters():
-                t.zero_grad()
+                t.grad = None
             loss.backward()
             g = layer.w.grad.copy()
             w0 = layer.w.data.copy()

@@ -112,13 +112,15 @@ class TestBatchedGradient:
         labels = np.random.default_rng(4).integers(0, 4, size=(B, 16))
         params = model.named_parameters()
 
-        model.zero_grad()
+        for _, p in params:
+            p.grad = None
         cross_entropy(model(Tensor(images)).scores, labels).backward()
         batched = {name: p.grad.copy() for name, p in params}
 
         mean = {name: np.zeros_like(p.data) for name, p in params}
         for i in range(B):
-            model.zero_grad()
+            for _, p in params:
+                p.grad = None
             cross_entropy(model(Tensor(images[i])).scores, labels[i]).backward()
             for name, p in params:
                 mean[name] += p.grad / B

@@ -190,7 +190,7 @@ class TestDecoder:
 
         q0 = dec.queries.data.copy()
         dec.queries.requires_grad = True
-        dec.queries.zero_grad()
+        dec.queries.grad = None
         q, _, _ = dec(features, TARGET)
         tsum(mul(q, Tensor(w))).backward()
         g = dec.queries.grad.copy()

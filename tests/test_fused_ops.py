@@ -307,7 +307,8 @@ def unfused_integrate_cross(self, bundle):
 
 
 def loss_and_grads(model, images, labels):
-    model.zero_grad()
+    for p in model.parameters():
+        p.grad = None
     scores = model(Tensor(images)).scores
     cross_entropy(scores, labels).backward()
     return scores.data, {name: p.grad for name, p in model.named_parameters()}

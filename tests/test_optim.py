@@ -1,5 +1,6 @@
 """Optimizer and LR schedule against hand-computed trajectories."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -109,23 +110,33 @@ class TestAdamW:
         assert p.data.dtype == np.float32
 
     def test_step_writes_no_caller_array(self):
-        # Moments update in place; grads and the arrays the parameters held
-        # before the step keep their values.
+        # The step updates the optimizer's own value buffer in place, so each
+        # p.data stays the same array and its values change; the gradients
+        # and an array a caller binds to p.data keep their values, and that
+        # p.data is the optimizer's slot again after the step.
         rng = np.random.default_rng(3)
         params = [Parameter(rng.normal(size=shape).astype(np.float32))
                   for shape in ((3, 4), (4,), ())]
         for p in params:
             p.grad = rng.normal(size=p.shape).astype(np.float32)
         opt = AdamW([(str(i), p) for i, p in enumerate(params)])
-        for _ in range(2):
-            before = [(p.data, p.data.copy(), p.grad, p.grad.copy()) for p in params]
+        slots = [p.data for p in params]
+        mine = [rng.normal(size=p.shape).astype(np.float32) for p in params]
+        mine_copies = [a.copy() for a in mine]
+        for step in range(3):
+            if step == 1:
+                for p, a in zip(params, mine):
+                    p.data = a
+            before = [(p.data.copy(), p.grad, p.grad.copy()) for p in params]
             opt.step(lr=0.1)
-            for p, (data, data_copy, grad, grad_copy) in zip(params, before):
-                np.testing.assert_array_equal(data, data_copy)
+            for p, slot, (data_copy, grad, grad_copy) in zip(params, slots, before):
                 assert p.grad is grad
                 np.testing.assert_array_equal(grad, grad_copy)
-                assert p.data is not data and p.data.dtype == np.float32
-                assert isinstance(p.data, np.ndarray) and p.data.shape == p.shape
+                assert p.data is slot and p.data.dtype == np.float32
+                assert p.data.shape == p.shape
+                assert not np.array_equal(p.data, data_copy)
+        for a, copy in zip(mine, mine_copies):
+            np.testing.assert_array_equal(a, copy)
 
     def test_parameters_updated_independently(self):
         a, b = scalar_param(1.0), scalar_param(1.0)
@@ -253,7 +264,8 @@ class TestFlatBuffers:
         labels = rng.integers(0, cfg.num_classes, size=(2, gh * gw))
         for lr in (1e-3, 4e-4):
             for m in (model, twin):
-                m.zero_grad()
+                for p in m.parameters():
+                    p.grad = None
                 cross_entropy(m(Tensor(images, dtype=cfg.dtype)).scores, labels).backward()
             new = ref.step(lr, [p.data for p in twin.parameters()],
                            [p.grad for p in twin.parameters()])
@@ -275,7 +287,7 @@ class TestFlatBuffers:
         shared = heads[0].named_parameters()
         assert shared
         for _, p in shared:
-            assert sum(np.shares_memory(p.data, slot) for slot in opt.slots[0]) == 1
+            assert sum(np.shares_memory(p.data, slot) for slot in opt.slots) == 1
 
     def test_optimizer_sets_no_attribute_on_a_parameter(self):
         # The step gathers the gradients itself; backward needs nothing from
@@ -326,6 +338,32 @@ class TestFlatBuffers:
         opt.step(0.1)
         assert w.grad is mine
         assert_same_bits(w.data, want[0])
+
+
+def test_optimizer_memory():
+    # Five parameter-sized vectors (values, gradients, both moments and a
+    # scratch vector) are allocated once; a later step allocates none.
+    cfg = resolve_config("desk", {"precision": "single"})
+    model = build_model(cfg, seed=0)
+    named = model.named_parameters()
+    nbytes = sum(p.data.nbytes for _, p in named)
+    rng = np.random.default_rng(2)
+    for _, p in named:
+        p.grad = rng.normal(size=p.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        opt = AdamW(named, weight_decay=cfg.weight_decay)
+        built = tracemalloc.get_traced_memory()[1] - start
+        opt.step(1e-3)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        opt.step(1e-3)
+        stepped = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert built <= 5.5 * nbytes, built / nbytes
+    assert stepped < 64 * 1024, stepped
 
 
 class TestBoundary:

@@ -169,9 +169,9 @@ class TestTrainRun:
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_trained_model_pins_no_optimizer_state(tmp_path, monkeypatch, variant):
-    # A model kept after training holds no gradient, and views of one of the
-    # optimizer's value buffers, so it keeps the array those views are cut
-    # from; the moments and scratch must not be cut from the same array.
+    # A model kept after training holds no gradient, and views of the
+    # optimizer's value buffer, so it keeps the array those views are cut
+    # from; the gradients, moments and scratch must not be cut from it.
     made = []
 
     class Recorded(train_module.AdamW):
@@ -185,7 +185,7 @@ def test_trained_model_pins_no_optimizer_state(tmp_path, monkeypatch, variant):
     (opt,) = made
     for name, p in model.named_parameters():
         assert p.grad is None, name
-        for state in (opt.m, opt.v, opt.scratch):
+        for state in (opt.grad, opt.m, opt.v, opt.scratch):
             block = state if state.base is None else state.base
             assert not np.shares_memory(p.data, block), name
 
