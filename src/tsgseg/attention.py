@@ -186,12 +186,13 @@ class DecoderBlock(Module):
         self.mlp = Mlp(d, mlp_dim, d, rng)
 
     def __call__(
-        self, queries: Tensor, memory: Tensor
-    ) -> tuple[Tensor, AttentionBundle, AttentionBundle, AttentionBundle]:
+        self, queries: Tensor, memory: Tensor, gate_softmax: bool = True
+    ) -> tuple[Tensor, AttentionBundle, AttentionBundle, AttentionBundle | None]:
+        """Without ``gate_softmax`` the class-normalized bundle is None."""
         attended, b_self = self.self_attn(self.norm1(queries))
         queries = queries + attended
         crossed, b_cross, b_gated = self.cross_attn(self.norm2(queries), memory,
-                                                    gate_softmax=True)
+                                                    gate_softmax)
         queries = queries + crossed
         queries = queries + self.mlp(self.norm3(queries))
         return queries, b_self, b_cross, b_gated

@@ -95,7 +95,10 @@ class Decoder(Module):
                 assert prev_gated is not None
                 memory, gates = tsgd_fuse(ups, prev_gated, self.gate_heads[i - 1])
                 gates_out.append(gates)
-            queries, _, _, prev_gated = block(queries, memory)
+            # only the next block's gate head reads the class-normalized maps
+            gated_next = (i + 1 < len(self.blocks) and self.fusion != "sum"
+                          and forced_gates is None)
+            queries, _, _, prev_gated = block(queries, memory, gate_softmax=gated_next)
         return queries, gates_out, memory
 
 

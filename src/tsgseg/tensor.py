@@ -2,13 +2,30 @@
 
 The engine is deliberately small: it implements exactly the operations the
 segmentation model needs, each as a function that computes the forward value
-with numpy and registers a closure routing the output gradient back to its
-inputs. ``backward()`` on a scalar walks the recorded graph once in reverse
-topological order and consumes it: each node drops its closure and its
-inputs once its closure has run, so every activation is freed as soon as no
-node still waiting for backward needs it, and after the call only the leaves
-are left. A second ``backward()`` through a consumed node raises
-``RuntimeError``; build a new graph instead.
+with numpy and, when some input needs a gradient, records a closure routing
+the output gradient back to those inputs.
+
+Which object holds what:
+
+- A ``Tensor`` holds its value, ``data``, and, when it needs a gradient, a
+  node. The node holds the grad, the backward closure and the nodes of the
+  inputs the closure passes gradients to; a leaf's node holds only its
+  grad. Graph edges join nodes, and no node or closure holds a tensor, so
+  a forward value no backward reads is freed as soon as the model code
+  drops its tensor.
+- A closure captures only the arrays its backward reads, and only for
+  inputs that need a gradient: ``matmul`` keeps each operand only for the
+  other's gradient, and the shape ops, sums and concatenations keep shapes
+  and dtypes. An input's dtype is captured when the op runs, so a
+  parameter whose ``data`` is rebound later (``Module.cast``, loading a
+  checkpoint) leaves no stale dtype in a node.
+
+``backward()`` on a scalar walks the recorded nodes once in reverse
+topological order and consumes them: each node drops its closure and its
+input nodes once its closure has run, so every saved array is freed as soon
+as no node still waiting for backward needs it, and after the call only the
+leaves' grads are left. A second ``backward()`` through a consumed node
+raises ``RuntimeError``; build a new graph instead.
 
 Conventions:
 
@@ -21,16 +38,18 @@ Conventions:
 - Spatial fields are stored flattened, one row per grid cell in row-major
   order, with the grid shape carried separately by the caller.
 - Gradients accumulate. Repeated ``backward()`` calls without zeroing add
-  their contributions; ``AdamW.zero_grad`` drops them after each step.
+  their contributions; ``AdamW.zero_grad`` drops them after each step. A
+  later contribution that is a matrix product is added into the grad in
+  row blocks, not through a temporary the size of the grad.
 - Tensors are immutable after construction except for grad accumulation and
   the parameter updates the optimizer makes between steps.
 - The ``g`` a backward closure receives is its own node's grad, which no
-  other tensor holds: ``_accumulate`` keeps a first contribution only when
+  other node holds: ``_accumulate`` keeps a first contribution only when
   the closure that passed it owns it, and the node's grad is dropped once
   its closure returns. So a closure may overwrite ``g``; the softmax,
   layernorm, gelu, scale and mul backwards turn it into an input's grad in
   place. A closure must not keep ``g`` or pass the same array to two
-  different tensors, and no op writes to an array it did not allocate.
+  different nodes, and no op writes to an array it did not allocate.
 """
 
 from __future__ import annotations
@@ -76,16 +95,18 @@ LAYERNORM_EPS = 1e-5  # added to every row variance in ``layernorm``
 # threshold; both thresholds move with what the process frees. Since
 # ``backward`` frees each graph as it goes, the next op would fault the same
 # pages back in. Fixed thresholds keep freed activations in the heap for
-# reuse. Every array of a float32 batch-4 64x64 step is below 4 MiB; the larger
-# attention maps of 128x128 images get a mapping of their own when no freed
-# heap block fits them, since a lower ceiling raised peak memory by about
-# 25 MB. A 128x128 batch-4 step frees more than 64 MiB at the heap top at
-# once, so the trim threshold is 128 MiB: at 32 or 64 MiB every such step
-# gave its activations back and faulted them in again. That holds only
-# while nothing else churns the heap, which is why AdamW keeps its state in
-# flat buffers allocated once.
+# reuse. Every array of a float32 batch-4 step is below 64 MiB up to 128x128,
+# where the stage-1 attention maps and their grads are 32 MiB. Under a 4 MiB
+# mmap threshold such a map got a mapping of its own whenever no freed heap
+# block fit it, and a mapping that did not start on a 2 MiB boundary was
+# faulted in page by page rather than as transparent huge pages: about 1k
+# minor faults per step, with no lower peak memory. A 128x128 batch-4 step
+# frees more than 64 MiB at the heap top at once, so the trim threshold is
+# 128 MiB: at 32 or 64 MiB every such step gave its activations back and
+# faulted them in again. That holds only while nothing else churns the
+# heap, which is why AdamW keeps its state in flat buffers allocated once.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, malloc.h
-MALLOPT_SETTINGS = ((_M_MMAP_THRESHOLD, 4 << 20), (_M_TRIM_THRESHOLD, 128 << 20))
+MALLOPT_SETTINGS = ((_M_MMAP_THRESHOLD, 64 << 20), (_M_TRIM_THRESHOLD, 128 << 20))
 
 
 def _set_allocator_policy(libc=None) -> bool:
@@ -114,12 +135,26 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible with an operation."""
 
 
+class _Node:
+    """The graph record of a tensor that needs a gradient: its grad, the
+    closure that passes that grad on, and the nodes of the inputs the closure
+    passes it to. A leaf's node has no closure and no inputs."""
+
+    __slots__ = ("grad", "backward", "inputs")
+
+    def __init__(self, backward=None, inputs: tuple[_Node, ...] = ()):
+        self.grad: np.ndarray | None = None
+        self.backward = backward
+        self.inputs = inputs
+
+
 class Tensor:
     """N-dimensional real array participating in reverse-mode differentiation.
 
     ``requires_grad`` marks leaves that should receive gradients; tensors
     produced by operations inherit it from their inputs so the chain rule
-    can flow through intermediates.
+    can flow through intermediates. A tensor that requires grad holds a
+    ``_Node``, which keeps its ``grad``; the graph holds nodes, not tensors.
     """
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
@@ -127,10 +162,30 @@ class Tensor:
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._children: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node = _Node() if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g) -> None:
+        if self._node is None:
+            raise AttributeError("grad: this tensor does not require grad")
+        self._node.grad = g
+
+    @property
+    def _backward(self):
+        """The closure of this tensor's node; None for a leaf or a constant."""
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, closure) -> None:
+        self._node.backward = closure
 
     @property
     def shape(self):
@@ -162,14 +217,14 @@ class Tensor:
             raise ShapeError(
                 f"backward: loss must be scalar, got shape {self.data.shape}"
             )
-        if not self.requires_grad:
+        if self._node is None:
             raise RuntimeError(
                 "backward: the loss does not require grad; it was built under "
                 "no_grad() or from tensors none of which requires grad"
             )
-        topo: list[Tensor] = []
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(self._node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -177,25 +232,25 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
-            if node._backward is _consumed:
+            if node.backward is _consumed:
                 raise RuntimeError(_CONSUMED)
             seen.add(id(node))
             stack.append((node, True))
-            for child in node._children:
+            for child in node.inputs:
                 if id(child) not in seen:
                     stack.append((child, False))
-        _accumulate(self, np.ones((), dtype=self.data.dtype))
+        _accumulate(self._node, np.ones((), dtype=self.data.dtype), self.data.dtype)
         # Popping drops topo's reference, so a node whose consumers have all
         # run is freed once the loop moves on.
         while topo:
             node = topo.pop()
-            if node._backward is None:
+            if node.backward is None:
                 continue
             if node.grad is not None:
-                node._backward(node.grad)
+                node.backward(node.grad)
                 node.grad = None
-            node._children = ()
-            node._backward = _consumed
+            node.inputs = ()
+            node.backward = _consumed
 
 
 _CONSUMED = ("backward: this tensor's graph was already consumed by an earlier "
@@ -207,16 +262,42 @@ def _consumed(g):
     raise RuntimeError(_CONSUMED)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``. A first contribution is kept, not copied
-    (a numpy scalar becomes a 0-d array), so a closure must pass an array
-    (or a view of its own node's grad) that no other tensor keeps."""
-    if not t.requires_grad:
+def _accumulate(node: _Node | None, g: np.ndarray, dtype) -> None:
+    """Add ``g`` into ``node.grad``; no-op for a None node (an input that
+    needs no gradient). A first contribution is kept, not copied (a numpy
+    scalar becomes a 0-d array), so a closure must pass an array (or a view
+    of its own node's grad) that no other node keeps. ``dtype`` is the
+    input's dtype, which the closure captured when the op ran."""
+    if node is None:
         return
-    if t.grad is None:
-        t.grad = np.asarray(g, dtype=t.data.dtype)
+    if node.grad is None:
+        node.grad = np.asarray(g, dtype=dtype)
     else:
-        t.grad += g
+        node.grad += g
+
+
+# A second contribution to a grad that is a matrix product is added in row
+# blocks of about this many bytes, not through a product-sized temporary.
+_BLOCK_BYTES = 1 << 20
+
+
+def _accumulate_matmul(node: _Node | None, x: np.ndarray, y: np.ndarray,
+                       shape: tuple[int, ...], dtype) -> None:
+    """``_accumulate`` of ``x @ y`` summed down to ``shape``. When the grad
+    already holds a contribution of the product's own shape, the product is
+    added one block of rows at a time: a row block of a product is the same
+    BLAS call on the same rows, so the sum is bit for bit ``grad + x @ y``."""
+    if node is None:
+        return
+    grad = node.grad
+    rows = x.shape[-2]
+    if grad is None or (np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+                        + (rows, y.shape[-1])) != shape:
+        _accumulate(node, _unbroadcast(x @ y, shape), dtype)
+        return
+    step = max(1, _BLOCK_BYTES * rows // max(grad.nbytes, 1))
+    for r in range(0, rows, step):
+        grad[..., r:r + step, :] += x[..., r:r + step, :] @ y
 
 
 _grad_enabled = True
@@ -233,12 +314,21 @@ def no_grad():
         _grad_enabled = previous
 
 
-def _node(data: np.ndarray, children: tuple[Tensor, ...], backward) -> Tensor:
+def _nodes(*tensors: Tensor) -> tuple[_Node | None, ...]:
+    """The node of each input an op records a gradient for: None where the
+    input needs no gradient, and everywhere under ``no_grad``."""
+    if not _grad_enabled:
+        return (None,) * len(tensors)
+    return tuple(t._node for t in tensors)
+
+
+def _record(data: np.ndarray, nodes: tuple[_Node | None, ...], backward) -> Tensor:
+    """The output tensor of an op some input of which needs a gradient (an
+    op with none returns ``Tensor(data)`` before it builds a closure).
+    ``backward`` must capture only arrays, shapes, dtypes and the entries of
+    ``nodes``, never a tensor."""
     out = Tensor(data)
-    out.requires_grad = _grad_enabled and any(c.requires_grad for c in children)
-    if out.requires_grad:
-        out._children = children
-        out._backward = backward
+    out._node = _Node(backward, tuple(n for n in nodes if n is not None))
     return out
 
 
@@ -260,12 +350,18 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
 
+    na, nb = nodes = _nodes(a, b)
+    if not any(nodes):
+        return Tensor(data)
+    a_shape, a_dtype, b_shape, b_dtype = a.shape, a.dtype, b.shape, b.dtype
+
     def backward(g):
         # a may keep g itself, so b gets a copy
-        _accumulate(a, _unbroadcast(g, a.shape).astype(a.dtype, copy=False))
-        _accumulate(b, _unbroadcast(g, b.shape).astype(b.dtype, copy=a.requires_grad))
+        _accumulate(na, _unbroadcast(g, a_shape), a_dtype)
+        _accumulate(nb, _unbroadcast(g, b_shape).astype(b_dtype, copy=na is not None),
+                    b_dtype)
 
-    return _node(data, (a, b), backward)
+    return _record(data, nodes, backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -275,12 +371,22 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
 
-    def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape).astype(a.dtype, copy=False))
-        g *= a.data
-        _accumulate(b, _unbroadcast(g, b.shape).astype(b.dtype, copy=False))
+    na, nb = nodes = _nodes(a, b)
+    if not any(nodes):
+        return Tensor(data)
+    a_shape, a_dtype, b_shape, b_dtype = a.shape, a.dtype, b.shape, b.dtype
+    # each factor is kept only for the other's gradient
+    a_data = a.data if nb is not None else None
+    b_data = b.data if na is not None else None
 
-    return _node(data, (a, b), backward)
+    def backward(g):
+        if na is not None:
+            _accumulate(na, _unbroadcast(g * b_data, a_shape), a_dtype)
+        if nb is not None:
+            g *= a_data
+            _accumulate(nb, _unbroadcast(g, b_shape), b_dtype)
+
+    return _record(data, nodes, backward)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -288,11 +394,16 @@ def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
     data = x.data * c
 
+    (nx,) = nodes = _nodes(x)
+    if not any(nodes):
+        return Tensor(data)
+    dtype = x.dtype
+
     def backward(g):
         g *= c
-        _accumulate(x, g)
+        _accumulate(nx, g, dtype)
 
-    return _node(data, (x,), backward)
+    return _record(data, nodes, backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -306,13 +417,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul: leading axes of {a.shape} and {b.shape} do not broadcast")
 
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+    na, nb = nodes = _nodes(a, b)
+    if not any(nodes):
+        return Tensor(data)
+    a_shape, a_dtype, b_shape, b_dtype = a.shape, a.dtype, b.shape, b.dtype
+    # each operand is kept only for the other's gradient
+    a_data = a.data if nb is not None else None
+    b_data = b.data if na is not None else None
 
-    return _node(data, (a, b), backward)
+    def backward(g):
+        if na is not None:
+            _accumulate_matmul(na, g, np.swapaxes(b_data, -1, -2), a_shape, a_dtype)
+        if nb is not None:
+            _accumulate_matmul(nb, np.swapaxes(a_data, -1, -2), g, b_shape, b_dtype)
+
+    return _record(data, nodes, backward)
 
 
 def _normalize_exp_(x: np.ndarray, axis: int) -> None:
@@ -341,10 +460,14 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     data = x.data - x.data.max(axis=axis, keepdims=True)
     _normalize_exp_(data, axis)
 
-    def backward(g):
-        _accumulate(x, _softmax_backward_(g, data, axis))
+    (nx,) = nodes = _nodes(x)
+    if not any(nodes):
+        return Tensor(data)
 
-    return _node(data, (x,), backward)
+    def backward(g):
+        _accumulate(nx, _softmax_backward_(g, data, axis), data.dtype)
+
+    return _record(data, nodes, backward)
 
 
 def attention_probs(q: Tensor, k: Tensor, c: float, axis: int = -1) -> Tensor:
@@ -371,16 +494,24 @@ def attention_probs(q: Tensor, k: Tensor, c: float, axis: int = -1) -> Tensor:
     data -= data.max(axis=axis, keepdims=True)
     _normalize_exp_(data, axis)
 
+    nq, nk = nodes = _nodes(q, k)
+    if not any(nodes):
+        return Tensor(data)
+    q_shape, q_dtype, k_shape, k_dtype = q.shape, q.dtype, k.shape, k.dtype
+    k_data = k.data if nq is not None else None
+    if nk is None:
+        qs = None
+
     def backward(g):
         g = _softmax_backward_(g, data, axis)
-        if q.requires_grad:
-            dq = g @ np.swapaxes(k.data, -1, -2)
+        if nq is not None:
+            dq = g @ np.swapaxes(k_data, -1, -2)
             dq *= c
-            _accumulate(q, _unbroadcast(dq, q.shape))
-        if k.requires_grad:
-            _accumulate(k, _unbroadcast(np.swapaxes(qs, -1, -2) @ g, k.shape))
+            _accumulate(nq, _unbroadcast(dq, q_shape), q_dtype)
+        if nk is not None:
+            _accumulate(nk, _unbroadcast(np.swapaxes(qs, -1, -2) @ g, k_shape), k_dtype)
 
-    return _node(data, (q, k), backward)
+    return _record(data, nodes, backward)
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -413,27 +544,37 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     np.multiply(xhat, gamma.data, out=data)
     data += beta.data
 
+    nx, ngamma, nbeta = nodes = _nodes(x, gamma, beta)
+    if not any(nodes):
+        return Tensor(data)
+    x_dtype, gamma_dtype, beta_dtype = x.dtype, gamma.dtype, beta.dtype
+    # gamma and the row scales are read only for x's gradient
+    gamma_data = gamma.data if nx is not None else None
+    if nx is None:
+        inv = None
+
     def backward(g):
         tmp = g * xhat
         dgamma = tmp.reshape(-1, d).sum(axis=0)
         dbeta = g.reshape(-1, d).sum(axis=0)
-        # g becomes x's grad: (gg - mean(gg) - xhat * mean(gg * xhat)) * inv
-        # with gg = g * gamma.
-        g *= gamma.data
-        m1 = np.add.reduce(g, axis=-1, keepdims=True)
-        m1 /= d
-        np.multiply(g, xhat, out=tmp)
-        m2 = np.add.reduce(tmp, axis=-1, keepdims=True)
-        m2 /= d
-        g -= m1
-        np.multiply(xhat, m2, out=tmp)
-        g -= tmp
-        g *= inv
-        _accumulate(x, g)
-        _accumulate(gamma, dgamma)
-        _accumulate(beta, dbeta)
+        if nx is not None:
+            # g becomes x's grad: (gg - mean(gg) - xhat * mean(gg * xhat)) * inv
+            # with gg = g * gamma.
+            g *= gamma_data
+            m1 = np.add.reduce(g, axis=-1, keepdims=True)
+            m1 /= d
+            np.multiply(g, xhat, out=tmp)
+            m2 = np.add.reduce(tmp, axis=-1, keepdims=True)
+            m2 /= d
+            g -= m1
+            np.multiply(xhat, m2, out=tmp)
+            g -= tmp
+            g *= inv
+            _accumulate(nx, g, x_dtype)
+        _accumulate(ngamma, dgamma, gamma_dtype)
+        _accumulate(nbeta, dbeta, beta_dtype)
 
-    return _node(data, (x, gamma, beta), backward)
+    return _record(data, nodes, backward)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -491,20 +632,24 @@ def gelu(x: Tensor) -> Tensor:
         cdf = erf(z)
     cdf += 1.0
     cdf *= 0.5
-    data = x.data * cdf
+    data = (x.data * cdf).astype(x.dtype, copy=False)
+    (nx,) = nodes = _nodes(x)
+    if not any(nodes):
+        return Tensor(data)
+    x_data = x.data
 
     def backward(g):
         # g * (cdf + x * pdf), with pdf = exp(-x^2 / 2) / sqrt(2 pi)
-        t = np.multiply(x.data, -0.5, out=np.empty_like(x.data))  # 0-d stays an array
-        t *= x.data
+        t = np.multiply(x_data, -0.5, out=np.empty_like(x_data))  # 0-d stays an array
+        t *= x_data
         np.exp(t, out=t)
         t *= _INV_SQRT2PI
-        t *= x.data
+        t *= x_data
         t += cdf
         g *= t
-        _accumulate(x, g)
+        _accumulate(nx, g, x_data.dtype)
 
-    return _node(data.astype(x.dtype, copy=False), (x,), backward)
+    return _record(data, nodes, backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -520,14 +665,24 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     data += b.data
     data = data.reshape(x.shape[:-1] + b.shape)
 
+    nx, nw, nb = nodes = _nodes(x, w, b)
+    if not any(nodes):
+        return Tensor(data)
+    x_shape, x_dtype, w_dtype, b_dtype = x.shape, x.dtype, w.dtype, b.dtype
+    # x's rows are kept only for w's gradient, and w only for x's
+    w_data = w.data if nx is not None else None
+    if nw is None:
+        rows = None
+
     def backward(g):
         g = g.reshape(-1, g.shape[-1])
-        if x.requires_grad:
-            _accumulate(x, (g @ w.data.T).reshape(x.shape))
-        _accumulate(w, rows.T @ g)
-        _accumulate(b, g.sum(axis=0))
+        if nx is not None:
+            _accumulate(nx, (g @ w_data.T).reshape(x_shape), x_dtype)
+        if nw is not None:
+            _accumulate(nw, rows.T @ g, w_dtype)
+        _accumulate(nb, g.sum(axis=0), b_dtype)
 
-    return _node(data, (x, w, b), backward)
+    return _record(data, nodes, backward)
 
 
 def head_linear(stack: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -552,15 +707,25 @@ def head_linear(stack: Tensor, w: Tensor, b: Tensor) -> Tensor:
     data = (stack.data @ w_heads).sum(axis=-3)
     data += b.data
 
+    ns, nw, nb = nodes = _nodes(stack, w, b)
+    if not any(nodes):
+        return Tensor(data)
+    s_shape, s_dtype, w_dtype, b_dtype = stack.shape, stack.dtype, w.dtype, b.dtype
+    # the stack is kept only for w's gradient, and w only for the stack's
+    s_data = stack.data if nw is not None else None
+    if ns is None:
+        w_heads = None
+
     def backward(g):
         g_heads = np.expand_dims(g, -3)
-        if stack.requires_grad:
-            _accumulate(stack, g_heads @ np.swapaxes(w_heads, -1, -2))
-        gw = np.swapaxes(stack.data, -1, -2) @ g_heads
-        _accumulate(w, gw.reshape(-1, heads * k, d).sum(axis=0))
-        _accumulate(b, g.reshape(-1, d).sum(axis=0))
+        if ns is not None:
+            _accumulate_matmul(ns, g_heads, np.swapaxes(w_heads, -1, -2), s_shape, s_dtype)
+        if nw is not None:
+            gw = np.swapaxes(s_data, -1, -2) @ g_heads
+            _accumulate(nw, gw.reshape(-1, heads * k, d).sum(axis=0), w_dtype)
+        _accumulate(nb, g.reshape(-1, d).sum(axis=0), b_dtype)
 
-    return _node(data, (stack, w, b), backward)
+    return _record(data, nodes, backward)
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
@@ -576,17 +741,20 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
                 f"concat: incompatible shapes {[t.shape for t in tensors]} on axis {axis}"
             )
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
+    nodes = _nodes(*tensors)
+    if not any(nodes):
+        return Tensor(data)
+    parts = [(node, t.shape[axis], t.dtype) for node, t in zip(nodes, tensors)]
 
     def backward(g):
         offset = 0
-        for t, n in zip(tensors, sizes):
+        for node, n, dtype in parts:
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(offset, offset + n)
-            _accumulate(t, g[tuple(idx)])
+            _accumulate(node, g[tuple(idx)], dtype)
             offset += n
 
-    return _node(data, tuple(tensors), backward)
+    return _record(data, nodes, backward)
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -600,13 +768,17 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
     data = x.data[idx].copy()
+    (nx,) = nodes = _nodes(x)
+    if not any(nodes):
+        return Tensor(data)
+    shape, dtype = x.shape, x.dtype
 
     def backward(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape, dtype)
         full[idx] = g
-        _accumulate(x, full)
+        _accumulate(nx, full, dtype)
 
-    return _node(data, (x,), backward)
+    return _record(data, nodes, backward)
 
 
 def take(x: Tensor, indices: np.ndarray) -> Tensor:
@@ -618,13 +790,17 @@ def take(x: Tensor, indices: np.ndarray) -> Tensor:
     if indices.size and (indices.min() < 0 or indices.max() >= x.data.size):
         raise ShapeError(f"take: index out of range for {x.data.size} elements")
     data = x.data.reshape(-1)[indices]
+    (nx,) = nodes = _nodes(x)
+    if not any(nodes):
+        return Tensor(data)
+    shape, dtype = x.shape, x.dtype
 
     def backward(g):
-        flat = np.zeros(x.data.size, dtype=x.data.dtype)
+        flat = np.zeros(math.prod(shape), dtype=dtype)
         np.add.at(flat, indices.reshape(-1), g.reshape(-1))
-        _accumulate(x, flat.reshape(x.data.shape))
+        _accumulate(nx, flat.reshape(shape), dtype)
 
-    return _node(data, (x,), backward)
+    return _record(data, nodes, backward)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -634,10 +810,15 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     except ValueError:
         raise ShapeError(f"reshape: cannot view {x.shape} as {tuple(shape)}")
 
-    def backward(g):
-        _accumulate(x, g.reshape(x.shape))
+    (nx,) = nodes = _nodes(x)
+    if not any(nodes):
+        return Tensor(data)
+    x_shape, dtype = x.shape, x.dtype
 
-    return _node(data, (x,), backward)
+    def backward(g):
+        _accumulate(nx, g.reshape(x_shape), dtype)
+
+    return _record(data, nodes, backward)
 
 
 def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -651,11 +832,15 @@ def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     order = tuple(range(lead)) + tuple(lead + a for a in axes)
     data = np.ascontiguousarray(x.data.transpose(order))
     inverse = tuple(np.argsort(order))
+    (nx,) = nodes = _nodes(x)
+    if not any(nodes):
+        return Tensor(data)
+    dtype = x.dtype
 
     def backward(g):
-        _accumulate(x, g.transpose(inverse))
+        _accumulate(nx, g.transpose(inverse), dtype)
 
-    return _node(data, (x,), backward)
+    return _record(data, nodes, backward)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -666,11 +851,15 @@ def transpose(x: Tensor) -> Tensor:
 def tsum(x: Tensor) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
     data = np.asarray(x.data.sum(), dtype=x.data.dtype)
+    (nx,) = nodes = _nodes(x)
+    if not any(nodes):
+        return Tensor(data)
+    shape, dtype = x.shape, x.dtype
 
     def backward(g):
-        _accumulate(x, np.full_like(x.data, g))
+        _accumulate(nx, np.full(shape, g, dtype), dtype)
 
-    return _node(data, (x,), backward)
+    return _record(data, nodes, backward)
 
 
 def _interp_axis_weights(n_src: int, n_dst: int) -> np.ndarray:
@@ -757,10 +946,15 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     rows = np.arange(n)
     data = np.asarray(-logp[rows, labels].sum() / n, dtype=logits.dtype)
 
+    (nl,) = nodes = _nodes(logits)
+    if not any(nodes):
+        return Tensor(data)
+    shape, dtype = logits.shape, logits.dtype
+
     def backward(g):
         grad = np.exp(logp)
         grad[rows, labels] -= 1.0
         grad *= float(g) / n
-        _accumulate(logits, grad.reshape(logits.shape))
+        _accumulate(nl, grad.reshape(shape), dtype)
 
-    return _node(data, (logits,), backward)
+    return _record(data, nodes, backward)

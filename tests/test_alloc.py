@@ -20,7 +20,7 @@ from tsgseg.tensor import Tensor, _set_allocator_policy, no_grad
 
 GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
 # (param, value) pairs from malloc.h: M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1
-DOCUMENTED = {(-3, 4 << 20), (-1, 128 << 20)}
+DOCUMENTED = {(-3, 64 << 20), (-1, 128 << 20)}
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
@@ -95,8 +95,7 @@ def test_training_steps_do_not_fault_their_memory_back_in():
     # once; under a 32 MiB trim threshold glibc gave it back and the next
     # step faulted it in again, about 11-13k minor faults per step. The heap
     # still grows in the second step (about 9k faults), so two warm up. A
-    # fresh interpreter, as a training run has: after other tests' models,
-    # a 4 MiB array may find no free heap block and be mapped every step.
+    # fresh interpreter, as a training run has.
     script = textwrap.dedent("""
         import resource
         import numpy as np

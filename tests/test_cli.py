@@ -4,6 +4,9 @@ Each test drives ``main(argv)`` directly with a miniature configuration so
 the whole module stays fast.
 """
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
@@ -34,8 +37,11 @@ def tiny_config_file(tmp_path_factory):
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory, tiny_config_file):
     out = tmp_path_factory.mktemp("run")
-    assert main(["train", "--config", tiny_config_file,
-                 "--out", str(out)]) == 0
+    # a module-scoped fixture cannot take capsys
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        assert main(["train", "--config", tiny_config_file,
+                     "--out", str(out)]) == 0
+    assert "final loss" in printed.getvalue()
     return out
 
 
@@ -51,10 +57,11 @@ class TestGenData:
         np.testing.assert_array_equal(load_sample(str(out), 0).labels,
                                       expected.labels)
 
-    def test_defaults_without_config(self, tmp_path):
+    def test_defaults_without_config(self, tmp_path, capsys):
         out = tmp_path / "data"
         rc = main(["gen-data", "--seed", "1", "--count", "1", "--out", str(out)])
         assert rc == 0
+        assert "wrote 1 samples" in capsys.readouterr().out
         assert load_sample(str(out), 0).image.shape == (64, 64, 3)
 
     @pytest.mark.parametrize("seed, count, flag", [("-1", "1", "--seed"),
@@ -86,18 +93,20 @@ class TestTrain:
         for name in ("config.resolved", "metrics.csv", "model.ckpt"):
             assert (tiny_run / name).exists()
 
-    def test_seed_flag_applies(self, tmp_path, tiny_config_file):
+    def test_seed_flag_applies(self, tmp_path, tiny_config_file, capsys):
         rc = main(["train", "--config", tiny_config_file, "--seed", "9",
                    "--out", str(tmp_path)])
         assert rc == 0
+        assert "final loss" in capsys.readouterr().out
         assert "seed = 9" in (tmp_path / "config.resolved").read_text()
 
-    def test_seed_flag_wins_over_config_file(self, tmp_path):
+    def test_seed_flag_wins_over_config_file(self, tmp_path, capsys):
         path = tmp_path / "seeded.cfg"
         path.write_text(format_config(tiny_config(seed=3)))
         out = tmp_path / "run"
         assert main(["train", "--config", str(path), "--seed", "11",
                      "--out", str(out)]) == 0
+        assert "final loss" in capsys.readouterr().out
         resolved = (out / "config.resolved").read_text().splitlines()
         assert "seed = 11" in resolved and "seed = 3" not in resolved
 
@@ -139,17 +148,19 @@ class TestAblate:
         lines = (tmp_path / "results.csv").read_text().strip().splitlines()
         assert len(lines) == 3
 
-    def test_every_suite_accepted(self, tmp_path, monkeypatch):
+    def test_every_suite_accepted(self, tmp_path, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr("tsgseg.cli.ablate",
                             lambda suite, *args, **kwargs: calls.append(suite))
         for suite in SUITES:
             assert main(["ablate", "--suite", suite, "--out", str(tmp_path)]) == 0
         assert calls == list(SUITES)
+        assert capsys.readouterr().out.count("complete; results in") == len(SUITES)
 
-    def test_unknown_suite_rejected(self, tmp_path):
+    def test_unknown_suite_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["ablate", "--suite", "nope", "--out", str(tmp_path)])
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seeds, problem", [("a", "integers"), ("0,x", "integers"),
                                                 ("-1", "integers"), ("", "integers"),
@@ -351,10 +362,12 @@ class TestErrors:
 
 
 class TestArgs:
-    def test_missing_subcommand(self):
+    def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+        assert "required: command" in capsys.readouterr().err
 
-    def test_missing_required_flag(self):
+    def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["train"])
+        assert "required: --out" in capsys.readouterr().err

@@ -6,7 +6,8 @@ import pytest
 
 import helpers
 import oracles
-from tsgseg.attention import CROSS_GATED_KIND, CROSS_KIND, AttentionBundle
+from tsgseg.attention import (CROSS_GATED_KIND, CROSS_KIND, AttentionBundle,
+                              MultiheadCrossAttention)
 from tsgseg.decoder import (
     Decoder,
     labels_to_mask,
@@ -162,6 +163,25 @@ class TestDecoder:
         solo = make_decoder(np.random.default_rng(9))
         assert len(names) < len(solo.named_parameters())
 
+    @pytest.mark.parametrize("fusion, forced, expected", [
+        ("tsg", None, [True, True, False]),
+        ("tsg", 1.0, [False, False, False]),
+        ("sum", None, [False, False, False]),
+    ])
+    def test_class_normalized_maps_only_where_a_gate_head_reads_them(
+            self, monkeypatch, fusion, forced, expected):
+        requested = []
+        real = MultiheadCrossAttention.__call__
+
+        def recording(self, queries, memory, gate_softmax=False):
+            requested.append(gate_softmax)
+            return real(self, queries, memory, gate_softmax)
+
+        monkeypatch.setattr(MultiheadCrossAttention, "__call__", recording)
+        rng = np.random.default_rng(21)
+        make_decoder(rng, fusion=fusion)(pyramid_features(rng), TARGET, forced_gates=forced)
+        assert requested == expected
+
     def test_one_block_decoder_builds_no_heads(self):
         dec = make_decoder(np.random.default_rng(10), blocks=1)
         assert dec.gate_heads == []
@@ -189,7 +209,6 @@ class TestDecoder:
         assert oracles.rel_err(x.grad, fd) <= 1e-6
 
         q0 = dec.queries.data.copy()
-        dec.queries.requires_grad = True
         dec.queries.grad = None
         q, _, _ = dec(features, TARGET)
         tsum(mul(q, Tensor(w))).backward()

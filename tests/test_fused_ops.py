@@ -9,6 +9,7 @@ where a shared or non-contiguous grad could be corrupted.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from tsgseg.attention import (CROSS_GATED_KIND, CROSS_KIND, SELF_KIND, Attention
 from tsgseg.config import resolve_config
 from tsgseg.model import build_model
 from tsgseg.scale_gate import TsgHead
-from tsgseg.tensor import (ShapeError, Tensor, add, attention_probs, cross_entropy,
-                           head_linear, linear, matmul, mul, permute, reshape, scale,
-                           softmax, transpose, tsum, upsample_bilinear)
+from tsgseg.tensor import (ShapeError, Tensor, _accumulate_matmul, _Node, add,
+                           attention_probs, cross_entropy, head_linear, linear, matmul, mul,
+                           permute, reshape, scale, softmax, transpose, tsum,
+                           upsample_bilinear)
 from tsgseg.train import VARIANTS
 
 from test_tensor import check_grad
@@ -348,19 +350,18 @@ class TestSameFunction:
 
 
 def graph_arrays(root: Tensor) -> list[np.ndarray]:
-    """Every array a recorded graph keeps alive: each node's data and the
-    arrays its backward closure captured."""
-    arrays, seen, stack = [], set(), [root]
+    """Every array a recorded graph keeps alive: the arrays each node's
+    backward closure captured. Nodes hold no forward values."""
+    arrays, seen, stack = [], set(), [root._node]
     while stack:
-        t = stack.pop()
-        if id(t) in seen:
+        node = stack.pop()
+        if id(node) in seen:
             continue
-        seen.add(id(t))
-        arrays.append(t.data)
-        for cell in getattr(t._backward, "__closure__", None) or ():
+        seen.add(id(node))
+        for cell in getattr(node.backward, "__closure__", None) or ():
             if isinstance(cell.cell_contents, np.ndarray):
                 arrays.append(cell.cell_contents)
-        stack.extend(t._children)
+        stack.extend(node.inputs)
     return arrays
 
 
@@ -387,3 +388,52 @@ class TestAttentionMemory:
         (probs,) = buffers.values()
         assert probs.shape == (4, 2, 1024, 1024) and probs.dtype == np.float32
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=1e-5)
+
+    def test_step_peak_at_128px(self):
+        # float32 batch-4 forward and backward: 126.6 MiB when the graph held
+        # every op's inputs and a second gradient contribution went through a
+        # full-size temporary, 95.8 MiB without either
+        cfg = resolve_config("desk", {"height": 128, "width": 128, "precision": "single"})
+        model = build_model(cfg, seed=0, dtype=np.float32)
+        rng = np.random.default_rng(3)
+        images = rng.uniform(size=(4, 128, 128, 3)).astype(np.float32)
+        labels = rng.integers(0, cfg.num_classes, size=(4, 32 * 32))
+        tracemalloc.start()
+        try:
+            cross_entropy(model(Tensor(images)).scores, labels).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 105 * 2**20
+
+
+class TestBlockedAccumulation:
+    """A second contribution to a product-shaped grad is added in row
+    blocks; the sum is bit for bit that of one full-size product."""
+
+    # At 128x128 the stage-1 attention map's grad, (4, 2, 1024, 1024), gets
+    # g @ v^T from the attention product, g_heads @ w_heads^T from the gate
+    # head's head_linear (the (B, 1, N, d) grad broadcast over (H, d, K)),
+    # and a right operand's grad reads its left operand transposed.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape, x_t, y_shape, y_t", [
+        ((4, 2, 1024, 16), False, (4, 2, 1024, 16), True),
+        ((4, 1, 1024, 64), False, (2, 1024, 64), True),
+        ((4, 2, 256, 1024), True, (4, 2, 256, 1024), False),
+    ])
+    def test_equals_grad_plus_product(self, dtype, x_shape, x_t, y_shape, y_t):
+        rng = np.random.default_rng(81)
+        x = rng.normal(size=x_shape).astype(dtype)
+        y = rng.normal(size=y_shape).astype(dtype)
+        x = np.swapaxes(x, -1, -2) if x_t else x
+        y = np.swapaxes(y, -1, -2) if y_t else y
+        shape = np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-1])
+        assert shape == (4, 2, 1024, 1024)
+        node = _Node()
+        node.grad = rng.normal(size=shape).astype(dtype)
+        expected = x @ y
+        expected += node.grad
+        held = node.grad
+        _accumulate_matmul(node, x, y, shape, dtype)
+        assert node.grad is held
+        np.testing.assert_array_equal(node.grad, expected)

@@ -1,6 +1,7 @@
 """Core tensor ops: forward values against reference math, gradients
 against central finite differences."""
 
+import itertools
 import math
 import weakref
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from tsgseg import tensor
 from tsgseg.tensor import (
     ShapeError,
     Tensor,
@@ -15,9 +17,11 @@ from tsgseg.tensor import (
     _interp_axis_weights,
     _weight_pair,
     add,
+    attention_probs,
     concat,
     cross_entropy,
     gelu,
+    head_linear,
     layernorm,
     linear,
     matmul,
@@ -610,16 +614,20 @@ class TestBackward:
             again.backward()
 
     def test_backward_frees_intermediates(self):
+        # tsum's backward reads only gelu's output shape, so that output is
+        # freed when the caller drops it; gelu's backward reads its input,
+        # linear's output, so the graph holds that until backward.
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        hidden = gelu(linear(x, Tensor(np.ones((3, 4)), requires_grad=True),
-                             Tensor(np.zeros(4))))
-        freed = weakref.ref(hidden.data)
+        pre = linear(x, Tensor(np.ones((3, 4)), requires_grad=True), Tensor(np.zeros(4)))
+        hidden = gelu(pre)
+        read, unread = weakref.ref(pre.data), weakref.ref(hidden.data)
         loss = tsum(hidden)
-        del hidden
-        assert freed() is not None  # the graph holds it until backward
+        del pre, hidden
+        assert unread() is None
+        assert read() is not None
         loss.backward()
-        assert freed() is None
-        assert loss._children == ()
+        assert read() is None
+        assert loss._node.inputs == ()
         assert x.grad is not None
 
     @pytest.mark.parametrize("build", ["constants", "no_grad"])
@@ -696,6 +704,94 @@ class TestInPlaceKernels:
             np.testing.assert_array_equal(t.grad, 2.0 * c)
 
 
+# Every op in tensor.__all__, each as (inputs, function of the input tensors,
+# {input j: the inputs whose gradients read input j's array}).
+RECORDING_OPS = {
+    "add": (lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=4)], add, {}),
+    "mul": (lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=(3, 1))], mul,
+            {0: {1}, 1: {0}}),
+    "scale": (lambda rng: [rng.normal(size=(3, 4))], lambda x: scale(x, 0.3), {}),
+    "matmul": (lambda rng: [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5))], matmul,
+               {0: {1}, 1: {0}}),
+    "transpose": (lambda rng: [rng.normal(size=(2, 3, 4))], transpose, {}),
+    "softmax": (lambda rng: [rng.normal(size=(3, 4))], lambda x: softmax(x, axis=0), {}),
+    "attention_probs": (lambda rng: [rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4, 5))],
+                        lambda q, k: attention_probs(q, k, 0.5), {1: {0}}),
+    "layernorm": (IN_PLACE_OPS["layernorm"][0], layernorm, {1: {0}}),
+    "gelu": (lambda rng: [rng.normal(size=(3, 4))], gelu, {0: {0}}),
+    "linear": (IN_PLACE_OPS["linear"][0], linear, {0: {1}, 1: {0}}),
+    "head_linear": (lambda rng: [rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(15, 6)),
+                                 rng.normal(size=6)], head_linear, {0: {1}, 1: {0}}),
+    "concat": (lambda rng: [rng.normal(size=(2, 3)), rng.normal(size=(2, 4))],
+               lambda a, b: concat([a, b], axis=1), {}),
+    "narrow": (lambda rng: [rng.normal(size=(3, 5))], lambda x: narrow(x, 1, 1, 3), {}),
+    "take": (lambda rng: [rng.normal(size=(3, 4))],
+             lambda x: take(x, np.array([[0, 5], [5, 11]])), {}),
+    "reshape": (lambda rng: [rng.normal(size=(3, 4))], lambda x: reshape(x, (2, 6)), {}),
+    "permute": (lambda rng: [rng.normal(size=(2, 3, 4))],
+                lambda x: permute(x, (2, 0, 1)), {}),
+    "tsum": (lambda rng: [rng.normal(size=(3, 4))], tsum, {}),
+    "upsample_bilinear": (lambda rng: [rng.normal(size=(2, 4, 3))],
+                          lambda x: upsample_bilinear(x, (2, 2), (4, 4)), {}),
+    "cross_entropy": IN_PLACE_OPS["cross_entropy"] + ({},),
+}
+
+
+def closure_contents(out: Tensor, inputs: list[Tensor]) -> list:
+    """Everything the backward closures between ``out`` and ``inputs`` hold,
+    with tuples and lists unpacked."""
+    stop = {id(t._node) for t in inputs}
+    found, seen, stack = [], set(), [out._node]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or id(node) in stop:
+            continue
+        seen.add(id(node))
+        values = [cell.cell_contents for cell in node.backward.__closure__ or ()]
+        while values:
+            v = values.pop()
+            if isinstance(v, (tuple, list)):
+                values.extend(v)
+            else:
+                found.append(v)
+        stack.extend(node.inputs)
+    return found
+
+
+class TestSavedArrays:
+    """A backward closure holds no tensor, and holds an input's array only
+    while some input needs a gradient that reads it."""
+
+    def test_every_op_is_listed(self):
+        assert set(RECORDING_OPS) == set(tensor.__all__) - {"ShapeError", "Tensor", "no_grad"}
+
+    @pytest.mark.parametrize("op", sorted(RECORDING_OPS))
+    def test_closures_keep_only_what_backward_reads(self, op):
+        make, fn, reads = RECORDING_OPS[op]
+        arrays = make(np.random.default_rng(6))
+        full = None
+        # every input needs a gradient first, then each smaller set
+        for needs in itertools.product((True, False), repeat=len(arrays)):
+            if not any(needs):
+                continue
+            inputs = [Tensor(a, requires_grad=r) for a, r in zip(arrays, needs)]
+            out = fn(*inputs)
+            kept = closure_contents(out, inputs)
+            assert not any(isinstance(v, Tensor) for v in kept)
+            for j, t in enumerate(inputs):
+                held = any(isinstance(v, np.ndarray) and np.shares_memory(v, t.data)
+                           for v in kept)
+                assert held == any(needs[i] for i in reads.get(j, ())), (needs, j)
+            (tsum(out) if out.ndim else out).backward()
+            grads = [t.grad for t in inputs]
+            full = full or grads
+            for g, ref, needed in zip(grads, full, needs):
+                if needed:
+                    np.testing.assert_array_equal(g, ref)
+                else:
+                    assert g is None
+
+
 class TestNoGrad:
     def test_ops_record_no_graph(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -703,7 +799,7 @@ class TestNoGrad:
             out = tsum(mul(linear(x, Tensor(np.ones((3, 2))), Tensor(np.zeros(2))),
                            Tensor(np.ones((2, 2)))))
         assert not out.requires_grad
-        assert out._children == () and out._backward is None
+        assert out._node is None and out._backward is None
         np.testing.assert_allclose(out.data, 12.0)
         # recording resumes after the block
         assert tsum(mul(x, x)).requires_grad

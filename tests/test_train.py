@@ -132,11 +132,12 @@ class TestTrainRun:
         assert len(summary["loss_history"]) == 3
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_loss_aborts_with_report(self, tmp_path):
+    def test_non_finite_loss_aborts_with_report(self, tmp_path, capsys):
         cfg = tiny_config(lr0=1e12, steps=50, eval_interval=50,
                           precision="single")
         with pytest.raises(TrainAbort, match="step"):
             train_run(cfg, tmp_path)
+        assert "parameter norms:" in capsys.readouterr().err
         report = (tmp_path / "abort_report.txt").read_text()
         assert "non-finite loss at step" in report
         assert "parameter norms:" in report
