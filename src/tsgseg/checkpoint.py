@@ -36,8 +36,8 @@ def save_checkpoint(path, named_arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Parse a checkpoint. Every length in a header is checked against the
-    bytes left in the file before anything is allocated for it."""
+    """Parse a checkpoint into read-only views of the file's bytes. Every
+    header length is checked against the bytes left before any allocation."""
     with open(path, "rb") as fh:
         data = memoryview(fh.read())
     if data[:len(MAGIC)] != MAGIC:
@@ -69,7 +69,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         dims = u64s(rank, f"dims of {name}")
         raw = take(4 * math.prod(dims), f"values of {name}")
         try:
-            out[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+            out[name] = np.frombuffer(raw, dtype="<f4").reshape(dims)
         except (ValueError, OverflowError) as exc:  # empty arrays with huge dims
             raise CheckpointError(f"bad dims {dims} of {name}: {exc}") from None
     return out
@@ -80,12 +80,11 @@ def save_model(path, model) -> None:
 
 
 def load_model(path, model) -> None:
-    """Install checkpoint values into same-named model parameters.
+    """Write checkpoint values into same-named model parameters, in place.
 
-    The file and the model must carry exactly the same parameter names;
-    mismatches in either direction are reported by name. Loading casts to
-    the model's dtype; a float32 model takes the parsed arrays themselves,
-    so each value is copied once. Nothing is modified if validation fails.
+    The file and the model must carry the same parameter names; mismatches
+    either way are named. Each value is copied once, cast to its array's
+    dtype; nothing is written unless every name, shape and array checks out.
     """
     stored = load_checkpoint(path)
     params = dict(model.named_parameters())
@@ -101,6 +100,7 @@ def load_model(path, model) -> None:
             raise CheckpointError(
                 f"parameter {name!r}: checkpoint shape {arr.shape} vs model {p.shape}"
             )
+        if not p.data.flags.writeable:
+            raise CheckpointError(f"parameter {name!r}: its array is read-only")
     for name, arr in stored.items():
-        p = params[name]
-        p.data = arr.astype(p.data.dtype, copy=False)
+        np.copyto(params[name].data, arr)

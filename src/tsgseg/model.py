@@ -84,11 +84,11 @@ def build_model(cfg: RunConfig, seed: int, dtype=None) -> SegModel:
 
 
 def copy_matching_parameters(src: Module, dst: Module) -> list[str]:
-    """Copy src parameters into same-named dst parameters (values only).
+    """Write src values into the arrays of same-named dst parameters.
 
     Every dst parameter must exist in src with an equal shape; src may have
-    extras (a gated model carries gate heads its baseline lacks). Returns
-    the copied names.
+    extras (a gated model carries gate heads its baseline lacks). A value
+    is cast to its dst array's dtype. Returns the copied names.
     """
     src_params = dict(src.named_parameters())
     copied = []
@@ -98,6 +98,6 @@ def copy_matching_parameters(src: Module, dst: Module) -> list[str]:
         s = src_params[name]
         if s.shape != p.shape:
             raise ShapeError(f"{name}: source {s.shape} vs target {p.shape}")
-        p.data = s.data.copy()
+        np.copyto(p.data, s.data)
         copied.append(name)
     return copied

@@ -24,15 +24,15 @@ def poly_lr(step: int, total: int, lr0: float, power: float = 0.9) -> float:
     return lr0 * (1.0 - step / total) ** power
 
 
-def _check_array(name: str, what: str, arr, slot: np.ndarray) -> None:
-    if not isinstance(arr, np.ndarray):
-        raise OptimError(f"parameter {name!r}: {what} is a {type(arr).__name__}, "
+def _check_grad(name: str, grad, slot: np.ndarray) -> None:
+    if not isinstance(grad, np.ndarray):
+        raise OptimError(f"parameter {name!r}: gradient is a {type(grad).__name__}, "
                          f"not a numpy array")
-    if arr.shape != slot.shape:
-        raise OptimError(f"parameter {name!r}: {what} has shape {arr.shape}, "
+    if grad.shape != slot.shape:
+        raise OptimError(f"parameter {name!r}: gradient has shape {grad.shape}, "
                          f"the parameter {slot.shape}")
-    if arr.dtype != slot.dtype:
-        raise OptimError(f"parameter {name!r}: {what} is {arr.dtype}, "
+    if grad.dtype != slot.dtype:
+        raise OptimError(f"parameter {name!r}: gradient is {grad.dtype}, "
                          f"the optimizer's vectors are {slot.dtype}")
 
 
@@ -46,9 +46,9 @@ class AdamW:
     place, so each ``p.data`` is a view whose entries change at every step,
     and a caller that wants to keep a value across a step must copy it.
     ``step`` gathers every ``p.grad`` into the gradient buffer and leaves the
-    caller's gradients as they are; a ``p.data`` a caller rebinds is copied
-    into its slot at the next step and pointed back at it. The optimizer
-    sets no attribute on a parameter but ``data``.
+    caller's gradients as they are, and raises if a ``p.data`` is not its
+    slot: new values go into ``p.data`` in place, as ``load_model`` writes
+    them. The optimizer sets no attribute on a parameter but ``data``.
     """
 
     def __init__(self, named_params: list[tuple[str, Parameter]],
@@ -86,15 +86,13 @@ class AdamW:
         """One update over all parameters; every gradient must be populated.
         Nothing changes when a gradient or value fails its check."""
         for (name, p), slot in zip(self.named_params, self.slots):
+            if p.data is not slot:
+                new = np.asarray(p.data)
+                raise OptimError(f"parameter {name!r}: value replaced by a {new.dtype} "
+                                 f"array of shape {new.shape}; write into p.data in place")
             if p.grad is None:
                 raise OptimError(f"parameter {name!r} has no gradient")
-            _check_array(name, "gradient", p.grad, slot)
-            if p.data is not slot:
-                _check_array(name, "value", p.data, slot)
-        for (_, p), slot in zip(self.named_params, self.slots):
-            if p.data is not slot:
-                np.copyto(slot, p.data)
-                p.data = slot
+            _check_grad(name, p.grad, slot)
         np.concatenate([p.grad.reshape(-1) for _, p in self.named_params],
                        out=self.grad)
         self.step_count += 1

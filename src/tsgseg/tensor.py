@@ -16,9 +16,8 @@ Which object holds what:
 - A closure captures only the arrays its backward reads, and only for
   inputs that need a gradient: ``matmul`` keeps each operand only for the
   other's gradient, and the shape ops, sums and concatenations keep shapes
-  and dtypes. An input's dtype is captured when the op runs, so a
-  parameter whose ``data`` is rebound later (``Module.cast``, loading a
-  checkpoint) leaves no stale dtype in a node.
+  and dtypes. An input's dtype is captured when the op runs, so a later
+  ``Module.cast`` of a parameter leaves no stale dtype in a node.
 
 ``backward()`` on a scalar walks the recorded nodes once in reverse
 topological order and consumes them: each node drops its closure and its
@@ -41,8 +40,9 @@ Conventions:
   their contributions; ``AdamW.zero_grad`` drops them after each step. A
   later contribution that is a matrix product is added into the grad in
   row blocks, not through a temporary the size of the grad.
-- Tensors are immutable after construction except for grad accumulation and
-  the parameter updates the optimizer makes between steps.
+- Tensors are immutable after construction except for grad accumulation,
+  the optimizer's updates between steps, and the values a loader writes
+  into a parameter's own array in place (``load_model``).
 - The ``g`` a backward closure receives is its own node's grad, which no
   other node holds: ``_accumulate`` keeps a first contribution only when
   the closure that passed it owns it, and the node's grad is dropped once

@@ -1,12 +1,12 @@
 """Checkpoint format: byte-level layout, roundtrips, and model loading."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import helpers
-from tsgseg import checkpoint
 from tsgseg.checkpoint import (
     MAGIC,
     CheckpointError,
@@ -15,6 +15,7 @@ from tsgseg.checkpoint import (
     save_checkpoint,
     save_model,
 )
+from tsgseg.config import resolve_config
 from tsgseg.model import build_model
 from tsgseg.tensor import Tensor
 
@@ -38,6 +39,7 @@ class TestFormat:
         for name, arr in arrays.items():
             assert loaded[name].shape == arr.shape
             assert loaded[name].dtype == np.float32
+            assert not loaded[name].flags.writeable
             np.testing.assert_allclose(loaded[name], arr.astype(np.float32))
 
     def test_storage_is_float32(self, tmp_path):
@@ -119,24 +121,41 @@ class TestModelRoundtrip:
             assert q.data.dtype == np.float64
             np.testing.assert_array_equal(p.data.astype(np.float32), q.data)
 
-    def test_single_precision_load_copies_once(self, tmp_path, monkeypatch):
-        cfg = helpers.tiny_model_config(precision="single")
+    def test_single_precision_load_copies_once(self, tmp_path):
+        # Each value goes from the file's bytes straight into the parameter's
+        # own array: the load's peak is the file, not the file plus a copy.
+        cfg = resolve_config("desk", {"precision": "single"})
         path = tmp_path / "model.ckpt"
         save_model(path, build_model(cfg, seed=3))
-        parsed = {}
-
-        def recording_load(p):
-            parsed.update(load_checkpoint(p))
-            return parsed
-
-        monkeypatch.setattr(checkpoint, "load_checkpoint", recording_load)
         clone = build_model(cfg, seed=9)
-        load_model(path, clone)
+        arrays = {name: p.data for name, p in clone.named_parameters()}
+        nbytes = sum(a.nbytes for a in arrays.values())
+        tracemalloc.start()
+        try:
+            load_model(path, clone)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * nbytes, peak / nbytes
         on_file = load_checkpoint(path)
         for name, p in clone.named_parameters():
-            assert p.data is parsed[name]
+            assert p.data is arrays[name]
             assert p.data.dtype == np.float32 and p.data.flags.writeable
             np.testing.assert_array_equal(p.data, on_file[name])
+
+    def test_read_only_parameter_named_and_nothing_written(self, tmp_path):
+        cfg = helpers.tiny_model_config()
+        path = tmp_path / "model.ckpt"
+        save_model(path, build_model(cfg, seed=3))
+        model = build_model(cfg, seed=9)
+        named = model.named_parameters()
+        victim, frozen = named[len(named) // 2]
+        frozen.data.flags.writeable = False
+        before = {name: p.data.copy() for name, p in named}
+        with pytest.raises(CheckpointError, match=f"{victim!r}.*read-only"):
+            load_model(path, model)
+        for name, p in named:
+            np.testing.assert_array_equal(p.data, before[name])
 
     def test_double_precision_load_widens(self, tmp_path):
         cfg = helpers.tiny_model_config()

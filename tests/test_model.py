@@ -237,6 +237,19 @@ class TestWeightTransfer:
         p.data = p.data + 1.0
         assert not np.array_equal(p.data, dict(src.named_parameters())[name].data)
 
+    def test_copy_keeps_the_destination_arrays_and_dtype(self):
+        src = build_model(helpers.tiny_model_config(), seed=18)
+        dst = build_model(helpers.tiny_model_config(precision="single"), seed=19)
+        arrays = {name: p.data for name, p in dst.named_parameters()}
+        copy_matching_parameters(src, dst)
+        src_params = dict(src.named_parameters())
+        for name, p in dst.named_parameters():
+            assert p.data is arrays[name] and p.data.dtype == np.float32
+            np.testing.assert_array_equal(
+                p.data, src_params[name].data.astype(np.float32))
+        image = Tensor(run_image(18), dtype=np.float32)
+        assert dst(image).scores.dtype == np.float32
+
     def test_missing_name_rejected(self):
         small = build_model(
             helpers.tiny_model_config(**VARIANTS["plain_sum"]), seed=14)

@@ -111,9 +111,9 @@ class TestAdamW:
 
     def test_step_writes_no_caller_array(self):
         # The step updates the optimizer's own value buffer in place, so each
-        # p.data stays the same array and its values change; the gradients
-        # and an array a caller binds to p.data keep their values, and that
-        # p.data is the optimizer's slot again after the step.
+        # p.data stays the same array and its values change, and the
+        # gradients keep their values. A step after a caller binds arrays of
+        # its own to p.data raises, and neither they nor the optimizer change.
         rng = np.random.default_rng(3)
         params = [Parameter(rng.normal(size=shape).astype(np.float32))
                   for shape in ((3, 4), (4,), ())]
@@ -127,6 +127,14 @@ class TestAdamW:
             if step == 1:
                 for p, a in zip(params, mine):
                     p.data = a
+                state = [x.copy() for x in (opt.data, opt.m, opt.v)]
+                with pytest.raises(OptimError, match=r"'0'.*float32.*\(3, 4\)"):
+                    opt.step(lr=0.1)
+                assert opt.step_count == 1
+                for x, copy in zip((opt.data, opt.m, opt.v), state):
+                    np.testing.assert_array_equal(x, copy)
+                for p, slot in zip(params, slots):
+                    p.data = slot
             before = [(p.data.copy(), p.grad, p.grad.copy()) for p in params]
             opt.step(lr=0.1)
             for p, slot, (data_copy, grad, grad_copy) in zip(params, slots, before):
@@ -302,8 +310,8 @@ class TestFlatBuffers:
         opt.step(0.1)
         assert [set(vars(p)) for p in params] == before
 
-    def test_rebound_value_is_the_one_the_next_step_updates(self, tmp_path):
-        # checkpoint.load_model rebinds each p.data to an array of its own.
+    def test_loaded_value_is_the_one_the_next_step_updates(self, tmp_path):
+        # checkpoint.load_model writes into each p.data, the optimizer's slot.
         class Tiny(Module):
             def __init__(self):
                 self.w = Parameter(np.ones((2, 3), dtype=np.float32))
@@ -322,6 +330,7 @@ class TestFlatBuffers:
                   "b": np.array([1.0, -1.0, 0.5], dtype=np.float32)}
         save_checkpoint(tmp_path / "m.ckpt", loaded)
         load_model(tmp_path / "m.ckpt", model)
+        assert all(p.data is slot for (_, p), slot in zip(named, opt.slots))
         want = ref.step(0.05, [loaded[name] for name, _ in named], grads)
         opt.step(0.05)
         for (name, p), w in zip(named, want):
