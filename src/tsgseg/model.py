@@ -88,16 +88,16 @@ def copy_matching_parameters(src: Module, dst: Module) -> list[str]:
 
     Every dst parameter must exist in src with an equal shape; src may have
     extras (a gated model carries gate heads its baseline lacks). A value
-    is cast to its dst array's dtype. Returns the copied names.
+    is cast to its dst array's dtype; nothing is written unless every name
+    and shape checks out. Returns the copied names.
     """
     src_params = dict(src.named_parameters())
-    copied = []
-    for name, p in dst.named_parameters():
+    dst_params = dst.named_parameters()
+    for name, p in dst_params:
         if name not in src_params:
             raise KeyError(f"source model has no parameter {name!r}")
-        s = src_params[name]
-        if s.shape != p.shape:
-            raise ShapeError(f"{name}: source {s.shape} vs target {p.shape}")
-        np.copyto(p.data, s.data)
-        copied.append(name)
-    return copied
+        if src_params[name].shape != p.shape:
+            raise ShapeError(f"{name}: source {src_params[name].shape} vs target {p.shape}")
+    for name, p in dst_params:
+        np.copyto(p.data, src_params[name].data)
+    return [name for name, _ in dst_params]

@@ -15,9 +15,7 @@ Which object holds what:
   drops its tensor.
 - A closure captures only the arrays its backward reads, and only for
   inputs that need a gradient: ``matmul`` keeps each operand only for the
-  other's gradient, and the shape ops, sums and concatenations keep shapes
-  and dtypes. An input's dtype is captured when the op runs, so a later
-  ``Module.cast`` of a parameter leaves no stale dtype in a node.
+  other's gradient, and the shape ops, sums and concatenations keep shapes.
 
 ``backward()`` on a scalar walks the recorded nodes once in reverse
 topological order and consumes them: each node drops its closure and its
@@ -30,6 +28,8 @@ Conventions:
 
 - float64 is the default dtype; float32 is supported for faster training
   (tolerances quoted in the test suite assume float64).
+- An op's tensor operands share one dtype (else ``TypeError``, recording or
+  not), so each gradient comes out in its input's dtype without a cast.
 - Leading axes are batch axes: every op acts on the trailing axes it names
   (matrix ops on the last two, row ops on the last one) and carries the
   rest through, broadcasting where numpy does. One sample and a (B, ...)
@@ -239,7 +239,7 @@ class Tensor:
             for child in node.inputs:
                 if id(child) not in seen:
                     stack.append((child, False))
-        _accumulate(self._node, np.ones((), dtype=self.data.dtype), self.data.dtype)
+        _accumulate(self._node, np.ones((), dtype=self.data.dtype))
         # Popping drops topo's reference, so a node whose consumers have all
         # run is freed once the loop moves on.
         while topo:
@@ -262,16 +262,15 @@ def _consumed(g):
     raise RuntimeError(_CONSUMED)
 
 
-def _accumulate(node: _Node | None, g: np.ndarray, dtype) -> None:
+def _accumulate(node: _Node | None, g: np.ndarray) -> None:
     """Add ``g`` into ``node.grad``; no-op for a None node (an input that
     needs no gradient). A first contribution is kept, not copied (a numpy
     scalar becomes a 0-d array), so a closure must pass an array (or a view
-    of its own node's grad) that no other node keeps. ``dtype`` is the
-    input's dtype, which the closure captured when the op ran."""
+    of its own node's grad) that no other node keeps."""
     if node is None:
         return
     if node.grad is None:
-        node.grad = np.asarray(g, dtype=dtype)
+        node.grad = np.asarray(g)
     else:
         node.grad += g
 
@@ -282,7 +281,7 @@ _BLOCK_BYTES = 1 << 20
 
 
 def _accumulate_matmul(node: _Node | None, x: np.ndarray, y: np.ndarray,
-                       shape: tuple[int, ...], dtype) -> None:
+                       shape: tuple[int, ...]) -> None:
     """``_accumulate`` of ``x @ y`` summed down to ``shape``. When the grad
     already holds a contribution of the product's own shape, the product is
     added one block of rows at a time: a row block of a product is the same
@@ -293,7 +292,7 @@ def _accumulate_matmul(node: _Node | None, x: np.ndarray, y: np.ndarray,
     rows = x.shape[-2]
     if grad is None or (np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
                         + (rows, y.shape[-1])) != shape:
-        _accumulate(node, _unbroadcast(x @ y, shape), dtype)
+        _accumulate(node, _unbroadcast(x @ y, shape))
         return
     step = max(1, _BLOCK_BYTES * rows // max(grad.nbytes, 1))
     for r in range(0, rows, step):
@@ -316,7 +315,11 @@ def no_grad():
 
 def _nodes(*tensors: Tensor) -> tuple[_Node | None, ...]:
     """The node of each input an op records a gradient for: None where the
-    input needs no gradient, and everywhere under ``no_grad``."""
+    input needs no gradient, and everywhere under ``no_grad``. Every op
+    passes all its tensor operands, so this is where mixed dtypes fail."""
+    if len(tensors) > 1 and len(dtypes := {t.data.dtype for t in tensors}) > 1:
+        raise TypeError("the tensor operands of an op must share one dtype, got "
+                        + " and ".join(sorted(map(str, dtypes))))
     if not _grad_enabled:
         return (None,) * len(tensors)
     return tuple(t._node for t in tensors)
@@ -325,7 +328,7 @@ def _nodes(*tensors: Tensor) -> tuple[_Node | None, ...]:
 def _record(data: np.ndarray, nodes: tuple[_Node | None, ...], backward) -> Tensor:
     """The output tensor of an op some input of which needs a gradient (an
     op with none returns ``Tensor(data)`` before it builds a closure).
-    ``backward`` must capture only arrays, shapes, dtypes and the entries of
+    ``backward`` must capture only arrays, shapes and the entries of
     ``nodes``, never a tensor."""
     out = Tensor(data)
     out._node = _Node(backward, tuple(n for n in nodes if n is not None))
@@ -353,13 +356,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     na, nb = nodes = _nodes(a, b)
     if not any(nodes):
         return Tensor(data)
-    a_shape, a_dtype, b_shape, b_dtype = a.shape, a.dtype, b.shape, b.dtype
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        # a may keep g itself, so b gets a copy
-        _accumulate(na, _unbroadcast(g, a_shape), a_dtype)
-        _accumulate(nb, _unbroadcast(g, b_shape).astype(b_dtype, copy=na is not None),
-                    b_dtype)
+        # a may keep g itself, so b gets a copy in g's layout (strides steer BLAS rounding)
+        _accumulate(na, _unbroadcast(g, a_shape))
+        gb = _unbroadcast(g, b_shape)
+        _accumulate(nb, gb.copy(order="K") if na is not None else gb)
 
     return _record(data, nodes, backward)
 
@@ -374,17 +377,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     na, nb = nodes = _nodes(a, b)
     if not any(nodes):
         return Tensor(data)
-    a_shape, a_dtype, b_shape, b_dtype = a.shape, a.dtype, b.shape, b.dtype
+    a_shape, b_shape = a.shape, b.shape
     # each factor is kept only for the other's gradient
     a_data = a.data if nb is not None else None
     b_data = b.data if na is not None else None
 
     def backward(g):
         if na is not None:
-            _accumulate(na, _unbroadcast(g * b_data, a_shape), a_dtype)
+            _accumulate(na, _unbroadcast(g * b_data, a_shape))
         if nb is not None:
             g *= a_data
-            _accumulate(nb, _unbroadcast(g, b_shape), b_dtype)
+            _accumulate(nb, _unbroadcast(g, b_shape))
 
     return _record(data, nodes, backward)
 
@@ -397,11 +400,10 @@ def scale(x: Tensor, c: float) -> Tensor:
     (nx,) = nodes = _nodes(x)
     if not any(nodes):
         return Tensor(data)
-    dtype = x.dtype
 
     def backward(g):
         g *= c
-        _accumulate(nx, g, dtype)
+        _accumulate(nx, g)
 
     return _record(data, nodes, backward)
 
@@ -420,16 +422,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     na, nb = nodes = _nodes(a, b)
     if not any(nodes):
         return Tensor(data)
-    a_shape, a_dtype, b_shape, b_dtype = a.shape, a.dtype, b.shape, b.dtype
+    a_shape, b_shape = a.shape, b.shape
     # each operand is kept only for the other's gradient
     a_data = a.data if nb is not None else None
     b_data = b.data if na is not None else None
 
     def backward(g):
         if na is not None:
-            _accumulate_matmul(na, g, np.swapaxes(b_data, -1, -2), a_shape, a_dtype)
+            _accumulate_matmul(na, g, np.swapaxes(b_data, -1, -2), a_shape)
         if nb is not None:
-            _accumulate_matmul(nb, np.swapaxes(a_data, -1, -2), g, b_shape, b_dtype)
+            _accumulate_matmul(nb, np.swapaxes(a_data, -1, -2), g, b_shape)
 
     return _record(data, nodes, backward)
 
@@ -465,7 +467,7 @@ def softmax(x: Tensor, axis: int) -> Tensor:
         return Tensor(data)
 
     def backward(g):
-        _accumulate(nx, _softmax_backward_(g, data, axis), data.dtype)
+        _accumulate(nx, _softmax_backward_(g, data, axis))
 
     return _record(data, nodes, backward)
 
@@ -497,7 +499,7 @@ def attention_probs(q: Tensor, k: Tensor, c: float, axis: int = -1) -> Tensor:
     nq, nk = nodes = _nodes(q, k)
     if not any(nodes):
         return Tensor(data)
-    q_shape, q_dtype, k_shape, k_dtype = q.shape, q.dtype, k.shape, k.dtype
+    q_shape, k_shape = q.shape, k.shape
     k_data = k.data if nq is not None else None
     if nk is None:
         qs = None
@@ -507,9 +509,9 @@ def attention_probs(q: Tensor, k: Tensor, c: float, axis: int = -1) -> Tensor:
         if nq is not None:
             dq = g @ np.swapaxes(k_data, -1, -2)
             dq *= c
-            _accumulate(nq, _unbroadcast(dq, q_shape), q_dtype)
+            _accumulate(nq, _unbroadcast(dq, q_shape))
         if nk is not None:
-            _accumulate(nk, _unbroadcast(np.swapaxes(qs, -1, -2) @ g, k_shape), k_dtype)
+            _accumulate(nk, _unbroadcast(np.swapaxes(qs, -1, -2) @ g, k_shape))
 
     return _record(data, nodes, backward)
 
@@ -547,7 +549,6 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     nx, ngamma, nbeta = nodes = _nodes(x, gamma, beta)
     if not any(nodes):
         return Tensor(data)
-    x_dtype, gamma_dtype, beta_dtype = x.dtype, gamma.dtype, beta.dtype
     # gamma and the row scales are read only for x's gradient
     gamma_data = gamma.data if nx is not None else None
     if nx is None:
@@ -570,9 +571,9 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             np.multiply(xhat, m2, out=tmp)
             g -= tmp
             g *= inv
-            _accumulate(nx, g, x_dtype)
-        _accumulate(ngamma, dgamma, gamma_dtype)
-        _accumulate(nbeta, dbeta, beta_dtype)
+            _accumulate(nx, g)
+        _accumulate(ngamma, dgamma)
+        _accumulate(nbeta, dbeta)
 
     return _record(data, nodes, backward)
 
@@ -632,7 +633,7 @@ def gelu(x: Tensor) -> Tensor:
         cdf = erf(z)
     cdf += 1.0
     cdf *= 0.5
-    data = (x.data * cdf).astype(x.dtype, copy=False)
+    data = x.data * cdf
     (nx,) = nodes = _nodes(x)
     if not any(nodes):
         return Tensor(data)
@@ -647,7 +648,7 @@ def gelu(x: Tensor) -> Tensor:
         t *= x_data
         t += cdf
         g *= t
-        _accumulate(nx, g, x_data.dtype)
+        _accumulate(nx, g)
 
     return _record(data, nodes, backward)
 
@@ -668,7 +669,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     nx, nw, nb = nodes = _nodes(x, w, b)
     if not any(nodes):
         return Tensor(data)
-    x_shape, x_dtype, w_dtype, b_dtype = x.shape, x.dtype, w.dtype, b.dtype
+    x_shape = x.shape
     # x's rows are kept only for w's gradient, and w only for x's
     w_data = w.data if nx is not None else None
     if nw is None:
@@ -677,10 +678,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         g = g.reshape(-1, g.shape[-1])
         if nx is not None:
-            _accumulate(nx, (g @ w_data.T).reshape(x_shape), x_dtype)
+            _accumulate(nx, (g @ w_data.T).reshape(x_shape))
         if nw is not None:
-            _accumulate(nw, rows.T @ g, w_dtype)
-        _accumulate(nb, g.sum(axis=0), b_dtype)
+            _accumulate(nw, rows.T @ g)
+        _accumulate(nb, g.sum(axis=0))
 
     return _record(data, nodes, backward)
 
@@ -710,7 +711,7 @@ def head_linear(stack: Tensor, w: Tensor, b: Tensor) -> Tensor:
     ns, nw, nb = nodes = _nodes(stack, w, b)
     if not any(nodes):
         return Tensor(data)
-    s_shape, s_dtype, w_dtype, b_dtype = stack.shape, stack.dtype, w.dtype, b.dtype
+    s_shape = stack.shape
     # the stack is kept only for w's gradient, and w only for the stack's
     s_data = stack.data if nw is not None else None
     if ns is None:
@@ -719,11 +720,11 @@ def head_linear(stack: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         g_heads = np.expand_dims(g, -3)
         if ns is not None:
-            _accumulate_matmul(ns, g_heads, np.swapaxes(w_heads, -1, -2), s_shape, s_dtype)
+            _accumulate_matmul(ns, g_heads, np.swapaxes(w_heads, -1, -2), s_shape)
         if nw is not None:
             gw = np.swapaxes(s_data, -1, -2) @ g_heads
-            _accumulate(nw, gw.reshape(-1, heads * k, d).sum(axis=0), w_dtype)
-        _accumulate(nb, g.reshape(-1, d).sum(axis=0), b_dtype)
+            _accumulate(nw, gw.reshape(-1, heads * k, d).sum(axis=0))
+        _accumulate(nb, g.reshape(-1, d).sum(axis=0))
 
     return _record(data, nodes, backward)
 
@@ -744,14 +745,14 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     nodes = _nodes(*tensors)
     if not any(nodes):
         return Tensor(data)
-    parts = [(node, t.shape[axis], t.dtype) for node, t in zip(nodes, tensors)]
+    parts = [(node, t.shape[axis]) for node, t in zip(nodes, tensors)]
 
     def backward(g):
         offset = 0
-        for node, n, dtype in parts:
+        for node, n in parts:
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(offset, offset + n)
-            _accumulate(node, g[tuple(idx)], dtype)
+            _accumulate(node, g[tuple(idx)])
             offset += n
 
     return _record(data, nodes, backward)
@@ -771,12 +772,12 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     (nx,) = nodes = _nodes(x)
     if not any(nodes):
         return Tensor(data)
-    shape, dtype = x.shape, x.dtype
+    shape = x.shape
 
     def backward(g):
-        full = np.zeros(shape, dtype)
+        full = np.zeros(shape, g.dtype)
         full[idx] = g
-        _accumulate(nx, full, dtype)
+        _accumulate(nx, full)
 
     return _record(data, nodes, backward)
 
@@ -793,12 +794,12 @@ def take(x: Tensor, indices: np.ndarray) -> Tensor:
     (nx,) = nodes = _nodes(x)
     if not any(nodes):
         return Tensor(data)
-    shape, dtype = x.shape, x.dtype
+    shape = x.shape
 
     def backward(g):
-        flat = np.zeros(math.prod(shape), dtype=dtype)
+        flat = np.zeros(math.prod(shape), g.dtype)
         np.add.at(flat, indices.reshape(-1), g.reshape(-1))
-        _accumulate(nx, flat.reshape(shape), dtype)
+        _accumulate(nx, flat.reshape(shape))
 
     return _record(data, nodes, backward)
 
@@ -813,10 +814,10 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     (nx,) = nodes = _nodes(x)
     if not any(nodes):
         return Tensor(data)
-    x_shape, dtype = x.shape, x.dtype
+    x_shape = x.shape
 
     def backward(g):
-        _accumulate(nx, g.reshape(x_shape), dtype)
+        _accumulate(nx, g.reshape(x_shape))
 
     return _record(data, nodes, backward)
 
@@ -835,10 +836,9 @@ def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     (nx,) = nodes = _nodes(x)
     if not any(nodes):
         return Tensor(data)
-    dtype = x.dtype
 
     def backward(g):
-        _accumulate(nx, g.transpose(inverse), dtype)
+        _accumulate(nx, g.transpose(inverse))
 
     return _record(data, nodes, backward)
 
@@ -854,10 +854,10 @@ def tsum(x: Tensor) -> Tensor:
     (nx,) = nodes = _nodes(x)
     if not any(nodes):
         return Tensor(data)
-    shape, dtype = x.shape, x.dtype
+    shape = x.shape
 
     def backward(g):
-        _accumulate(nx, np.full(shape, g, dtype), dtype)
+        _accumulate(nx, np.full(shape, g, g.dtype))
 
     return _record(data, nodes, backward)
 
@@ -949,12 +949,12 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     (nl,) = nodes = _nodes(logits)
     if not any(nodes):
         return Tensor(data)
-    shape, dtype = logits.shape, logits.dtype
+    shape = logits.shape
 
     def backward(g):
         grad = np.exp(logp)
         grad[rows, labels] -= 1.0
         grad *= float(g) / n
-        _accumulate(nl, grad.reshape(shape), dtype)
+        _accumulate(nl, grad.reshape(shape))
 
     return _record(data, nodes, backward)

@@ -434,6 +434,6 @@ class TestBlockedAccumulation:
         expected = x @ y
         expected += node.grad
         held = node.grad
-        _accumulate_matmul(node, x, y, shape, dtype)
+        _accumulate_matmul(node, x, y, shape)
         assert node.grad is held
         np.testing.assert_array_equal(node.grad, expected)

@@ -1,6 +1,7 @@
 """Assembled model: variant wiring, gradient coverage, and cross-variant
 weight compatibility."""
 
+import contextlib
 import dataclasses
 import pathlib
 import re
@@ -12,7 +13,7 @@ import helpers
 import tsgseg.tensor as tensor_module
 from tsgseg.config import ConfigError, RunConfig, resolve_config
 from tsgseg.model import build_model, copy_matching_parameters
-from tsgseg.tensor import ShapeError, Tensor, cross_entropy
+from tsgseg.tensor import ShapeError, Tensor, cross_entropy, no_grad
 from tsgseg.train import SUITES, VARIANTS
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -129,6 +130,15 @@ class TestPrecision:
     def test_dtype_must_agree_with_precision(self):
         with pytest.raises(ConfigError, match="float32 disagrees with precision 'double'"):
             build_model(helpers.tiny_model_config(), seed=0, dtype=np.float32)
+
+    @pytest.mark.parametrize("recording", [True, False])
+    def test_double_image_into_single_model_raises(self, recording):
+        # the first op that meets a parameter refuses the mixed operands,
+        # rather than running the whole forward in float64
+        model = build_model(helpers.tiny_model_config(precision="single"), seed=0)
+        with contextlib.nullcontext() if recording else no_grad():
+            with pytest.raises(TypeError, match="float32 and float64"):
+                model(Tensor(run_image(3)))
 
     def test_single_precision_model_holds_no_float64_array(self):
         model = build_model(helpers.tiny_model_config(precision="single"), seed=0)
@@ -250,15 +260,25 @@ class TestWeightTransfer:
         image = Tensor(run_image(18), dtype=np.float32)
         assert dst(image).scores.dtype == np.float32
 
+    @staticmethod
+    def assert_unchanged(model, before):
+        # a copy that fails writes nothing
+        for name, p in model.named_parameters():
+            np.testing.assert_array_equal(p.data, before[name])
+
     def test_missing_name_rejected(self):
         small = build_model(
             helpers.tiny_model_config(**VARIANTS["plain_sum"]), seed=14)
         full = build_model(helpers.tiny_model_config(), seed=15)
+        before = {name: p.data.copy() for name, p in full.named_parameters()}
         with pytest.raises(KeyError):
             copy_matching_parameters(small, full)
+        self.assert_unchanged(full, before)
 
     def test_shape_mismatch_rejected(self):
         a = build_model(helpers.tiny_model_config(), seed=16)
         b = build_model(helpers.tiny_model_config(d_f=6, d_a=6), seed=17)
+        before = {name: p.data.copy() for name, p in b.named_parameters()}
         with pytest.raises(ShapeError):
             copy_matching_parameters(a, b)
+        self.assert_unchanged(b, before)

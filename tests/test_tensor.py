@@ -1,6 +1,7 @@
 """Core tensor ops: forward values against reference math, gradients
 against central finite differences."""
 
+import contextlib
 import itertools
 import math
 import weakref
@@ -115,6 +116,16 @@ class TestElementwise:
     def test_broadcast_shape_error(self):
         with pytest.raises(ShapeError):
             add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+
+    def test_add_copy_keeps_grad_layout(self):
+        # permute's backward passes add a transposed view; b's copy of it keeps
+        # its strides, which steer the rounding of products that read the grad
+        a, b = (Tensor(np.ones((3, 4)), requires_grad=True) for _ in range(2))
+        w = Tensor(np.arange(12.0).reshape(4, 3))
+        tsum(mul(permute(add(a, b), (1, 0)), w)).backward()
+        assert not a.grad.flags.c_contiguous
+        assert b.grad.strides == a.grad.strides
+        np.testing.assert_array_equal(b.grad, w.data.T)
 
     def test_transpose_roundtrip_and_grad(self):
         rng = np.random.default_rng(5)
@@ -759,16 +770,25 @@ def closure_contents(out: Tensor, inputs: list[Tensor]) -> list:
 
 
 class TestSavedArrays:
-    """A backward closure holds no tensor, and holds an input's array only
-    while some input needs a gradient that reads it."""
+    """A backward closure holds no tensor and no dtype, and holds an input's
+    array only while some input needs a gradient that reads it. Every
+    gradient comes out in its input's dtype."""
 
     def test_every_op_is_listed(self):
         assert set(RECORDING_OPS) == set(tensor.__all__) - {"ShapeError", "Tensor", "no_grad"}
 
     @pytest.mark.parametrize("op", sorted(RECORDING_OPS))
     def test_closures_keep_only_what_backward_reads(self, op):
+        self.check(op, np.float64)
+
+    @pytest.mark.parametrize("op", sorted(RECORDING_OPS))
+    def test_float32_grads_stay_float32(self, op):
+        self.check(op, np.float32)
+
+    @staticmethod
+    def check(op, dtype):
         make, fn, reads = RECORDING_OPS[op]
-        arrays = make(np.random.default_rng(6))
+        arrays = [a.astype(dtype) for a in make(np.random.default_rng(6))]
         full = None
         # every input needs a gradient first, then each smaller set
         for needs in itertools.product((True, False), repeat=len(arrays)):
@@ -777,7 +797,7 @@ class TestSavedArrays:
             inputs = [Tensor(a, requires_grad=r) for a, r in zip(arrays, needs)]
             out = fn(*inputs)
             kept = closure_contents(out, inputs)
-            assert not any(isinstance(v, Tensor) for v in kept)
+            assert not any(isinstance(v, (Tensor, np.dtype)) for v in kept)
             for j, t in enumerate(inputs):
                 held = any(isinstance(v, np.ndarray) and np.shares_memory(v, t.data)
                            for v in kept)
@@ -787,9 +807,35 @@ class TestSavedArrays:
             full = full or grads
             for g, ref, needed in zip(grads, full, needs):
                 if needed:
+                    assert g.dtype == dtype
                     np.testing.assert_array_equal(g, ref)
                 else:
                     assert g is None
+
+
+MULTI_OPERAND_OPS = sorted(op for op, (make, _, _) in RECORDING_OPS.items()
+                           if len(make(np.random.default_rng(0))) > 1)
+
+
+class TestOneDtype:
+    """The tensor operands of an op share one dtype; a mix is refused with
+    recording on and under no_grad, whichever operand differs."""
+
+    def test_multi_operand_ops(self):
+        assert MULTI_OPERAND_OPS == ["add", "attention_probs", "concat", "head_linear",
+                                     "layernorm", "linear", "matmul", "mul"]
+
+    @pytest.mark.parametrize("recording", [True, False])
+    @pytest.mark.parametrize("op", MULTI_OPERAND_OPS)
+    def test_mixed_operands_raise(self, op, recording):
+        make, fn, _ = RECORDING_OPS[op]
+        arrays = make(np.random.default_rng(7))
+        for odd in range(len(arrays)):
+            inputs = [Tensor(a, requires_grad=True, dtype=np.float32 if j == odd else None)
+                      for j, a in enumerate(arrays)]
+            with contextlib.nullcontext() if recording else no_grad():
+                with pytest.raises(TypeError, match="float32 and float64"):
+                    fn(*inputs)
 
 
 class TestNoGrad:
