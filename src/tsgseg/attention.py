@@ -10,8 +10,12 @@ path is unaffected.
 
 All heads run as one product over a (..., heads, tokens, head_dim) stack, so
 a layer's graph size depends on neither its head count nor the batch size.
-Each map is one ``attention_probs`` node: the logits are never kept, only
-the probabilities, which are the gates' evidence.
+A self-attention layer is one ``self_attention`` node that never holds its
+map: it also computes the projection of every gate integrator declared to
+read the map, and its bundle carries those projections plus the queries and
+keys, from which the map itself is formed only when read. A cross-attention
+map is one ``attention_probs`` node: the logits are never kept, only the
+probabilities, which are the gates' evidence.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .module import LayerNorm, Linear, Mlp, Module
 from .tensor import (ShapeError, Tensor, attention_probs, concat, matmul, narrow, permute,
-                     reshape)
+                     reshape, self_attention)
 
 # Which axis of each stored map was softmax-normalized.
 SELF_KIND = "self"            # N x N, rows sum to 1 (axis 1, over keys)
@@ -39,6 +43,8 @@ class MhaConfig:
     model_dim: int
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ShapeError(f"attention needs at least 1 head, got {self.heads}")
         if self.model_dim % self.heads != 0:
             raise ShapeError(
                 f"model_dim {self.model_dim} not divisible by {self.heads} heads"
@@ -59,21 +65,45 @@ class AttentionBundle:
     rows). ``grid`` records the spatial layout of the row axis for
     self-attention maps (rows correspond to grid cells); cross maps have
     class-indexed rows and carry no grid.
+
+    A self-attention layer passes no maps but their ``factors``: its
+    (..., R, heads * d) queries and keys, the head count and the logit scale
+    c, so that ``stacked`` forms each head's ``softmax(c * q_h @ k_h^T)``
+    over keys only when read. Its ``projections`` map each integrator
+    declared to read the map to that integrator's (..., R, d_A) projection
+    of it.
     """
 
-    def __init__(self, maps: Tensor | list[Tensor], softmax_axis: int, kind: str,
-                 grid: tuple[int, int] | None = None):
-        if not isinstance(maps, Tensor):
+    def __init__(self, maps: Tensor | list[Tensor] | None, softmax_axis: int, kind: str,
+                 grid: tuple[int, int] | None = None, *,
+                 factors: tuple[Tensor, Tensor, int, float] | None = None,
+                 projections: dict[Linear, Tensor] | None = None):
+        if maps is not None and not isinstance(maps, Tensor):
             maps = concat([reshape(m, m.shape[:-2] + (1,) + m.shape[-2:]) for m in maps],
                           axis=-3)
-        self.stacked = maps
+        self._stacked = maps
+        self.factors = factors
+        self.projections = projections or {}
         self.softmax_axis = softmax_axis
         self.kind = kind
         self.grid = grid
 
     @property
+    def stacked(self) -> Tensor:
+        """The (..., heads, R, K) maps; formed from ``factors`` on first read."""
+        if self._stacked is None:
+            q, k, heads, c = self.factors
+            self._stacked = attention_probs(_split_heads(q, heads),
+                                            _split_heads(k, heads, keys=True), c)
+        return self._stacked
+
+    @property
     def heads(self) -> int:
-        return self.stacked.shape[-3]
+        return self.factors[2] if self._stacked is None else self._stacked.shape[-3]
+
+    @property
+    def rows(self) -> int:
+        return (self.factors[0] if self._stacked is None else self._stacked).shape[-2]
 
     @property
     def maps(self) -> list[Tensor]:
@@ -98,7 +128,7 @@ def concat_heads(stack: Tensor) -> Tensor:
 
 class _Attention(Module):
     """The core both attention layers share: the query, key, value and
-    output projections, built in that order, and the attention product."""
+    output projections, built in that order."""
 
     def __init__(self, cfg: MhaConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -108,33 +138,40 @@ class _Attention(Module):
         self.wv = Linear(d, d, rng)
         self.wo = Linear(d, d, rng)
 
-    def _attend(self, queries: Tensor, memory: Tensor,
-                gate_softmax: bool = False) -> tuple[Tensor, Tensor, Tensor | None]:
-        """Attend from ``queries`` to ``memory``. Returns the mixed features,
-        the (..., heads, R, K) map normalized over keys and, with
-        ``gate_softmax``, the same logits normalized over rows."""
+    def _project(self, queries: Tensor, memory: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """The (..., R, model_dim) queries and (..., K, model_dim) keys and
+        values of attending from ``queries`` to ``memory``."""
         cfg = self.cfg
         if queries.shape[-1] != cfg.model_dim or memory.shape[-1] != cfg.model_dim:
             raise ShapeError(
                 f"{type(self).__name__}: queries {queries.shape} / memory {memory.shape} "
                 f"must both have width {cfg.model_dim}"
             )
-        q = _split_heads(self.wq(queries), cfg.heads)
-        k = _split_heads(self.wk(memory), cfg.heads, keys=True)
-        c = 1.0 / math.sqrt(cfg.head_dim)
-        att = attention_probs(q, k, c, axis=-1)
-        mixed = matmul(att, _split_heads(self.wv(memory), cfg.heads))
-        out = self.wo(concat_heads(mixed))
-        # the logits are cheap to form twice
-        return out, att, attention_probs(q, k, c, axis=-2) if gate_softmax else None
+        return self.wq(queries), self.wk(memory), self.wv(memory)
 
 
 class MultiheadSelfAttention(_Attention):
-    """Token-to-token attention; returns features and the per-head maps."""
+    """Token-to-token attention; returns features and the per-head maps.
 
-    def __call__(self, tokens: Tensor) -> tuple[Tensor, AttentionBundle]:
-        out, att, _ = self._attend(tokens, tokens)
-        return out, AttentionBundle(att, softmax_axis=1, kind=SELF_KIND)
+    ``readers`` lists the gate integrators that read this layer's map; the
+    bundle carries each one's projection of it (``tensor.self_attention``).
+    """
+
+    def __call__(self, tokens: Tensor,
+                 readers: list[Linear] = ()) -> tuple[Tensor, AttentionBundle]:
+        cfg = self.cfg
+        q, k, v = self._project(tokens, tokens)
+        c = 1.0 / math.sqrt(cfg.head_dim)
+        out = self_attention(q, k, v, cfg.heads, c, [(r.w, r.b) for r in readers])
+        projections, start = {}, cfg.model_dim
+        for r in readers:
+            projections[r] = narrow(out, -1, start, r.w.shape[1])
+            start += r.w.shape[1]
+        if readers:
+            out = narrow(out, -1, 0, cfg.model_dim)
+        return self.wo(out), AttentionBundle(None, softmax_axis=1, kind=SELF_KIND,
+                                             factors=(q, k, cfg.heads, c),
+                                             projections=projections)
 
 
 class MultiheadCrossAttention(_Attention):
@@ -148,9 +185,16 @@ class MultiheadCrossAttention(_Attention):
     def __call__(
         self, queries: Tensor, memory: Tensor, gate_softmax: bool = False
     ) -> tuple[Tensor, AttentionBundle, AttentionBundle | None]:
-        out, att, gated = self._attend(queries, memory, gate_softmax)
-        if gated is not None:
-            gated = AttentionBundle(gated, softmax_axis=0, kind=CROSS_GATED_KIND)
+        cfg = self.cfg
+        q, k, v = self._project(queries, memory)
+        q, k = _split_heads(q, cfg.heads), _split_heads(k, cfg.heads, keys=True)
+        c = 1.0 / math.sqrt(cfg.head_dim)
+        att = attention_probs(q, k, c, axis=-1)
+        out = self.wo(concat_heads(matmul(att, _split_heads(v, cfg.heads))))
+        gated = None
+        if gate_softmax:  # the logits are cheap to form twice
+            gated = AttentionBundle(attention_probs(q, k, c, axis=-2), softmax_axis=0,
+                                    kind=CROSS_GATED_KIND)
         return out, AttentionBundle(att, softmax_axis=1, kind=CROSS_KIND), gated
 
 
@@ -164,8 +208,10 @@ class EncoderBlock(Module):
         self.norm2 = LayerNorm(d)
         self.mlp = Mlp(d, mlp_dim, d, rng)
 
-    def __call__(self, tokens: Tensor) -> tuple[Tensor, AttentionBundle]:
-        attended, bundle = self.attn(self.norm1(tokens))
+    def __call__(self, tokens: Tensor,
+                 readers: list[Linear] = ()) -> tuple[Tensor, AttentionBundle]:
+        """``readers`` are the gate integrators that read the block's map."""
+        attended, bundle = self.attn(self.norm1(tokens), readers)
         tokens = tokens + attended
         tokens = tokens + self.mlp(self.norm2(tokens))
         return tokens, bundle

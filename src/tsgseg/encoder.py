@@ -2,12 +2,14 @@
 
 The backbone embeds non-overlapping image patches, runs a stack of global
 self-attention blocks per stage, and halves the grid between stages by
-merging 2x2 token neighborhoods. Each stage's final self-attention maps are
-kept: at each fusion step a gate head projects the maps of the current
-stage and of every coarser one, each at its own grid, upsamples the
-projections to the current grid and decides from their sum, patch by
-patch, how much of the coarser refined map versus the current stage's own
-features to keep.
+merging 2x2 token neighborhoods. At each fusion step a gate head projects
+the final self-attention maps of the current stage and of every coarser
+one, each at its own grid, upsamples the projections to the current grid
+and decides from their sum, patch by patch, how much of the coarser refined
+map versus the current stage's own features to keep. The fusion declares
+which integrators read each stage's map (``TsgeFusion.readers``), and the
+backbone hands them to that stage's last block, whose attention layer
+computes their projections with the map and never holds the map.
 
 Fusion variants share the same projection layers so baselines stay weight-
 compatible with the gated model:
@@ -131,16 +133,19 @@ class Backbone(Module):
             if s + 1 < len(dims):
                 self.merges.append(PatchMerge(dim, dims[s + 1], rng))
 
-    def __call__(self, image: Tensor) -> tuple[list[FeatureMap], list[AttentionBundle]]:
+    def __call__(self, image: Tensor, readers: list[list[Linear]] | None = None
+                 ) -> tuple[list[FeatureMap], list[AttentionBundle]]:
+        """Per-stage features and the bundle of each stage's last block.
+        ``readers`` lists, per stage, the gate integrators that read that
+        bundle (``TsgeFusion.readers``); none by default."""
         fm = self.embed(image)
         features: list[FeatureMap] = []
         bundles: list[AttentionBundle] = []
         for s, blocks in enumerate(self.stages):
             tokens = fm.data
-            bundle = None
-            for block in blocks:
-                tokens, bundle = block(tokens)
-            assert bundle is not None
+            for block in blocks[:-1]:
+                tokens, _ = block(tokens)
+            tokens, bundle = blocks[-1](tokens, readers[s] if readers else ())
             bundle.grid = (fm.h, fm.w)
             fm = FeatureMap(data=tokens, h=fm.h, w=fm.w, stage=s + 1)
             features.append(fm)
@@ -192,6 +197,7 @@ class TsgeFusion(Module):
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         self.kind = cfg.encoder_fusion
         dims = cfg.stage_dims[:cfg.kept_stages]
+        self.num_stages = len(dims)
 
         if self.kind == "single":
             # Only the projection actually used is created, so every
@@ -214,6 +220,21 @@ class TsgeFusion(Module):
             step_head = (self.shared_head or head(widths[s:])) if gated else None
             steps.append(FusionStep(transform, step_head))
         self.steps = steps
+
+    def readers(self, forced_gates: float | None = None) -> list[list[Linear]]:
+        """The gate integrators that read each stage's self-attention map,
+        each listed once: step s reads stages s and up with its head's
+        trailing integrators (``TsgHead.sources``). None read a map unless
+        the fusion is gated and its gates are not forced."""
+        readers: list[list[Linear]] = [[] for _ in range(self.num_stages)]
+        if self.kind != "tsg" or forced_gates is not None:
+            return readers
+        for s, step in enumerate(self.steps):
+            for stage, integrator in enumerate(step.head.sources(self.num_stages - s),
+                                               start=s):
+                if all(integrator is not r for r in readers[stage]):
+                    readers[stage].append(integrator)
+        return readers
 
     def __call__(
         self, features: list[FeatureMap], bundles: list[AttentionBundle],

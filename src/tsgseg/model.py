@@ -60,7 +60,7 @@ class SegModel(Module):
         Scores are (N, C) for one image and (B, N, C) for a batch.
         ``forced_gates`` pins all gate entries.
         """
-        features, bundles = self.backbone(image)
+        features, bundles = self.backbone(image, self.fusion.readers(forced_gates))
         refined, enc_gates = self.fusion(features, bundles, forced_gates=forced_gates)
         y, dec_gates, f_dec = self.decoder(refined, self.target_grid,
                                            forced_gates=forced_gates)

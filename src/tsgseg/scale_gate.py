@@ -13,10 +13,13 @@ distribution over candidate scales. Evidence arrives in one of two forms:
 - class-normalized cross-attention maps, transposed to patch-major layout,
   concatenated over heads and projected with one linear.
 
-A (..., heads, R, K) head stack is projected by ``head_linear``: one
-product per head against that head's K rows of the integrator weight,
-summed over heads. That is the integrator applied to the (..., R, heads * K)
-concatenation, which is never built; leading axes are batch axes.
+A self-attention layer computes the projection of every integrator declared
+to read its map (``tensor.self_attention``) and passes it in its bundle. A
+bundle built from explicit maps, and a cross bundle, is projected here by
+``head_linear``: one product per head against that head's K rows of the
+integrator weight, summed over heads. Either is the integrator applied to
+the (..., R, heads * K) concatenation, which is never built; leading axes
+are batch axes.
 
 The integrated map goes through layernorm, a two-layer MLP and a softmax
 over the scale axis. The final MLP layer is zero-initialized so a fresh
@@ -32,7 +35,7 @@ import numpy as np
 
 from .attention import CROSS_GATED_KIND, AttentionBundle
 from .module import LayerNorm, Linear, Mlp, Module
-from .tensor import (ShapeError, Tensor, head_linear, mul, narrow, softmax, transpose,
+from .tensor import (ShapeError, Tensor, gated_sum, head_linear, softmax, transpose,
                      upsample_bilinear)
 
 __all__ = ["ScaleGates", "TsgHead", "constant_gates", "gated_sum"]
@@ -70,31 +73,48 @@ class TsgHead(Module):
         self.norm = LayerNorm(d_a)
         self.mlp = Mlp(d_a, hidden, num_scales, rng, zero_init_out=True)
 
+    def sources(self, count: int) -> list[Linear]:
+        """The integrators of a call that passes ``count`` bundles: the last
+        ``count``."""
+        if count < 1:
+            raise ShapeError("gate head: the bundle list is empty")
+        if count > len(self.integrators):
+            raise ShapeError(
+                f"gate head has {len(self.integrators)} sources, got {count} bundles"
+            )
+        return self.integrators[len(self.integrators) - count:]
+
     def integrate_self(self, bundles: list[AttentionBundle]) -> Tensor:
         """Fuse self-attention bundles into one N x d_A map on the first
         bundle's grid.
 
         Each bundle is projected by its own integrator at its own grid, and
         the projection is upsampled to the first bundle's grid. Bundles
-        without a grid must already share the first bundle's row count.
+        without a grid must already share the first bundle's row count. A
+        bundle from a self-attention layer carries its integrator's
+        projection (the layer's ``readers``); one built from explicit maps
+        is projected here.
         """
-        start = len(self.integrators) - len(bundles)
-        if start < 0:
-            raise ShapeError(
-                f"gate head has {len(self.integrators)} sources, got {len(bundles)}"
-            )
+        integrators = self.sources(len(bundles))
         target = bundles[0].grid
-        rows = bundles[0].stacked.shape[-2]
+        rows = bundles[0].rows
         for bundle in bundles:
-            if (target is None or bundle.grid is None) and bundle.stacked.shape[-2] != rows:
+            if (target is None or bundle.grid is None) and bundle.rows != rows:
                 raise ShapeError(
-                    f"integrate_self: row-count mismatch, {bundle.stacked.shape[-2]} vs "
+                    f"integrate_self: row-count mismatch, {bundle.rows} vs "
                     f"{rows}; bundles without a grid must share the first one's rows"
                 )
         total: Tensor | None = None
-        for i, bundle in enumerate(bundles):
-            integrator = self.integrators[start + i]
-            proj = head_linear(bundle.stacked, integrator.w, integrator.b)
+        for bundle, integrator in zip(bundles, integrators):
+            if bundle.factors is None:
+                proj = head_linear(bundle.stacked, integrator.w, integrator.b)
+            elif integrator in bundle.projections:
+                proj = bundle.projections[integrator]
+            else:
+                raise ShapeError(
+                    "integrate_self: a self-attention bundle carries no projection "
+                    "for this integrator; list it in the layer's readers"
+                )
             if target is not None and bundle.grid not in (None, target):
                 proj = upsample_bilinear(proj, bundle.grid, target)
             total = proj if total is None else total + proj
@@ -120,26 +140,3 @@ class TsgHead(Module):
         """Predict gates from an integrated map: softmax(MLP(norm(a)))."""
         logits = self.mlp(self.norm(a))
         return ScaleGates(gates=softmax(logits, axis=-1))
-
-
-def gated_sum(features: list[Tensor], gates: Tensor) -> Tensor:
-    """Per-patch convex combination: sum_s gates[:, s] * features[s].
-
-    ``gates`` is (..., N, S) with one column per feature map. Callers may pass a
-    constant (non-stochastic) gate matrix, e.g. all-ones to recover a plain
-    unweighted sum.
-    """
-    if gates.shape[-1] != len(features):
-        raise ShapeError(
-            f"gated_sum: {len(features)} feature maps vs gate width {gates.shape[-1]}"
-        )
-    total: Tensor | None = None
-    for s, f in enumerate(features):
-        if f.shape[-2] != gates.shape[-2]:
-            raise ShapeError(
-                f"gated_sum: feature rows {f.shape[-2]} != gate rows {gates.shape[-2]}"
-            )
-        term = mul(narrow(gates, -1, s, 1), f)
-        total = term if total is None else total + term
-    assert total is not None
-    return total

@@ -16,6 +16,10 @@ Which object holds what:
 - A closure captures only the arrays its backward reads, and only for
   inputs that need a gradient: ``matmul`` keeps each operand only for the
   other's gradient, and the shape ops, sums and concatenations keep shapes.
+- ``self_attention`` keeps no attention map: its closure keeps v, the gate
+  integrators' weights, and ``c * q`` and k with each map row's
+  log-sum-exp as one more column and row, and backward forms the map again
+  one block of query rows at a time.
 
 ``backward()`` on a scalar walks the recorded nodes once in reverse
 topological order and consumes them: each node drops its closure and its
@@ -39,7 +43,8 @@ Conventions:
 - Gradients accumulate. Repeated ``backward()`` calls without zeroing add
   their contributions; ``AdamW.zero_grad`` drops them after each step. A
   later contribution that is a matrix product is added into the grad in
-  row blocks, not through a temporary the size of the grad.
+  row blocks, and one that is a ``narrow`` slice into that slice of the
+  grad, not through a temporary the size of the grad.
 - Tensors are immutable after construction except for grad accumulation,
   the optimizer's updates between steps, and the values a loader writes
   into a parameter's own array in place (``load_model``).
@@ -76,6 +81,8 @@ __all__ = [
     "gelu",
     "linear",
     "head_linear",
+    "self_attention",
+    "gated_sum",
     "concat",
     "narrow",
     "take",
@@ -95,16 +102,16 @@ LAYERNORM_EPS = 1e-5  # added to every row variance in ``layernorm``
 # threshold; both thresholds move with what the process frees. Since
 # ``backward`` frees each graph as it goes, the next op would fault the same
 # pages back in. Fixed thresholds keep freed activations in the heap for
-# reuse. Every array of a float32 batch-4 step is below 64 MiB up to 128x128,
-# where the stage-1 attention maps and their grads are 32 MiB. Under a 4 MiB
-# mmap threshold such a map got a mapping of its own whenever no freed heap
-# block fit it, and a mapping that did not start on a 2 MiB boundary was
-# faulted in page by page rather than as transparent huge pages: about 1k
-# minor faults per step, with no lower peak memory. A 128x128 batch-4 step
-# frees more than 64 MiB at the heap top at once, so the trim threshold is
-# 128 MiB: at 32 or 64 MiB every such step gave its activations back and
-# faulted them in again. That holds only while nothing else churns the
-# heap, which is why AdamW keeps its state in flat buffers allocated once.
+# reuse. The graph of a float32 batch-4 step holds no array of 4 MiB or
+# more up to 128x128 (``self_attention`` forms each map in blocks of rows),
+# so the mmap threshold decides little: 12 calls of a 2-step 128x128 ``train_run`` in one
+# process peaked at 115.4 MB of resident memory under a 4 MiB threshold and
+# 115.3 MB under 64 MiB, with a median of 6 and 4 minor faults per call
+# after the first, and 64 MiB is kept. A 128x128 batch-4 step frees more
+# than 64 MiB at the heap top at once, so the trim threshold is 128 MiB: at
+# 32 or 64 MiB every such step gave its activations back and faulted them in
+# again. That holds only while nothing else churns the heap, which is why
+# AdamW keeps its state in flat buffers allocated once.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, malloc.h
 MALLOPT_SETTINGS = ((_M_MMAP_THRESHOLD, 64 << 20), (_M_TRIM_THRESHOLD, 128 << 20))
 
@@ -729,6 +736,186 @@ def head_linear(stack: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(data, nodes, backward)
 
 
+# ``self_attention`` forms its map in blocks of query rows of at most about
+# this many bytes.
+_ATTENTION_BLOCK_BYTES = 2 << 20
+
+
+def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, c: float,
+                   readers: list[tuple[Tensor, Tensor]]) -> Tensor:
+    """Multi-head self-attention and the evidence that gate integrators read
+    off its map, without holding the map.
+
+    ``q``, ``k`` and ``v`` are (..., N, H*d) with head h in columns
+    [h*d, (h+1)*d); head h's map is ``p_h = softmax(c * q_h @ k_h^T)`` over
+    keys. Each ``(w, b)`` of ``readers`` is an integrator with ``w`` of
+    (H*N, d_j). The result is (..., N, H*d + sum_j d_j): the heads' outputs
+    ``p_h @ v_h`` side by side, then for each reader ``head_linear(p, w, b)``.
+    Both are row-local, so the map is formed one block of query rows at a
+    time (``_ATTENTION_BLOCK_BYTES``), with the heads of a row side by side,
+    so that each reader is one product with ``w``, and dropped. The closure
+    keeps v, the weights, and ``c * q`` and k with each map row's
+    log-sum-exp as one more column and row, from which backward forms each
+    block once more.
+    """
+    lead, (n, width) = q.shape[:-2], ((0, 0) + q.shape)[-2:]
+    if q.ndim < 2 or heads < 1 or width % heads or not q.shape == k.shape == v.shape:
+        raise ShapeError(f"self_attention: q {q.shape}, k {k.shape} and v {v.shape} are "
+                         f"not three (..., N, {heads} x d) arrays")
+    for w, b in readers:
+        if w.ndim != 2 or w.shape[0] != heads * n or b.shape != w.shape[1:]:
+            raise ShapeError(f"self_attention: reader w {w.shape}, b {b.shape} do not "
+                             f"fit {heads} heads x {n} keys")
+    nodes = _nodes(q, k, v, *(t for pair in readers for t in pair))
+    c, d = float(c), width // heads
+
+    def split_heads(a: np.ndarray) -> np.ndarray:
+        """The (..., H, N, d) view of a (..., N, H*d) array."""
+        return a.reshape(a.shape[:-1] + (heads, d)).swapaxes(-2, -3)
+
+    qs = q.data * c
+    qh, kh, vh = split_heads(qs), split_heads(k.data), split_heads(v.data)
+    ws = [w.data for w, _ in readers]
+    cols = np.cumsum([width] + [w.shape[1] for w in ws])
+    step = max(1, _ATTENTION_BLOCK_BYTES // (math.prod(lead) * heads * n * qs.itemsize))
+    data = np.empty(lead + (n, int(cols[-1])), qs.dtype)
+    lse = np.empty(lead + (n, heads, 1), qs.dtype)  # each map row's log-sum-exp
+
+    def logits(a: np.ndarray, b: np.ndarray, rows: slice) -> np.ndarray:
+        """a_h @ b_h for a block of rows of the (..., H, N, e) a and the
+        (..., H, e, N) b, laid out (..., rows, H, N)."""
+        p = np.empty(lead + (len(range(n)[rows]), heads, n), a.dtype)
+        np.matmul(a[..., rows, :], b, out=np.swapaxes(p, -2, -3))
+        return p
+
+    def evidence(a: np.ndarray) -> list[np.ndarray]:
+        """Each reader's columns of a result-shaped array."""
+        return [a[..., i:j] for i, j in zip(cols[:-1], cols[1:])]
+
+    att, outs = split_heads(data[..., :width]), evidence(data)
+    for r in range(0, n, step):
+        rows = slice(r, r + step)
+        p = logits(qh, np.swapaxes(kh, -1, -2), rows)
+        lse[..., rows, :, :] = np.fmax.reduce(p, axis=-1, keepdims=True)
+        p -= lse[..., rows, :, :]
+        np.exp(p, out=p)
+        total = p.sum(axis=-1, keepdims=True)
+        p /= total
+        lse[..., rows, :, :] += np.log(total)
+        np.matmul(np.swapaxes(p, -2, -3), vh, out=att[..., rows, :])
+        flat = p.reshape(-1, heads * n)
+        for w, (_, b), e in zip(ws, readers, outs):
+            np.add((flat @ w).reshape(e[..., rows, :].shape), b.data, out=e[..., rows, :])
+
+    nq, nk, nv, *nwb = nodes
+    if not any(nodes):
+        return Tensor(data)
+    # Backward forms a block as exp(qa_h @ ka_h) with qa_h = [c q_h, -lse]
+    # and ka_h = [k_h^T; 1]: the logits less each row's log-sum-exp in one
+    # product. The map is formed while some gradient reads it, and v and the
+    # weights are kept only for the map's own gradient.
+    qa = ka = None
+    if nq is not None or nk is not None or nv is not None or any(nwb[::2]):
+        qa = np.concatenate([qh, -lse.swapaxes(-2, -3)], axis=-1)
+        ka = np.concatenate([np.swapaxes(kh, -1, -2),
+                             np.ones(lead + (heads, 1, n), qs.dtype)], axis=-2)
+    if nq is None and nk is None:
+        vh, ws = None, [None] * len(readers)
+
+    def backward(g):
+        g_att, g_evidence = split_heads(g[..., :width]), evidence(g)
+        grads = [np.zeros(lead + (n, width), g.dtype) if node is not None else None
+                 for node in (nq, nk, nv)]
+        dq, dk, dv = [x if x is None else split_heads(x) for x in grads]
+        dw = [np.zeros((heads * n, e.shape[-1]), g.dtype) if nw is not None else None
+              for e, nw in zip(g_evidence, nwb[::2])]
+        for r in range(0, n, step) if qa is not None else ():
+            rows = slice(r, r + step)
+            p = logits(qa, ka, rows)
+            np.exp(p, out=p)
+            p_heads, flat = np.swapaxes(p, -2, -3), p.reshape(-1, heads * n)
+            g_rows = g_att[..., rows, :]
+            e_rows = [e[..., rows, :].reshape(-1, e.shape[-1]) for e in g_evidence]
+            if dv is not None:
+                dv += np.swapaxes(p_heads, -1, -2) @ g_rows
+            for e, dwj in zip(e_rows, dw):
+                if dwj is not None:
+                    dwj += flat.T @ e
+            if vh is None:
+                continue
+            dp = np.empty_like(p)
+            np.matmul(g_rows, np.swapaxes(vh, -1, -2), out=np.swapaxes(dp, -2, -3))
+            for e, w in zip(e_rows, ws):
+                dp += (e @ w.T).reshape(dp.shape)
+            ds = np.swapaxes(_softmax_backward_(dp, p, -1), -2, -3)
+            if dq is not None:
+                np.matmul(ds, np.swapaxes(ka[..., :d, :], -1, -2), out=dq[..., rows, :])
+            if dk is not None:
+                dk += np.swapaxes(ds, -1, -2) @ qa[..., rows, :d]
+        if dq is not None:
+            grads[0] *= c
+        for node, grad in zip((nq, nk, nv), grads):
+            _accumulate(node, grad)
+        for e, dwj, nw, nb in zip(g_evidence, dw, nwb[::2], nwb[1::2]):
+            _accumulate(nw, dwj)
+            if nb is not None:
+                _accumulate(nb, e.reshape(-1, e.shape[-1]).sum(axis=0))
+
+    return _record(data, nodes, backward)
+
+
+def gated_sum(features: list[Tensor], gates: Tensor) -> Tensor:
+    """Per-patch combination ``sum_s gates[..., s:s+1] * features[s]``.
+
+    ``gates`` is (..., N, S) with one column per (..., N, d) feature map;
+    leading axes broadcast. The S products are summed left to right, as
+    ``mul`` and ``add`` would. Callers may pass a constant (non-stochastic)
+    gate matrix, e.g. all-ones to recover a plain unweighted sum.
+    """
+    if gates.ndim < 2:
+        raise ShapeError(f"gated_sum: gates {gates.shape} are not (..., N, S)")
+    if gates.shape[-1] != len(features):
+        raise ShapeError(
+            f"gated_sum: {len(features)} feature maps vs gate width {gates.shape[-1]}"
+        )
+    columns = [gates.data[..., s:s + 1] for s in range(len(features))]
+    data = None
+    for f, column in zip(features, columns):
+        if f.ndim < 2 or f.shape[-2] != gates.shape[-2]:
+            raise ShapeError(f"gated_sum: feature {f.shape} rows != gate rows "
+                             f"{gates.shape[-2]}")
+        try:
+            term = column * f.data
+            data = term if data is None else data + term
+        except ValueError:
+            raise ShapeError(f"gated_sum: feature {f.shape} and gates {gates.shape} "
+                             f"do not broadcast")
+
+    ng, *nfs = nodes = _nodes(gates, *features)
+    if not any(nodes):
+        return Tensor(data)
+    g_shape, f_shapes = gates.shape, [f.shape for f in features]
+    # each factor is kept only for the other's gradient
+    f_data = [f.data if ng is not None else None for f in features]
+    if not any(nfs):
+        columns = None
+
+    def backward(g):
+        if ng is not None:
+            dg = np.zeros(g_shape, g.dtype)
+            for s, f in enumerate(f_data):
+                dg[..., s:s + 1] += _unbroadcast(g * f, g_shape[:-1] + (1,))
+            _accumulate(ng, dg)
+        # a term's grad is g in g's layout, the first one g itself
+        for s in range(len(f_shapes) - 1, -1, -1):
+            if nfs[s] is not None:
+                gs = g if s == 0 else g.copy(order="K")
+                gs *= columns[s]
+                _accumulate(nfs[s], _unbroadcast(gs, f_shapes[s]))
+
+    return _record(data, nodes, backward)
+
+
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
     """Concatenate along ``axis``; the backward pass splits the gradient."""
     if not tensors:
@@ -775,9 +962,10 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     shape = x.shape
 
     def backward(g):
-        full = np.zeros(shape, g.dtype)
-        full[idx] = g
-        _accumulate(nx, full)
+        # a later slice adds into the input's grad, not through a full-size copy
+        if nx.grad is None:
+            nx.grad = np.zeros(shape, g.dtype)
+        nx.grad[idx] += g
 
     return _record(data, nodes, backward)
 

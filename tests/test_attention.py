@@ -38,6 +38,11 @@ class TestConfig:
         with pytest.raises(ShapeError):
             MhaConfig(3, 8)
 
+    @pytest.mark.parametrize("heads", [0, -2])
+    def test_head_count_below_one_rejected(self, heads):
+        with pytest.raises(ShapeError, match="at least 1 head"):
+            MhaConfig(heads=heads, model_dim=4)
+
 
 class TestSelfAttention:
     def test_matches_loop_reference(self):

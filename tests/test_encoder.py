@@ -278,6 +278,25 @@ class TestTsgeFusion:
         for got, want in zip(refined, ref):
             np.testing.assert_allclose(got.data.data, want, atol=1e-9)
 
+    @pytest.mark.parametrize("overrides, counts", [
+        ({}, [1, 2, 2]),
+        ({"shared_tsg": True}, [1, 1, 1]),
+        ({"encoder_fusion": "fpn"}, [0, 0, 0]),
+        ({"encoder_fusion": "none"}, [0, 0, 0]),
+        ({"encoder_fusion": "single", "single_stage": 2}, [0, 0]),
+    ])
+    def test_readers_of_each_stage_map(self, overrides, counts):
+        fusion = tsg_fusion(np.random.default_rng(21), **overrides)
+        assert [len(r) for r in fusion.readers()] == counts
+        assert all(r == [] for r in fusion.readers(forced_gates=1.0))
+
+    def test_readers_follow_the_trailing_sources_rule(self):
+        # step s reads stages s and up with its head's last integrators
+        fusion = tsg_fusion(np.random.default_rng(22))
+        first, second = (step.head.integrators for step in fusion.steps)
+        assert fusion.readers() == [[first[0]], [first[1], second[0]],
+                                    [first[2], second[1]]]
+
     def test_shared_head_reports_parameters_once(self):
         rng = np.random.default_rng(19)
         fusion = tsg_fusion(rng, shared_tsg=True)

@@ -1,8 +1,10 @@
 """The fused attention ops against the unfused formulation they replace.
 
-``attention_probs`` is ``softmax(scale(q, c) @ k)`` kept as one node, and
+``attention_probs`` is ``softmax(scale(q, c) @ k)`` kept as one node,
 ``head_linear`` is ``linear(concat_heads(stack))`` without the concatenated
-copy. Forward values are checked against the loop oracles, in float64
+copy, and ``self_attention`` is ``attention_probs``, ``matmul`` and one
+``head_linear`` per reader, formed in blocks of query rows without keeping
+the map. Forward values are checked against the loop oracles, in float64
 (rtol 1e-12) and float32 (rtol 1e-5); gradients against finite differences
 and against the unfused graph. The in-place softmax backwards are checked
 where a shared or non-contiguous grad could be corrupted.
@@ -22,10 +24,11 @@ from tsgseg.attention import (CROSS_GATED_KIND, CROSS_KIND, SELF_KIND, Attention
 from tsgseg.config import resolve_config
 from tsgseg.model import build_model
 from tsgseg.scale_gate import TsgHead
+from tsgseg import tensor
 from tsgseg.tensor import (ShapeError, Tensor, _accumulate_matmul, _Node, add,
                            attention_probs, cross_entropy, head_linear, linear, matmul, mul,
-                           permute, reshape, scale, softmax, transpose, tsum,
-                           upsample_bilinear)
+                           narrow, permute, reshape, scale, self_attention, softmax,
+                           transpose, tsum, upsample_bilinear)
 from tsgseg.train import VARIANTS
 
 from test_tensor import check_grad
@@ -191,6 +194,112 @@ class TestHeadLinear:
             head_linear(stack, Tensor(np.zeros((8, 2))), Tensor(np.zeros(3)))
 
 
+def explicit_self_attention(q, k, v, heads, c, readers):
+    """``self_attention`` as separate nodes that keep the whole map."""
+    p = attention_probs(_split_heads(q, heads), _split_heads(k, heads, keys=True), c)
+    out = concat_heads(matmul(p, _split_heads(v, heads)))
+    return [out] + [head_linear(p, w, b) for w, b in readers]
+
+
+def blocked_self_attention(q, k, v, heads, c, readers):
+    """``self_attention`` split into the same pieces with ``narrow``."""
+    out = self_attention(q, k, v, heads, c, readers)
+    pieces, start = [], 0
+    for width in [q.shape[-1]] + [w.shape[1] for w, _ in readers]:
+        pieces.append(narrow(out, -1, start, width))
+        start += width
+    return pieces
+
+
+class TestSelfAttention:
+    HEADS, N, D, D_A = 2, 10, 6, 3
+
+    def operands(self, lead, readers, dtype, seed=90):
+        rng = np.random.default_rng(seed)
+        qkv = [rng.normal(size=lead + (self.N, self.D)).astype(dtype) for _ in range(3)]
+        wb = [(rng.normal(size=(self.HEADS * self.N, self.D_A + j)).astype(dtype),
+               rng.normal(size=self.D_A + j).astype(dtype)) for j in range(readers)]
+        ups = [rng.normal(size=lead + (self.N, self.D)).astype(dtype)]
+        ups += [rng.normal(size=lead + (self.N, w.shape[1])).astype(dtype) for w, _ in wb]
+        return qkv, wb, ups
+
+    def run(self, build, lead, readers, dtype):
+        qkv, wb, ups = self.operands(lead, readers, dtype)
+        inputs = [Tensor(a, requires_grad=True) for a in qkv]
+        pairs = [(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
+                 for w, b in wb]
+        pieces = build(*inputs, self.HEADS, 0.4, pairs)
+        loss = None
+        for piece, up in zip(pieces, ups):
+            term = tsum(mul(piece, Tensor(up)))
+            loss = term if loss is None else add(loss, term)
+        loss.backward()
+        leaves = inputs + [t for pair in pairs for t in pair]
+        return [p.data for p in pieces], [t.grad for t in leaves]
+
+    @pytest.mark.parametrize("readers", [0, 1, 2])
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+    def test_blocks_match_explicit_map(self, monkeypatch, lead, readers):
+        # 3-row blocks over 10 rows: three full blocks and a ragged last one;
+        # the 2-D weights broadcast over every leading (batch) axis
+        row_bytes = math.prod(lead) * self.HEADS * self.N * 8
+        monkeypatch.setattr(tensor, "_ATTENTION_BLOCK_BYTES", 3 * row_bytes + 7)
+        values, grads = self.run(blocked_self_attention, lead, readers, np.float64)
+        ref_values, ref_grads = self.run(explicit_self_attention, lead, readers, np.float64)
+        assert len(grads) == 3 + 2 * readers
+        for got, want in zip(values + grads, ref_values + ref_grads):
+            assert_rel_close(got, want, np.float64)
+
+    def test_one_block_matches_explicit_map(self):
+        values, grads = self.run(blocked_self_attention, (2,), 2, np.float64)
+        ref_values, ref_grads = self.run(explicit_self_attention, (2,), 2, np.float64)
+        for got, want in zip(values + grads, ref_values + ref_grads):
+            assert_rel_close(got, want, np.float64)
+
+    def test_float32_within_float32_tolerance_of_float64(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_ATTENTION_BLOCK_BYTES", 3 * 2 * self.HEADS * self.N * 4)
+        values, grads = self.run(blocked_self_attention, (2,), 2, np.float32)
+        ref_values, ref_grads = self.run(blocked_self_attention, (2,), 2, np.float64)
+        for got, want in zip(values + grads, ref_values + ref_grads):
+            assert got.dtype == np.float32
+            assert_rel_close(got, want, np.float32)
+
+    def test_gradients_vs_finite_differences(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_ATTENTION_BLOCK_BYTES", 2 * 2 * 2 * 3 * 8)
+        rng = np.random.default_rng(91)
+        q0, k0, v0 = rng.normal(size=(3, 2, 3, 4))
+        w0, b0 = rng.normal(size=(6, 2)), rng.normal(size=2)
+        up = Tensor(rng.normal(size=(2, 3, 6)))
+
+        def loss(q=q0, k=k0, v=v0, w=w0, b=b0):
+            args = [x if isinstance(x, Tensor) else Tensor(x) for x in (q, k, v, w, b)]
+            out = self_attention(*args[:3], 2, 0.6, [(args[3], args[4])])
+            return tsum(mul(out, up))
+
+        for name, x0 in zip("qkvwb", (q0, k0, v0, w0, b0)):
+            check_grad(lambda t: loss(**{name: t}), x0)
+
+    def test_graph_keeps_no_map(self):
+        # the closure holds c * q and k with one more column or row, v and
+        # the weights: nothing N x N
+        q, k, v = (Tensor(np.ones((2, 50, 4)), requires_grad=True) for _ in range(3))
+        w = Tensor(np.ones((100, 3)), requires_grad=True)
+        out = self_attention(q, k, v, 2, 1.0, [(w, Tensor(np.zeros(3)))])
+        assert out.shape == (2, 50, 7)
+        assert max(a.size for a in graph_arrays(out)) < 50 * 50
+
+    def test_shape_errors(self):
+        x = Tensor(np.zeros((2, 5, 4)))
+        with pytest.raises(ShapeError, match="self_attention"):
+            self_attention(x, Tensor(np.zeros((2, 4, 5))), x, 2, 1.0, [])
+        with pytest.raises(ShapeError, match="self_attention"):
+            self_attention(x, x, x, 3, 1.0, [])
+        with pytest.raises(ShapeError, match="reader"):
+            self_attention(x, x, x, 2, 1.0, [(Tensor(np.zeros((5, 3))), Tensor(np.zeros(3)))])
+        with pytest.raises(ShapeError, match="reader"):
+            self_attention(x, x, x, 2, 1.0, [(Tensor(np.zeros((10, 3))), Tensor(np.zeros(2)))])
+
+
 def parent_softmax_grad(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
     """The out-of-place softmax backward: (g - sum(g * p, axis)) * p."""
     return (g - (g * p).sum(axis=axis, keepdims=True)) * p
@@ -265,7 +374,7 @@ class TestInPlaceBackward:
 # matmul, a separate softmax per normalized axis, and every gate integrator
 # applied to the head-concatenated maps.
 
-def unfused_self_attention(self, tokens):
+def unfused_self_attention(self, tokens, readers=()):
     cfg = self.cfg
     q = scale(self.wq(tokens), 1.0 / math.sqrt(cfg.head_dim))
     logits = matmul(_split_heads(q, cfg.heads),
@@ -351,16 +460,22 @@ class TestSameFunction:
 
 def graph_arrays(root: Tensor) -> list[np.ndarray]:
     """Every array a recorded graph keeps alive: the arrays each node's
-    backward closure captured. Nodes hold no forward values."""
+    backward closure captured, lists and tuples unpacked. Nodes hold no
+    forward values."""
     arrays, seen, stack = [], set(), [root._node]
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        for cell in getattr(node.backward, "__closure__", None) or ():
-            if isinstance(cell.cell_contents, np.ndarray):
-                arrays.append(cell.cell_contents)
+        values = [cell.cell_contents for cell in getattr(node.backward, "__closure__", None)
+                  or ()]
+        while values:
+            value = values.pop()
+            if isinstance(value, (list, tuple)):
+                values.extend(value)
+            elif isinstance(value, np.ndarray):
+                arrays.append(value)
         stack.extend(node.inputs)
     return arrays
 
@@ -371,50 +486,56 @@ def owning_buffer(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def desk_step_peak(size: int, batch: int) -> int:
+    """The ``tracemalloc`` peak of one float32 desk forward and backward."""
+    cfg = resolve_config("desk", {"height": size, "width": size, "precision": "single"})
+    model = build_model(cfg, seed=0, dtype=np.float32)
+    rng = np.random.default_rng(3)
+    images = rng.uniform(size=(batch, size, size, 3)).astype(np.float32)
+    labels = rng.integers(0, cfg.num_classes, size=(batch, (size // 4) ** 2))
+    tracemalloc.start()
+    try:
+        cross_entropy(model(Tensor(images)).scores, labels).backward()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestAttentionMemory:
-    def test_stage1_graph_keeps_only_the_probabilities(self):
-        # desk model at 128x128: stage 1 has 2 heads over 32 x 32 = 1024
-        # tokens, so each of its per-batch maps is 4 x 2 x 1024 x 1024
+    def test_graph_holds_no_array_of_4_mib(self):
+        # desk model at 128x128, batch 4: stage 1 has 2 heads over 32 x 32 =
+        # 1024 tokens, so a whole stage-1 map would be a 32 MiB array; the
+        # graph keeps no map, and its largest array is about 1 MiB
         cfg = resolve_config("desk", {"height": 128, "width": 128, "precision": "single"})
         model = build_model(cfg, seed=0, dtype=np.float32)
         rng = np.random.default_rng(80)
         images = rng.uniform(size=(4, 128, 128, 3)).astype(np.float32)
         scores = model(Tensor(images)).scores
         loss = cross_entropy(scores, rng.integers(0, cfg.num_classes, size=scores.shape[:-1]))
-        map_size = 4 * 2 * 1024 * 1024
-        buffers = {id(b): b for b in map(owning_buffer, graph_arrays(loss))
-                   if b.size == map_size}
-        assert len(buffers) == 1
-        (probs,) = buffers.values()
-        assert probs.shape == (4, 2, 1024, 1024) and probs.dtype == np.float32
-        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=1e-5)
+        buffers = {id(b): b for b in map(owning_buffer, graph_arrays(loss))}
+        assert buffers
+        assert max(b.nbytes for b in buffers.values()) < 4 * 2**20
 
     def test_step_peak_at_128px(self):
         # float32 batch-4 forward and backward: 126.6 MiB when the graph held
-        # every op's inputs and a second gradient contribution went through a
-        # full-size temporary, 95.8 MiB without either
-        cfg = resolve_config("desk", {"height": 128, "width": 128, "precision": "single"})
-        model = build_model(cfg, seed=0, dtype=np.float32)
-        rng = np.random.default_rng(3)
-        images = rng.uniform(size=(4, 128, 128, 3)).astype(np.float32)
-        labels = rng.integers(0, cfg.num_classes, size=(4, 32 * 32))
-        tracemalloc.start()
-        try:
-            cross_entropy(model(Tensor(images)).scores, labels).backward()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 105 * 2**20
+        # every op's inputs, 95.8 MiB while it held each 32 MiB stage-1 map,
+        # about 52 MiB with the maps formed in blocks of query rows
+        assert desk_step_peak(128, 4) < 75 * 2**20
+
+    def test_step_peak_at_256px_batch_1(self):
+        # 314.8 MiB while the graph held each 4096 x 4096 stage-1 map (two
+        # heads, 128 MiB), about 52 MiB with the maps formed in blocks
+        assert desk_step_peak(256, 1) < 80 * 2**20
 
 
 class TestBlockedAccumulation:
     """A second contribution to a product-shaped grad is added in row
     blocks; the sum is bit for bit that of one full-size product."""
 
-    # At 128x128 the stage-1 attention map's grad, (4, 2, 1024, 1024), gets
-    # g @ v^T from the attention product, g_heads @ w_heads^T from the gate
-    # head's head_linear (the (B, 1, N, d) grad broadcast over (H, d, K)),
-    # and a right operand's grad reads its left operand transposed.
+    # A (4, 2, 1024, 1024) grad, the size of a whole 128x128 stage-1 map,
+    # taking g @ v^T from a matrix product, g_heads @ w_heads^T from
+    # head_linear (the (B, 1, N, d) grad broadcast over (H, d, K)), and a
+    # right operand's grad, which reads its left operand transposed.
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_shape, x_t, y_shape, y_t", [
         ((4, 2, 1024, 16), False, (4, 2, 1024, 16), True),

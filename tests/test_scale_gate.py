@@ -16,7 +16,7 @@ from tsgseg.attention import (
     MultiheadSelfAttention,
 )
 from tsgseg.scale_gate import ScaleGates, TsgHead, gated_sum
-from tsgseg.tensor import ShapeError, Tensor, mul, tsum
+from tsgseg.tensor import ShapeError, Tensor, add, mul, narrow, tsum
 
 
 def random_self_bundle(rng, rows: int, heads: int) -> AttentionBundle:
@@ -68,6 +68,27 @@ class TestIntegrateSelf:
         b = random_self_bundle(rng, rows=4, heads=2)
         with pytest.raises(ShapeError, match="2 sources, got 3"):
             head.integrate_self([b, b, b])
+
+    def test_empty_bundle_list_rejected(self):
+        head = TsgHead([8, 8], d_a=4, hidden=4, num_scales=2, rng=np.random.default_rng(2))
+        with pytest.raises(ShapeError, match="bundle list is empty"):
+            head.integrate_self([])
+
+    def test_self_attention_bundle_carries_its_readers_projections(self):
+        # a layer's bundle holds the projection of each integrator it was
+        # told reads its map; integrate_self uses it and refuses the others
+        rng = np.random.default_rng(4)
+        head = TsgHead([2 * 5, 2 * 5], d_a=3, hidden=4, num_scales=2, rng=rng)
+        attn = MultiheadSelfAttention(MhaConfig(2, 4), rng)
+        x = Tensor(rng.normal(size=(3, 5, 4)))
+        _, bundle = attn(x, [head.integrators[1]])
+        assert list(bundle.projections) == [head.integrators[1]]
+        explicit = AttentionBundle(bundle.stacked, softmax_axis=1, kind=SELF_KIND)
+        np.testing.assert_allclose(head.integrate_self([bundle]).data,
+                                   head.integrate_self([explicit]).data, rtol=1e-12)
+        _, unread = attn(x)
+        with pytest.raises(ShapeError, match="no projection"):
+            head.integrate_self([unread])
 
     def test_row_mismatch_rejected(self):
         rng = np.random.default_rng(3)
@@ -219,6 +240,36 @@ class TestGatedSum:
         with pytest.raises(ShapeError):
             gated_sum([Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2)))],
                       Tensor(np.zeros((4, 2))))
+
+    @pytest.mark.parametrize("scales", [2, 3])
+    @pytest.mark.parametrize("constant_gates", [False, True])
+    def test_same_bits_as_products_and_sums(self, scales, constant_gates):
+        # one node computes what S narrows, S muls and S - 1 adds did, value
+        # and gradients bit for bit; batched features with unbatched gates
+        rng = np.random.default_rng(16)
+        feats0 = [rng.normal(size=(2, 5, 3)) for _ in range(scales)]
+        gates0 = oracles.softmax2d(rng.normal(size=(5, scales)), axis=1)
+        up = Tensor(rng.normal(size=(2, 5, 3)))
+
+        def run(fuse):
+            feats = [Tensor(f, requires_grad=True) for f in feats0]
+            gates = Tensor(gates0, requires_grad=not constant_gates)
+            out = fuse(feats, gates)
+            tsum(mul(out, up)).backward()
+            return [out.data, gates.grad] + [f.grad for f in feats]
+
+        def chain(feats, gates):
+            total = None
+            for s, f in enumerate(feats):
+                term = mul(narrow(gates, -1, s, 1), f)
+                total = term if total is None else add(total, term)
+            return total
+
+        for got, want in zip(run(gated_sum), run(chain)):
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
 
     def test_gradients(self):
         rng = np.random.default_rng(15)
