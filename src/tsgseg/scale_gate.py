@@ -35,7 +35,7 @@ import numpy as np
 
 from .attention import CROSS_GATED_KIND, AttentionBundle
 from .module import LayerNorm, Linear, Mlp, Module
-from .tensor import (ShapeError, Tensor, gated_sum, head_linear, softmax, transpose,
+from .tensor import (ShapeError, Tensor, head_linear, mul, narrow, softmax, transpose,
                      upsample_bilinear)
 
 __all__ = ["ScaleGates", "TsgHead", "constant_gates", "gated_sum"]
@@ -140,3 +140,26 @@ class TsgHead(Module):
         """Predict gates from an integrated map: softmax(MLP(norm(a)))."""
         logits = self.mlp(self.norm(a))
         return ScaleGates(gates=softmax(logits, axis=-1))
+
+
+def gated_sum(features: list[Tensor], gates: Tensor) -> Tensor:
+    """Per-patch convex combination: sum_s gates[:, s] * features[s].
+
+    ``gates`` is (..., N, S) with one column per feature map. Callers may pass a
+    constant (non-stochastic) gate matrix, e.g. all-ones to recover a plain
+    unweighted sum.
+    """
+    if gates.shape[-1] != len(features):
+        raise ShapeError(
+            f"gated_sum: {len(features)} feature maps vs gate width {gates.shape[-1]}"
+        )
+    total: Tensor | None = None
+    for s, f in enumerate(features):
+        if f.shape[-2] != gates.shape[-2]:
+            raise ShapeError(
+                f"gated_sum: feature rows {f.shape[-2]} != gate rows {gates.shape[-2]}"
+            )
+        term = mul(narrow(gates, -1, s, 1), f)
+        total = term if total is None else total + term
+    assert total is not None
+    return total

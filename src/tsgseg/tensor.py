@@ -16,10 +16,10 @@ Which object holds what:
 - A closure captures only the arrays its backward reads, and only for
   inputs that need a gradient: ``matmul`` keeps each operand only for the
   other's gradient, and the shape ops, sums and concatenations keep shapes.
-- ``self_attention`` keeps no attention map: its closure keeps v, the gate
-  integrators' weights, and ``c * q`` and k with each map row's
-  log-sum-exp as one more column and row, and backward forms the map again
-  one block of query rows at a time.
+- ``self_attention`` keeps no attention map larger than
+  ``_ATTENTION_KEEP_BYTES``: its closure keeps ``c * q``, k, v, the gate
+  integrators' weights and each map row's max and sum of exponentials,
+  and backward forms such a map again one block of query rows at a time.
 
 ``backward()`` on a scalar walks the recorded nodes once in reverse
 topological order and consumes them: each node drops its closure and its
@@ -42,9 +42,8 @@ Conventions:
   order, with the grid shape carried separately by the caller.
 - Gradients accumulate. Repeated ``backward()`` calls without zeroing add
   their contributions; ``AdamW.zero_grad`` drops them after each step. A
-  later contribution that is a matrix product is added into the grad in
-  row blocks, and one that is a ``narrow`` slice into that slice of the
-  grad, not through a temporary the size of the grad.
+  later contribution that is a ``narrow`` slice is added into that slice
+  of the grad, not through a temporary the size of the grad.
 - Tensors are immutable after construction except for grad accumulation,
   the optimizer's updates between steps, and the values a loader writes
   into a parameter's own array in place (``load_model``).
@@ -82,7 +81,6 @@ __all__ = [
     "linear",
     "head_linear",
     "self_attention",
-    "gated_sum",
     "concat",
     "narrow",
     "take",
@@ -102,16 +100,18 @@ LAYERNORM_EPS = 1e-5  # added to every row variance in ``layernorm``
 # threshold; both thresholds move with what the process frees. Since
 # ``backward`` frees each graph as it goes, the next op would fault the same
 # pages back in. Fixed thresholds keep freed activations in the heap for
-# reuse. The graph of a float32 batch-4 step holds no array of 4 MiB or
-# more up to 128x128 (``self_attention`` forms each map in blocks of rows),
-# so the mmap threshold decides little: 12 calls of a 2-step 128x128 ``train_run`` in one
-# process peaked at 115.4 MB of resident memory under a 4 MiB threshold and
-# 115.3 MB under 64 MiB, with a median of 6 and 4 minor faults per call
-# after the first, and 64 MiB is kept. A 128x128 batch-4 step frees more
-# than 64 MiB at the heap top at once, so the trim threshold is 128 MiB: at
-# 32 or 64 MiB every such step gave its activations back and faulted them in
-# again. That holds only while nothing else churns the heap, which is why
-# AdamW keeps its state in flat buffers allocated once.
+# reuse. Setting either threshold also stops glibc from moving the other,
+# so the mmap threshold is set too: with the trim threshold alone it stays
+# at 128 KiB, and 12 calls of a 2-step 128x128 batch-4 ``train_run`` in one
+# process took about 180k minor faults per call. No graph array of such a
+# step reaches 4 MiB (``self_attention`` forms the stage-1 maps in blocks of
+# rows), so 4 and 64 MiB measured alike there: peaks of 119.7 and 119.5 MB
+# of resident memory, medians of 6 and 5 faults per call after the first
+# two; 64 MiB is kept. A 128x128 batch-4 step frees more than 64 MiB at the
+# heap top at once, so the trim threshold is 128 MiB: at 32 or 64 MiB every
+# such step gave its activations back and faulted them in again. That holds
+# only while nothing else churns the heap, which is why AdamW keeps its
+# state in flat buffers allocated once.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, malloc.h
 MALLOPT_SETTINGS = ((_M_MMAP_THRESHOLD, 64 << 20), (_M_TRIM_THRESHOLD, 128 << 20))
 
@@ -282,28 +282,12 @@ def _accumulate(node: _Node | None, g: np.ndarray) -> None:
         node.grad += g
 
 
-# A second contribution to a grad that is a matrix product is added in row
-# blocks of about this many bytes, not through a product-sized temporary.
-_BLOCK_BYTES = 1 << 20
-
-
 def _accumulate_matmul(node: _Node | None, x: np.ndarray, y: np.ndarray,
                        shape: tuple[int, ...]) -> None:
-    """``_accumulate`` of ``x @ y`` summed down to ``shape``. When the grad
-    already holds a contribution of the product's own shape, the product is
-    added one block of rows at a time: a row block of a product is the same
-    BLAS call on the same rows, so the sum is bit for bit ``grad + x @ y``."""
-    if node is None:
-        return
-    grad = node.grad
-    rows = x.shape[-2]
-    if grad is None or (np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
-                        + (rows, y.shape[-1])) != shape:
+    """``_accumulate`` of ``x @ y`` summed down to ``shape``; the product is
+    not formed for a None node."""
+    if node is not None:
         _accumulate(node, _unbroadcast(x @ y, shape))
-        return
-    step = max(1, _BLOCK_BYTES * rows // max(grad.nbytes, 1))
-    for r in range(0, rows, step):
-        grad[..., r:r + step, :] += x[..., r:r + step, :] @ y
 
 
 _grad_enabled = True
@@ -737,8 +721,13 @@ def head_linear(stack: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 # ``self_attention`` forms its map in blocks of query rows of at most about
-# this many bytes.
-_ATTENTION_BLOCK_BYTES = 2 << 20
+# _ATTENTION_BLOCK_BYTES, and keeps the blocks of a map of at most
+# _ATTENTION_KEEP_BYTES for backward rather than forming them again. A
+# 128x128 batch-4 stage-1 block is then 64 rows. 32-row blocks ran faster,
+# but OpenBLAS rounds their p @ v differently from the whole product's (a
+# small-matrix kernel), and a forward that rounds differently moves the
+# seeded quality guards by percents (ROADMAP item 1).
+_ATTENTION_BLOCK_BYTES, _ATTENTION_KEEP_BYTES = 2 << 20, 4 << 20
 
 
 def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, c: float,
@@ -752,11 +741,13 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, c: float,
     (H*N, d_j). The result is (..., N, H*d + sum_j d_j): the heads' outputs
     ``p_h @ v_h`` side by side, then for each reader ``head_linear(p, w, b)``.
     Both are row-local, so the map is formed one block of query rows at a
-    time (``_ATTENTION_BLOCK_BYTES``), with the heads of a row side by side,
-    so that each reader is one product with ``w``, and dropped. The closure
-    keeps v, the weights, and ``c * q`` and k with each map row's
-    log-sum-exp as one more column and row, from which backward forms each
-    block once more.
+    time, with a row's heads side by side, and dropped. A block takes the
+    steps of ``attention_probs``, ``matmul`` and ``head_linear`` on its rows
+    with their operand layouts, so where BLAS rounds a block of rows as it
+    rounds the whole product, the result is theirs bit for bit. The closure
+    keeps ``c * q``, k, v, the weights and each map row's max and sum of
+    exponentials, from which backward forms the map again with the same
+    bits, in blocks of half the rows; a small map's blocks are kept instead.
     """
     lead, (n, width) = q.shape[:-2], ((0, 0) + q.shape)[-2:]
     if q.ndim < 2 or heads < 1 or width % heads or not q.shape == k.shape == v.shape:
@@ -769,149 +760,113 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, c: float,
     nodes = _nodes(q, k, v, *(t for pair in readers for t in pair))
     c, d = float(c), width // heads
 
-    def split_heads(a: np.ndarray) -> np.ndarray:
+    def heads_view(a: np.ndarray) -> np.ndarray:
         """The (..., H, N, d) view of a (..., N, H*d) array."""
         return a.reshape(a.shape[:-1] + (heads, d)).swapaxes(-2, -3)
 
-    qs = q.data * c
-    qh, kh, vh = split_heads(qs), split_heads(k.data), split_heads(v.data)
+    # laid out as ``permute`` lays them out: small products round by layout
+    qs = np.ascontiguousarray(heads_view(q.data * c))
+    kt = np.ascontiguousarray(heads_view(k.data).swapaxes(-1, -2))  # (..., H, d, N)
+    vh = np.ascontiguousarray(heads_view(v.data))
     ws = [w.data for w, _ in readers]
     cols = np.cumsum([width] + [w.shape[1] for w in ws])
-    step = max(1, _ATTENTION_BLOCK_BYTES // (math.prod(lead) * heads * n * qs.itemsize))
+    row_bytes = math.prod(lead) * heads * n * qs.itemsize
+    step = max(1, _ATTENTION_BLOCK_BYTES // row_bytes)
     data = np.empty(lead + (n, int(cols[-1])), qs.dtype)
-    lse = np.empty(lead + (n, heads, 1), qs.dtype)  # each map row's log-sum-exp
+    # each map row's max logit and sum of shifted exponentials
+    shift, total = np.empty((2,) + lead + (n, heads, 1), qs.dtype)
 
-    def logits(a: np.ndarray, b: np.ndarray, rows: slice) -> np.ndarray:
-        """a_h @ b_h for a block of rows of the (..., H, N, e) a and the
-        (..., H, e, N) b, laid out (..., rows, H, N)."""
-        p = np.empty(lead + (len(range(n)[rows]), heads, n), a.dtype)
-        np.matmul(a[..., rows, :], b, out=np.swapaxes(p, -2, -3))
+    def probs(rows: slice, first: bool) -> np.ndarray:
+        """The (..., rows, H, N) block of the map, as ``attention_probs``
+        forms it; ``first`` records the rows' max and sum."""
+        p = np.empty(lead + (len(range(n)[rows]), heads, n), qs.dtype)
+        np.matmul(qs[..., rows, :], kt, out=np.swapaxes(p, -2, -3))
+        if first:
+            shift[..., rows, :, :] = p.max(axis=-1, keepdims=True)
+        p -= shift[..., rows, :, :]
+        np.exp(p, out=p)
+        if first:
+            total[..., rows, :, :] = p.sum(axis=-1, keepdims=True)
+        p /= total[..., rows, :, :]
         return p
 
-    def evidence(a: np.ndarray) -> list[np.ndarray]:
-        """Each reader's columns of a result-shaped array."""
-        return [a[..., i:j] for i, j in zip(cols[:-1], cols[1:])]
+    def evidence(a: np.ndarray, rows: slice) -> list[np.ndarray]:
+        """Each reader's columns of a block of rows of a result-shaped array."""
+        return [a[..., rows, i:j] for i, j in zip(cols[:-1], cols[1:])]
 
-    att, outs = split_heads(data[..., :width]), evidence(data)
+    att = heads_view(data[..., :width])
+    kept = [] if any(nodes) and row_bytes * n <= _ATTENTION_KEEP_BYTES else None
     for r in range(0, n, step):
         rows = slice(r, r + step)
-        p = logits(qh, np.swapaxes(kh, -1, -2), rows)
-        lse[..., rows, :, :] = np.fmax.reduce(p, axis=-1, keepdims=True)
-        p -= lse[..., rows, :, :]
-        np.exp(p, out=p)
-        total = p.sum(axis=-1, keepdims=True)
-        p /= total
-        lse[..., rows, :, :] += np.log(total)
+        p = probs(rows, True)
+        if kept is not None:
+            kept.append(p)
         np.matmul(np.swapaxes(p, -2, -3), vh, out=att[..., rows, :])
-        flat = p.reshape(-1, heads * n)
-        for w, (_, b), e in zip(ws, readers, outs):
-            np.add((flat @ w).reshape(e[..., rows, :].shape), b.data, out=e[..., rows, :])
+        for w, (_, b), e in zip(ws, readers, evidence(data, rows)):
+            # head by head and summed in head order, as ``head_linear``
+            x = None
+            for h in range(heads):
+                y = p[..., h, :].reshape(-1, n) @ w[h * n:(h + 1) * n]
+                x = y if x is None else np.add(x, y, out=x)
+            x += b.data
+            e[...] = x.reshape(e.shape)
 
     nq, nk, nv, *nwb = nodes
     if not any(nodes):
         return Tensor(data)
-    # Backward forms a block as exp(qa_h @ ka_h) with qa_h = [c q_h, -lse]
-    # and ka_h = [k_h^T; 1]: the logits less each row's log-sum-exp in one
-    # product. The map is formed while some gradient reads it, and v and the
-    # weights are kept only for the map's own gradient.
-    qa = ka = None
-    if nq is not None or nk is not None or nv is not None or any(nwb[::2]):
-        qa = np.concatenate([qh, -lse.swapaxes(-2, -3)], axis=-1)
-        ka = np.concatenate([np.swapaxes(kh, -1, -2),
-                             np.ones(lead + (heads, 1, n), qs.dtype)], axis=-2)
-    if nq is None and nk is None:
-        vh, ws = None, [None] * len(readers)
+    nws, nbs = nwb[::2], nwb[1::2]
+    if nq is None and nk is None:  # v and the weights are read for the map's grad
+        vh = ws = None
+    if nq is None and nk is None and nv is None and not any(nws):
+        qs = kt = kept = None
+
+    def accumulate(acc: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+        return x if acc is None else np.add(acc, x, out=acc)
 
     def backward(g):
-        g_att, g_evidence = split_heads(g[..., :width]), evidence(g)
-        grads = [np.zeros(lead + (n, width), g.dtype) if node is not None else None
-                 for node in (nq, nk, nv)]
-        dq, dk, dv = [x if x is None else split_heads(x) for x in grads]
-        dw = [np.zeros((heads * n, e.shape[-1]), g.dtype) if nw is not None else None
-              for e, nw in zip(g_evidence, nwb[::2])]
-        for r in range(0, n, step) if qa is not None else ():
-            rows = slice(r, r + step)
-            p = logits(qa, ka, rows)
-            np.exp(p, out=p)
-            p_heads, flat = np.swapaxes(p, -2, -3), p.reshape(-1, heads * n)
-            g_rows = g_att[..., rows, :]
-            e_rows = [e[..., rows, :].reshape(-1, e.shape[-1]) for e in g_evidence]
-            if dv is not None:
-                dv += np.swapaxes(p_heads, -1, -2) @ g_rows
-            for e, dwj in zip(e_rows, dw):
-                if dwj is not None:
-                    dwj += flat.T @ e
+        # the output's grad as the unblocked ops get it
+        g_att = heads_view(np.ascontiguousarray(g[..., :width]))
+        dq = np.empty(lead + (heads, n, d), g.dtype) if nq is not None else None
+        dkt = dv = None
+        dws = [None] * len(nws)
+        # a block here is held with its grad, so it has half the rows
+        bstep = step if kept is not None else max(1, step // 2)
+        for i, r in enumerate(range(0, n, bstep) if qs is not None else ()):
+            rows = slice(r, r + bstep)
+            p = kept[i] if kept is not None else probs(rows, False)
+            ph, flat = np.swapaxes(p, -2, -3), p.reshape(-1, heads * n)
+            e_rows = [e.reshape(-1, e.shape[-1]) for e in evidence(g, rows)]
+            if nv is not None:
+                dv = accumulate(dv, np.swapaxes(ph, -1, -2) @ g_att[..., rows, :])
+            for j, (e, nw) in enumerate(zip(e_rows, nws)):
+                if nw is not None:
+                    dws[j] = accumulate(dws[j], flat.T @ e)
             if vh is None:
                 continue
-            dp = np.empty_like(p)
-            np.matmul(g_rows, np.swapaxes(vh, -1, -2), out=np.swapaxes(dp, -2, -3))
+            # the map's grad, laid out as p: the readers' terms in order, then
+            # the output's
+            dp = None
             for e, w in zip(e_rows, ws):
-                dp += (e @ w.T).reshape(dp.shape)
+                dp = accumulate(dp, e @ w.T)
+            term = np.empty_like(p)
+            np.matmul(g_att[..., rows, :], np.swapaxes(vh, -1, -2),
+                      out=np.swapaxes(term, -2, -3))
+            dp = accumulate(dp, term.reshape(flat.shape)).reshape(p.shape)
             ds = np.swapaxes(_softmax_backward_(dp, p, -1), -2, -3)
             if dq is not None:
-                np.matmul(ds, np.swapaxes(ka[..., :d, :], -1, -2), out=dq[..., rows, :])
-            if dk is not None:
-                dk += np.swapaxes(ds, -1, -2) @ qa[..., rows, :d]
+                np.matmul(ds, np.swapaxes(kt, -1, -2), out=dq[..., rows, :])
+            if nk is not None:
+                dkt = accumulate(dkt, np.swapaxes(qs[..., rows, :], -1, -2) @ ds)
         if dq is not None:
-            grads[0] *= c
-        for node, grad in zip((nq, nk, nv), grads):
-            _accumulate(node, grad)
-        for e, dwj, nw, nb in zip(g_evidence, dw, nwb[::2], nwb[1::2]):
-            _accumulate(nw, dwj)
+            dq *= c
+        # each grad's head axis moved back next to its d axis
+        for node, grad, axes in ((nq, dq, (-3, -2)), (nk, dkt, (-1, -3)), (nv, dv, (-3, -2))):
+            if node is not None:
+                _accumulate(node, np.moveaxis(grad, *axes).reshape(lead + (n, width)))
+        for e, dw, nw, nb in zip(evidence(g, slice(None)), dws, nws, nbs):
+            _accumulate(nw, dw)
             if nb is not None:
                 _accumulate(nb, e.reshape(-1, e.shape[-1]).sum(axis=0))
-
-    return _record(data, nodes, backward)
-
-
-def gated_sum(features: list[Tensor], gates: Tensor) -> Tensor:
-    """Per-patch combination ``sum_s gates[..., s:s+1] * features[s]``.
-
-    ``gates`` is (..., N, S) with one column per (..., N, d) feature map;
-    leading axes broadcast. The S products are summed left to right, as
-    ``mul`` and ``add`` would. Callers may pass a constant (non-stochastic)
-    gate matrix, e.g. all-ones to recover a plain unweighted sum.
-    """
-    if gates.ndim < 2:
-        raise ShapeError(f"gated_sum: gates {gates.shape} are not (..., N, S)")
-    if gates.shape[-1] != len(features):
-        raise ShapeError(
-            f"gated_sum: {len(features)} feature maps vs gate width {gates.shape[-1]}"
-        )
-    columns = [gates.data[..., s:s + 1] for s in range(len(features))]
-    data = None
-    for f, column in zip(features, columns):
-        if f.ndim < 2 or f.shape[-2] != gates.shape[-2]:
-            raise ShapeError(f"gated_sum: feature {f.shape} rows != gate rows "
-                             f"{gates.shape[-2]}")
-        try:
-            term = column * f.data
-            data = term if data is None else data + term
-        except ValueError:
-            raise ShapeError(f"gated_sum: feature {f.shape} and gates {gates.shape} "
-                             f"do not broadcast")
-
-    ng, *nfs = nodes = _nodes(gates, *features)
-    if not any(nodes):
-        return Tensor(data)
-    g_shape, f_shapes = gates.shape, [f.shape for f in features]
-    # each factor is kept only for the other's gradient
-    f_data = [f.data if ng is not None else None for f in features]
-    if not any(nfs):
-        columns = None
-
-    def backward(g):
-        if ng is not None:
-            dg = np.zeros(g_shape, g.dtype)
-            for s, f in enumerate(f_data):
-                dg[..., s:s + 1] += _unbroadcast(g * f, g_shape[:-1] + (1,))
-            _accumulate(ng, dg)
-        # a term's grad is g in g's layout, the first one g itself
-        for s in range(len(f_shapes) - 1, -1, -1):
-            if nfs[s] is not None:
-                gs = g if s == 0 else g.copy(order="K")
-                gs *= columns[s]
-                _accumulate(nfs[s], _unbroadcast(gs, f_shapes[s]))
 
     return _record(data, nodes, backward)
 

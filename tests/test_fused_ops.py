@@ -237,13 +237,23 @@ class TestSelfAttention:
         leaves = inputs + [t for pair in pairs for t in pair]
         return [p.data for p in pieces], [t.grad for t in leaves]
 
+    def set_blocks(self, monkeypatch, lead, dtype, block_rows, keep):
+        """Forward blocks of ``block_rows`` rows (backward's are half that,
+        unless it keeps the map's blocks)."""
+        row_bytes = math.prod(lead) * self.HEADS * self.N * np.dtype(dtype).itemsize
+        monkeypatch.setattr(tensor, "_ATTENTION_BLOCK_BYTES", block_rows * row_bytes + 7)
+        monkeypatch.setattr(tensor, "_ATTENTION_KEEP_BYTES", 1 << 30 if keep else 0)
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("block_rows", [3, 7])
     @pytest.mark.parametrize("readers", [0, 1, 2])
     @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
-    def test_blocks_match_explicit_map(self, monkeypatch, lead, readers):
-        # 3-row blocks over 10 rows: three full blocks and a ragged last one;
-        # the 2-D weights broadcast over every leading (batch) axis
-        row_bytes = math.prod(lead) * self.HEADS * self.N * 8
-        monkeypatch.setattr(tensor, "_ATTENTION_BLOCK_BYTES", 3 * row_bytes + 7)
+    def test_blocks_match_explicit_map(self, monkeypatch, lead, readers, block_rows, keep):
+        # over 10 rows, 3-row blocks are three full ones and a ragged last
+        # one, and 7-row blocks leave backward 3-row ones; with ``keep`` the
+        # blocks are kept, else backward forms them again. The 2-D weights
+        # broadcast over every leading (batch) axis.
+        self.set_blocks(monkeypatch, lead, np.float64, block_rows, keep)
         values, grads = self.run(blocked_self_attention, lead, readers, np.float64)
         ref_values, ref_grads = self.run(explicit_self_attention, lead, readers, np.float64)
         assert len(grads) == 3 + 2 * readers
@@ -256,16 +266,21 @@ class TestSelfAttention:
         for got, want in zip(values + grads, ref_values + ref_grads):
             assert_rel_close(got, want, np.float64)
 
-    def test_float32_within_float32_tolerance_of_float64(self, monkeypatch):
-        monkeypatch.setattr(tensor, "_ATTENTION_BLOCK_BYTES", 3 * 2 * self.HEADS * self.N * 4)
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_float32_within_float32_tolerance_of_float64(self, monkeypatch, keep):
+        self.set_blocks(monkeypatch, (2,), np.float32, 3, keep)
         values, grads = self.run(blocked_self_attention, (2,), 2, np.float32)
+        self.set_blocks(monkeypatch, (2,), np.float64, 3, keep)
         ref_values, ref_grads = self.run(blocked_self_attention, (2,), 2, np.float64)
         for got, want in zip(values + grads, ref_values + ref_grads):
             assert got.dtype == np.float32
             assert_rel_close(got, want, np.float32)
 
-    def test_gradients_vs_finite_differences(self, monkeypatch):
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_gradients_vs_finite_differences(self, monkeypatch, keep):
+        # 2-row blocks over 3 rows, formed again in 1-row blocks
         monkeypatch.setattr(tensor, "_ATTENTION_BLOCK_BYTES", 2 * 2 * 2 * 3 * 8)
+        monkeypatch.setattr(tensor, "_ATTENTION_KEEP_BYTES", 1 << 30 if keep else 0)
         rng = np.random.default_rng(91)
         q0, k0, v0 = rng.normal(size=(3, 2, 3, 4))
         w0, b0 = rng.normal(size=(6, 2)), rng.normal(size=2)
@@ -279,14 +294,24 @@ class TestSelfAttention:
         for name, x0 in zip("qkvwb", (q0, k0, v0, w0, b0)):
             check_grad(lambda t: loss(**{name: t}), x0)
 
-    def test_graph_keeps_no_map(self):
-        # the closure holds c * q and k with one more column or row, v and
-        # the weights: nothing N x N
-        q, k, v = (Tensor(np.ones((2, 50, 4)), requires_grad=True) for _ in range(3))
+    def small_graph(self):
+        q, k, v = (Tensor(np.ones((2, 50, 6)), requires_grad=True) for _ in range(3))
         w = Tensor(np.ones((100, 3)), requires_grad=True)
         out = self_attention(q, k, v, 2, 1.0, [(w, Tensor(np.zeros(3)))])
-        assert out.shape == (2, 50, 7)
-        assert max(a.size for a in graph_arrays(out)) < 50 * 50
+        assert out.shape == (2, 50, 9)
+        return out
+
+    def test_graph_keeps_no_map_above_the_keep_budget(self, monkeypatch):
+        # the closure holds c * q, k, v, the weights and two numbers per map
+        # row: nothing N x N
+        monkeypatch.setattr(tensor, "_ATTENTION_KEEP_BYTES", 2 * 2 * 50 * 50 * 8 - 1)
+        assert max(a.size for a in graph_arrays(self.small_graph())) < 50 * 50
+
+    def test_graph_keeps_the_blocks_of_a_small_map(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_ATTENTION_BLOCK_BYTES", 2 * 2 * 50 * 8 * 20)
+        monkeypatch.setattr(tensor, "_ATTENTION_KEEP_BYTES", 2 * 2 * 50 * 50 * 8)
+        blocks = [a for a in graph_arrays(self.small_graph()) if a.shape[-2:] == (2, 50)]
+        assert sorted(a.shape for a in blocks) == [(2, 10, 2, 50), (2, 20, 2, 50), (2, 20, 2, 50)]
 
     def test_shape_errors(self):
         x = Tensor(np.zeros((2, 5, 4)))
@@ -505,7 +530,8 @@ class TestAttentionMemory:
     def test_graph_holds_no_array_of_4_mib(self):
         # desk model at 128x128, batch 4: stage 1 has 2 heads over 32 x 32 =
         # 1024 tokens, so a whole stage-1 map would be a 32 MiB array; the
-        # graph keeps no map, and its largest array is about 1 MiB
+        # graph keeps the 2 MiB blocks of the 4 MiB stage-2 maps and no
+        # larger array
         cfg = resolve_config("desk", {"height": 128, "width": 128, "precision": "single"})
         model = build_model(cfg, seed=0, dtype=np.float32)
         rng = np.random.default_rng(80)
@@ -529,13 +555,13 @@ class TestAttentionMemory:
 
 
 class TestBlockedAccumulation:
-    """A second contribution to a product-shaped grad is added in row
-    blocks; the sum is bit for bit that of one full-size product."""
+    """A second contribution to a product-shaped grad is added into the
+    grad in place; the sum is bit for bit grad + x @ y."""
 
-    # A (4, 2, 1024, 1024) grad, the size of a whole 128x128 stage-1 map,
-    # taking g @ v^T from a matrix product, g_heads @ w_heads^T from
-    # head_linear (the (B, 1, N, d) grad broadcast over (H, d, K)), and a
-    # right operand's grad, which reads its left operand transposed.
+    # (4, 2, 1024, 1024) grads, taking g @ v^T from a matrix product,
+    # g_heads @ w_heads^T from head_linear (the (B, 1, N, d) grad broadcast
+    # over (H, d, K)), and a right operand's grad, which reads its left
+    # operand transposed.
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_shape, x_t, y_shape, y_t", [
         ((4, 2, 1024, 16), False, (4, 2, 1024, 16), True),

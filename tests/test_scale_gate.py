@@ -16,7 +16,7 @@ from tsgseg.attention import (
     MultiheadSelfAttention,
 )
 from tsgseg.scale_gate import ScaleGates, TsgHead, gated_sum
-from tsgseg.tensor import ShapeError, Tensor, add, mul, narrow, tsum
+from tsgseg.tensor import ShapeError, Tensor, mul, tsum
 
 
 def random_self_bundle(rng, rows: int, heads: int) -> AttentionBundle:
@@ -240,36 +240,6 @@ class TestGatedSum:
         with pytest.raises(ShapeError):
             gated_sum([Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2)))],
                       Tensor(np.zeros((4, 2))))
-
-    @pytest.mark.parametrize("scales", [2, 3])
-    @pytest.mark.parametrize("constant_gates", [False, True])
-    def test_same_bits_as_products_and_sums(self, scales, constant_gates):
-        # one node computes what S narrows, S muls and S - 1 adds did, value
-        # and gradients bit for bit; batched features with unbatched gates
-        rng = np.random.default_rng(16)
-        feats0 = [rng.normal(size=(2, 5, 3)) for _ in range(scales)]
-        gates0 = oracles.softmax2d(rng.normal(size=(5, scales)), axis=1)
-        up = Tensor(rng.normal(size=(2, 5, 3)))
-
-        def run(fuse):
-            feats = [Tensor(f, requires_grad=True) for f in feats0]
-            gates = Tensor(gates0, requires_grad=not constant_gates)
-            out = fuse(feats, gates)
-            tsum(mul(out, up)).backward()
-            return [out.data, gates.grad] + [f.grad for f in feats]
-
-        def chain(feats, gates):
-            total = None
-            for s, f in enumerate(feats):
-                term = mul(narrow(gates, -1, s, 1), f)
-                total = term if total is None else add(total, term)
-            return total
-
-        for got, want in zip(run(gated_sum), run(chain)):
-            if want is None:
-                assert got is None
-            else:
-                np.testing.assert_array_equal(got, want)
 
     def test_gradients(self):
         rng = np.random.default_rng(15)

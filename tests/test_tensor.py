@@ -21,7 +21,6 @@ from tsgseg.tensor import (
     attention_probs,
     concat,
     cross_entropy,
-    gated_sum,
     gelu,
     head_linear,
     layernorm,
@@ -690,9 +689,6 @@ IN_PLACE_OPS = {
     "self_attention": (lambda rng: [rng.normal(size=(2, 5, 4)) for _ in range(3)]
                        + [rng.normal(size=(10, 3)), rng.normal(size=3)],
                        lambda q, k, v, w, b: self_attention(q, k, v, 2, 0.5, [(w, b)])),
-    "gated_sum": (lambda rng: [rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4)),
-                               rng.normal(size=(3, 2))],
-                  lambda a, b, g: gated_sum([a, b], g)),
     "narrow": (lambda rng: [rng.normal(size=(3, 5))],
                lambda x: add(narrow(x, 1, 0, 2), narrow(x, 1, 3, 2))),
 }
@@ -755,10 +751,9 @@ RECORDING_OPS = {
     "upsample_bilinear": (lambda rng: [rng.normal(size=(2, 4, 3))],
                           lambda x: upsample_bilinear(x, (2, 2), (4, 4)), {}),
     "cross_entropy": IN_PLACE_OPS["cross_entropy"] + ({},),
-    # the map is formed again from copies of q and k; v and the weights are
+    # q, k and v are kept as copies in the heads' layout; the weights are
     # read only for the map's own gradient
-    "self_attention": IN_PLACE_OPS["self_attention"] + ({2: {0, 1}, 3: {0, 1}},),
-    "gated_sum": IN_PLACE_OPS["gated_sum"] + ({0: {2}, 1: {2}, 2: {0, 1}},),
+    "self_attention": IN_PLACE_OPS["self_attention"] + ({3: {0, 1}},),
 }
 
 
@@ -836,9 +831,8 @@ class TestOneDtype:
     recording on and under no_grad, whichever operand differs."""
 
     def test_multi_operand_ops(self):
-        assert MULTI_OPERAND_OPS == ["add", "attention_probs", "concat", "gated_sum",
-                                     "head_linear", "layernorm", "linear", "matmul", "mul",
-                                     "self_attention"]
+        assert MULTI_OPERAND_OPS == ["add", "attention_probs", "concat", "head_linear",
+                                     "layernorm", "linear", "matmul", "mul", "self_attention"]
 
     @pytest.mark.parametrize("recording", [True, False])
     @pytest.mark.parametrize("op", MULTI_OPERAND_OPS)
