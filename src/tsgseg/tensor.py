@@ -21,6 +21,15 @@ Which object holds what:
   integrators' weights and each map row's max and sum of exponentials,
   and backward forms such a map again one block of query rows at a time.
 
+Threads: the row blocks of a self-attention map of more than one block run
+on a pool with one thread per CPU the process may run on, made by the first
+such map; nothing sets another count. A forward block writes only its own
+rows of the output; a backward block writes its own rows of q's grad and
+returns its terms of the k, v and integrator-weight grads, which the calling
+thread adds in block order, so a result has the same bits on any number of
+CPUs. Pool threads run numpy only: every op, node and grad is made and
+touched on the calling thread.
+
 ``backward()`` on a scalar walks the recorded nodes once in reverse
 topological order and consumes them: each node drops its closure and its
 input nodes once its closure has run, so every saved array is freed as soon
@@ -58,10 +67,12 @@ Conventions:
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -111,9 +122,16 @@ LAYERNORM_EPS = 1e-5  # added to every row variance in ``layernorm``
 # heap top at once, so the trim threshold is 128 MiB: at 32 or 64 MiB every
 # such step gave its activations back and faulted them in again. That holds
 # only while nothing else churns the heap, which is why AdamW keeps its
-# state in flat buffers allocated once.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, malloc.h
-MALLOPT_SETTINGS = ((_M_MMAP_THRESHOLD, 64 << 20), (_M_TRIM_THRESHOLD, 128 << 20))
+# state in flat buffers allocated once. The arena count is 1: glibc gives a
+# thread that allocates while another holds the main heap's lock an arena
+# of its own, and under these thresholds each arena keeps what it frees, so
+# the threads ``self_attention`` runs row blocks on each kept their own
+# blocks' worth of memory: on 2 CPUs, loops of 2-step 128x128 batch-4
+# ``train_run`` calls peaked at 154.1 and 155.2 MB of resident memory with
+# an arena per thread, and at 135.7 and 136.6 MB with one.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # mallopt, malloc.h
+MALLOPT_SETTINGS = ((_M_MMAP_THRESHOLD, 64 << 20), (_M_TRIM_THRESHOLD, 128 << 20),
+                    (_M_ARENA_MAX, 1))
 
 
 def _set_allocator_policy(libc=None) -> bool:
@@ -729,6 +747,52 @@ def head_linear(stack: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # seeded quality guards by percents (ROADMAP item 1).
 _ATTENTION_BLOCK_BYTES, _ATTENTION_KEEP_BYTES = 2 << 20, 4 << 20
 
+# The thread pool of ``self_attention``'s row blocks (see the module
+# docstring), made by the first map of more than one block. A forked child
+# makes its own, as the parent's worker threads are not in it.
+_pool = None
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _in_order(block, starts: range):
+    """Yield ``block(r)`` for each ``r`` of ``starts``, in order.
+
+    One block, or a pool of one worker, runs inline on the calling thread.
+    Otherwise the blocks run on the pool, at most workers + 1 of them
+    submitted and not yet yielded, so that the results waiting to be read
+    stay bounded. An error raised in a block reaches the caller once no
+    other block of the call is still running.
+    """
+    global _pool
+    if len(starts) > 1 and _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+        _pool = ThreadPoolExecutor(workers, thread_name_prefix="tsgseg-rows")
+    if len(starts) < 2 or _pool._max_workers < 2:
+        yield from map(block, starts)
+        return
+    pool, pending = _pool, collections.deque()
+    try:
+        for r in starts:
+            pending.append(pool.submit(block, r))
+            if len(pending) > pool._max_workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            if not future.cancel():
+                future.exception()  # waits for the running block
+
 
 def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, c: float,
                    readers: list[tuple[Tensor, Tensor]]) -> Tensor:
@@ -748,11 +812,15 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, c: float,
     keeps ``c * q``, k, v, the weights and each map row's max and sum of
     exponentials, from which backward forms the map again with the same
     bits, in blocks of half the rows; a small map's blocks are kept instead.
+    A map of more than one block has its blocks run on the thread pool.
     """
     lead, (n, width) = q.shape[:-2], ((0, 0) + q.shape)[-2:]
     if q.ndim < 2 or heads < 1 or width % heads or not q.shape == k.shape == v.shape:
         raise ShapeError(f"self_attention: q {q.shape}, k {k.shape} and v {v.shape} are "
                          f"not three (..., N, {heads} x d) arrays")
+    if n < 1:
+        raise ShapeError(f"self_attention: q {q.shape} has N = 0 tokens; a map "
+                         f"needs at least one key")
     for w, b in readers:
         if w.ndim != 2 or w.shape[0] != heads * n or b.shape != w.shape[1:]:
             raise ShapeError(f"self_attention: reader w {w.shape}, b {b.shape} do not "
@@ -771,7 +839,7 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, c: float,
     ws = [w.data for w, _ in readers]
     cols = np.cumsum([width] + [w.shape[1] for w in ws])
     row_bytes = math.prod(lead) * heads * n * qs.itemsize
-    step = max(1, _ATTENTION_BLOCK_BYTES // row_bytes)
+    step = max(1, _ATTENTION_BLOCK_BYTES // max(1, row_bytes))  # an empty batch has 0
     data = np.empty(lead + (n, int(cols[-1])), qs.dtype)
     # each map row's max logit and sum of shifted exponentials
     shift, total = np.empty((2,) + lead + (n, heads, 1), qs.dtype)
@@ -795,12 +863,12 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, c: float,
         return [a[..., rows, i:j] for i, j in zip(cols[:-1], cols[1:])]
 
     att = heads_view(data[..., :width])
-    kept = [] if any(nodes) and row_bytes * n <= _ATTENTION_KEEP_BYTES else None
-    for r in range(0, n, step):
+    keep = any(nodes) and row_bytes * n <= _ATTENTION_KEEP_BYTES
+
+    def block(r: int) -> np.ndarray | None:
+        """Write the rows of the output from ``r`` on; the map block if kept."""
         rows = slice(r, r + step)
         p = probs(rows, True)
-        if kept is not None:
-            kept.append(p)
         np.matmul(np.swapaxes(p, -2, -3), vh, out=att[..., rows, :])
         for w, (_, b), e in zip(ws, readers, evidence(data, rows)):
             # head by head and summed in head order, as ``head_linear``
@@ -810,6 +878,10 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, c: float,
                 x = y if x is None else np.add(x, y, out=x)
             x += b.data
             e[...] = x.reshape(e.shape)
+        return p if keep else None
+
+    blocks = list(_in_order(block, range(0, n, step)))
+    kept = blocks if keep else None
 
     nq, nk, nv, *nwb = nodes
     if not any(nodes):
@@ -820,29 +892,27 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, c: float,
     if nq is None and nk is None and nv is None and not any(nws):
         qs = kt = kept = None
 
-    def accumulate(acc: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-        return x if acc is None else np.add(acc, x, out=acc)
+    def accumulate(acc: np.ndarray | None, x: np.ndarray | None) -> np.ndarray | None:
+        return x if acc is None else acc if x is None else np.add(acc, x, out=acc)
 
     def backward(g):
         # the output's grad as the unblocked ops get it
         g_att = heads_view(np.ascontiguousarray(g[..., :width]))
         dq = np.empty(lead + (heads, n, d), g.dtype) if nq is not None else None
-        dkt = dv = None
-        dws = [None] * len(nws)
         # a block here is held with its grad, so it has half the rows
         bstep = step if kept is not None else max(1, step // 2)
-        for i, r in enumerate(range(0, n, bstep) if qs is not None else ()):
+
+        def block(r: int) -> tuple[np.ndarray | None, ...]:
+            """Write dq's rows from ``r`` on; the rows' terms of dv, dk^T and
+            each reader's dw."""
             rows = slice(r, r + bstep)
-            p = kept[i] if kept is not None else probs(rows, False)
+            p = kept[r // bstep] if kept is not None else probs(rows, False)
             ph, flat = np.swapaxes(p, -2, -3), p.reshape(-1, heads * n)
             e_rows = [e.reshape(-1, e.shape[-1]) for e in evidence(g, rows)]
-            if nv is not None:
-                dv = accumulate(dv, np.swapaxes(ph, -1, -2) @ g_att[..., rows, :])
-            for j, (e, nw) in enumerate(zip(e_rows, nws)):
-                if nw is not None:
-                    dws[j] = accumulate(dws[j], flat.T @ e)
+            dv = np.swapaxes(ph, -1, -2) @ g_att[..., rows, :] if nv is not None else None
+            dws = [flat.T @ e if nw is not None else None for e, nw in zip(e_rows, nws)]
             if vh is None:
-                continue
+                return dv, None, *dws
             # the map's grad, laid out as p: the readers' terms in order, then
             # the output's
             dp = None
@@ -855,8 +925,14 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, c: float,
             ds = np.swapaxes(_softmax_backward_(dp, p, -1), -2, -3)
             if dq is not None:
                 np.matmul(ds, np.swapaxes(kt, -1, -2), out=dq[..., rows, :])
-            if nk is not None:
-                dkt = accumulate(dkt, np.swapaxes(qs[..., rows, :], -1, -2) @ ds)
+            dkt = np.swapaxes(qs[..., rows, :], -1, -2) @ ds if nk is not None else None
+            return dv, dkt, *dws
+
+        # the blocks' terms summed in block order, whichever thread formed them
+        sums = [None] * (2 + len(nws))
+        for terms in _in_order(block, range(0, n, bstep) if qs is not None else range(0)):
+            sums = [accumulate(acc, x) for acc, x in zip(sums, terms)]
+        dv, dkt, *dws = sums
         if dq is not None:
             dq *= c
         # each grad's head axis moved back next to its d axis

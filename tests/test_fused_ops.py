@@ -7,11 +7,17 @@ copy, and ``self_attention`` is ``attention_probs``, ``matmul`` and one
 the map. Forward values are checked against the loop oracles, in float64
 (rtol 1e-12) and float32 (rtol 1e-5); gradients against finite differences
 and against the unfused graph. The in-place softmax backwards are checked
-where a shared or non-contiguous grad could be corrupted.
+where a shared or non-contiguous grad could be corrupted. ``self_attention``
+gives the same bits with its row blocks on a thread pool as inline.
 """
 
 import math
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -313,6 +319,20 @@ class TestSelfAttention:
         blocks = [a for a in graph_arrays(self.small_graph()) if a.shape[-2:] == (2, 50)]
         assert sorted(a.shape for a in blocks) == [(2, 10, 2, 50), (2, 20, 2, 50), (2, 20, 2, 50)]
 
+    def test_empty_batch_gives_empty_result_and_grads(self):
+        values, grads = self.run(blocked_self_attention, (0,), 2, np.float64)
+        assert [v.shape for v in values] == [(0, self.N, self.D), (0, self.N, self.D_A),
+                                             (0, self.N, self.D_A + 1)]
+        assert [g.shape for g in grads[:3]] == [(0, self.N, self.D)] * 3
+        for got, want in zip(grads, self.run(explicit_self_attention, (0,), 2, np.float64)[1]):
+            np.testing.assert_array_equal(got, want)
+        assert not any(g.any() for g in grads)
+
+    def test_no_tokens_rejected(self):
+        x = Tensor(np.zeros((2, 0, 4)))
+        with pytest.raises(ShapeError, match="N = 0 tokens"):
+            self_attention(x, x, x, 2, 1.0, [(Tensor(np.zeros((0, 3))), Tensor(np.zeros(3)))])
+
     def test_shape_errors(self):
         x = Tensor(np.zeros((2, 5, 4)))
         with pytest.raises(ShapeError, match="self_attention"):
@@ -323,6 +343,107 @@ class TestSelfAttention:
             self_attention(x, x, x, 2, 1.0, [(Tensor(np.zeros((5, 3))), Tensor(np.zeros(3)))])
         with pytest.raises(ShapeError, match="reader"):
             self_attention(x, x, x, 2, 1.0, [(Tensor(np.zeros((10, 3))), Tensor(np.zeros(2)))])
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """A pool that keeps every future it hands out; the ``fail_at``-th block
+    submitted (counting from 1) raises."""
+
+    def __init__(self, workers, fail_at=None):
+        super().__init__(workers)
+        self.futures, self.fail_at = [], fail_at
+
+    def submit(self, fn, *args):
+        def failing(*args):
+            raise RuntimeError("block failed")
+
+        fails = len(self.futures) + 1 == self.fail_at
+        self.futures.append(super().submit(failing if fails else fn, *args))
+        return self.futures[-1]
+
+
+def fork_and_attend(q, k, v, conn):
+    """In a forked child: a map of several blocks, sent back to the parent."""
+    conn.send(self_attention(Tensor(q), Tensor(k), Tensor(v), 2, 0.4, []).data)
+
+
+class TestRowBlockPool:
+    """The blocks of a map of more than one block run on a thread pool; a
+    pool of one worker runs them inline, and the two give the same bits."""
+
+    case = TestSelfAttention()
+
+    def run_on(self, monkeypatch, pool, readers, keep):
+        monkeypatch.setattr(tensor, "_pool", pool)
+        # float32, 10 rows: forward blocks of 3, 3, 3 and 1 rows; backward's
+        # are 1 row, or the kept 3-row blocks
+        self.case.set_blocks(monkeypatch, (2,), np.float32, 3, keep)
+        return self.case.run(blocked_self_attention, (2,), readers, np.float32)
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("readers", [0, 1, 2])
+    def test_pooled_blocks_match_inline_blocks(self, monkeypatch, readers, keep):
+        switch = sys.getswitchinterval()
+        with RecordingPool(1) as inline, RecordingPool(4) as pooled:
+            values, grads = self.run_on(monkeypatch, inline, readers, keep)
+            assert not inline.futures
+            assert len(grads) == 3 + 2 * readers
+            sys.setswitchinterval(1e-6)
+            try:
+                for _ in range(20):
+                    got_values, got_grads = self.run_on(monkeypatch, pooled, readers, keep)
+                    for got, want in zip(got_values + got_grads, values + grads):
+                        assert np.array_equal(got, want)
+            finally:
+                sys.setswitchinterval(switch)
+            assert len(pooled.futures) == 20 * (4 + (4 if keep else 10))
+
+    @pytest.mark.parametrize("fail_at", [2, 6])
+    def test_block_error_reaches_the_caller(self, monkeypatch, fail_at):
+        # the forward submits 4 blocks, so the 6th is the backward's second
+        with RecordingPool(1) as inline, RecordingPool(2, fail_at) as failing:
+            want = self.run_on(monkeypatch, inline, 2, False)
+            with pytest.raises(RuntimeError, match="block failed"):
+                self.run_on(monkeypatch, failing, 2, False)
+            assert all(f.done() for f in failing.futures)  # none still running
+            failing.fail_at = None
+            got = self.run_on(monkeypatch, failing, 2, False)
+        for a, b in zip(got[0] + got[1], want[0] + want[1]):
+            assert np.array_equal(a, b)
+
+    def test_one_block_map_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_pool", None)
+        threads = threading.active_count()
+        values, _ = self.case.run(blocked_self_attention, (2,), 2, np.float32)
+        assert values[0].shape == (2, self.case.N, self.case.D)
+        assert threading.active_count() == threads
+        assert tensor._pool is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork of a threaded process
+    def test_forked_child_makes_its_own_pool(self, monkeypatch):
+        # the child inherits the parent's pool object but none of its worker
+        # threads: a block submitted to it would never run
+        rng = np.random.default_rng(92)
+        q, k, v = rng.normal(size=(3, 2, 10, 4)).astype(np.float32)
+        with RecordingPool(2) as pool:
+            monkeypatch.setattr(tensor, "_pool", pool)
+            monkeypatch.setattr(tensor, "_ATTENTION_BLOCK_BYTES", 2 * 2 * 10 * 4 * 3)
+            want = self_attention(Tensor(q), Tensor(k), Tensor(v), 2, 0.4, []).data
+            assert pool.futures
+            ctx = multiprocessing.get_context("fork")
+            receive, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=fork_and_attend, args=(q, k, v, send))
+            child.start()
+            try:
+                assert receive.poll(30), "the forked child's map never finished"
+                assert np.array_equal(receive.recv(), want)
+            finally:
+                child.join(10)
+                if child.is_alive():
+                    child.kill()
+                    child.join(10)
+        assert child.exitcode == 0
 
 
 def parent_softmax_grad(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
