@@ -67,7 +67,6 @@ Conventions:
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import ctypes
 import functools
@@ -780,14 +779,14 @@ def _in_order(block, starts: range):
     if len(starts) < 2 or _pool._max_workers < 2:
         yield from map(block, starts)
         return
-    pool, pending = _pool, collections.deque()
+    pool, pending = _pool, []
     try:
         for r in starts:
             pending.append(pool.submit(block, r))
             if len(pending) > pool._max_workers:
-                yield pending.popleft().result()
+                yield pending.pop(0).result()
         while pending:
-            yield pending.popleft().result()
+            yield pending.pop(0).result()
     finally:
         for future in pending:
             if not future.cancel():
