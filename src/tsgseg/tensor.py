@@ -23,7 +23,9 @@ Which object holds what:
 
 Threads: the row blocks of a self-attention map of more than one block run
 on a pool with one thread per CPU the process may run on, made by the first
-such map; nothing sets another count. A forward block writes only its own
+such map; nothing sets another count. The blocks in flight at once hold at
+most about ``_ATTENTION_THREAD_BYTES`` between them, so a step's memory does
+not grow with the number of CPUs. A forward block writes only its own
 rows of the output; a backward block writes its own rows of q's grad and
 returns its terms of the k, v and integrator-weight grads, which the calling
 thread adds in block order, so a result has the same bits on any number of
@@ -73,6 +75,7 @@ import functools
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -743,47 +746,54 @@ def head_linear(stack: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # 128x128 batch-4 stage-1 block is then 64 rows. 32-row blocks ran faster,
 # but OpenBLAS rounds their p @ v differently from the whole product's (a
 # small-matrix kernel), and a forward that rounds differently moves the
-# seeded quality guards by percents (ROADMAP item 1).
+# seeded quality guards by percents (ROADMAP item 1). The blocks running at
+# once on the thread pool hold at most about _ATTENTION_THREAD_BYTES of
+# temporaries between them, whatever the number of CPUs (at least two blocks).
 _ATTENTION_BLOCK_BYTES, _ATTENTION_KEEP_BYTES = 2 << 20, 4 << 20
+_ATTENTION_THREAD_BYTES = 16 << 20
 
 # The thread pool of ``self_attention``'s row blocks (see the module
-# docstring), made by the first map of more than one block. A forked child
-# makes its own, as the parent's worker threads are not in it.
-_pool = None
+# docstring): one worker per CPU the process may run on, made under the lock
+# by the first map of more than one block, and never on one CPU. A forked
+# child makes its own, as the parent's worker threads are not in it.
+_POOL_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+_pool, _pool_lock = None, threading.Lock()
 
 
 def _forget_pool() -> None:
-    global _pool
-    _pool = None
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _in_order(block, starts: range):
+def _in_order(block, starts: range, block_bytes: int):
     """Yield ``block(r)`` for each ``r`` of ``starts``, in order.
 
-    One block, or a pool of one worker, runs inline on the calling thread.
-    Otherwise the blocks run on the pool, at most workers + 1 of them
-    submitted and not yet yielded, so that the results waiting to be read
-    stay bounded. An error raised in a block reaches the caller once no
-    other block of the call is still running.
+    One block, or one worker, runs inline on the calling thread. Otherwise
+    the blocks run on the pool, with as many submitted and not yet yielded
+    as the workers + 1 and ``_ATTENTION_THREAD_BYTES`` allow, ``block_bytes``
+    being a running block's temporaries, and never fewer than two. An error
+    raised in a block reaches the caller once no other block of the call is
+    still running.
     """
     global _pool
-    if len(starts) > 1 and _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-        _pool = ThreadPoolExecutor(workers, thread_name_prefix="tsgseg-rows")
-    if len(starts) < 2 or _pool._max_workers < 2:
+    if len(starts) < 2 or _POOL_WORKERS < 2:
         yield from map(block, starts)
         return
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_POOL_WORKERS, thread_name_prefix="tsgseg-rows")
     pool, pending = _pool, []
+    ahead = min(_POOL_WORKERS + 1, max(2, _ATTENTION_THREAD_BYTES // block_bytes))
     try:
         for r in starts:
             pending.append(pool.submit(block, r))
-            if len(pending) > pool._max_workers:
+            if len(pending) >= ahead:
                 yield pending.pop(0).result()
         while pending:
             yield pending.pop(0).result()
@@ -879,7 +889,7 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, c: float,
             e[...] = x.reshape(e.shape)
         return p if keep else None
 
-    blocks = list(_in_order(block, range(0, n, step)))
+    blocks = list(_in_order(block, range(0, n, step), step * row_bytes))
     kept = blocks if keep else None
 
     nq, nk, nv, *nwb = nodes
@@ -929,7 +939,9 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, c: float,
 
         # the blocks' terms summed in block order, whichever thread formed them
         sums = [None] * (2 + len(nws))
-        for terms in _in_order(block, range(0, n, bstep) if qs is not None else range(0)):
+        # a block holds its map rows, their grad and the output's term of it
+        starts = range(0, n, bstep) if qs is not None else range(0)
+        for terms in _in_order(block, starts, 3 * bstep * row_bytes):
             sums = [accumulate(acc, x) for acc, x in zip(sums, terms)]
         dv, dkt, *dws = sums
         if dq is not None:

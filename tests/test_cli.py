@@ -6,6 +6,10 @@ the whole module stays fast.
 
 import contextlib
 import io
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +29,9 @@ from tsgseg.segbench import (
 from tsgseg.train import SUITES
 
 from test_train import tiny_config
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.fixture(scope="module")
@@ -371,3 +378,24 @@ class TestArgs:
         with pytest.raises(SystemExit):
             main(["train"])
         assert "required: --out" in capsys.readouterr().err
+
+
+class TestBlasThreads:
+    """Importing the package, as the ``tsgseg`` console script does before
+    numpy loads, gives BLAS one thread per calling thread unless the
+    environment already names a count."""
+
+    def blas_vars(self, **preset) -> list[str]:
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        env.update(preset, PYTHONPATH=str(SRC))
+        script = f"import os, tsgseg; print(*(os.environ[v] for v in {BLAS_VARS!r}))"
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_unset_counts_become_one(self):
+        assert self.blas_vars() == ["1", "1", "1"]
+
+    def test_given_count_kept(self):
+        assert self.blas_vars(OPENBLAS_NUM_THREADS="3") == ["3", "1", "1"]

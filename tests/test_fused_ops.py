@@ -16,6 +16,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -367,6 +368,12 @@ def fork_and_attend(q, k, v, conn):
     conn.send(self_attention(Tensor(q), Tensor(k), Tensor(v), 2, 0.4, []).data)
 
 
+def use_pool(monkeypatch, pool):
+    """Run the row blocks on ``pool``, with as many workers as it has."""
+    monkeypatch.setattr(tensor, "_pool", pool)
+    monkeypatch.setattr(tensor, "_POOL_WORKERS", pool._max_workers)
+
+
 class TestRowBlockPool:
     """The blocks of a map of more than one block run on a thread pool; a
     pool of one worker runs them inline, and the two give the same bits."""
@@ -374,7 +381,7 @@ class TestRowBlockPool:
     case = TestSelfAttention()
 
     def run_on(self, monkeypatch, pool, readers, keep):
-        monkeypatch.setattr(tensor, "_pool", pool)
+        use_pool(monkeypatch, pool)
         # float32, 10 rows: forward blocks of 3, 3, 3 and 1 rows; backward's
         # are 1 row, or the kept 3-row blocks
         self.case.set_blocks(monkeypatch, (2,), np.float32, 3, keep)
@@ -411,6 +418,34 @@ class TestRowBlockPool:
         for a, b in zip(got[0] + got[1], want[0] + want[1]):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("block_bytes, ahead", [(8 << 20, 2), (3 << 20, 2), (2 << 20, 4),
+                                                    (1 << 10, 17)])
+    def test_blocks_in_flight_bounded_by_bytes(self, monkeypatch, block_bytes, ahead):
+        # 16 workers, blocks of 1 KiB to 8 MiB against 8 MiB in flight
+        monkeypatch.setattr(tensor, "_ATTENTION_THREAD_BYTES", 8 << 20)
+        lock, running, most = threading.Lock(), [0], [0]
+
+        def block(r):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            time.sleep(0.01)
+            with lock:
+                running[0] -= 1
+            return r
+
+        with RecordingPool(16) as pool:
+            use_pool(monkeypatch, pool)
+            assert list(tensor._in_order(block, range(24), block_bytes)) == list(range(24))
+        assert 2 <= most[0] <= ahead
+
+    @pytest.mark.parametrize("size, batch, bound", [(128, 4, 75), (256, 1, 80)])
+    def test_step_peak_with_16_workers(self, monkeypatch, size, batch, bound):
+        # the bounds of TestAttentionMemory, with a worker for each of 16 CPUs
+        with ThreadPoolExecutor(16) as pool:
+            use_pool(monkeypatch, pool)
+            assert desk_step_peak(size, batch) < bound * 2**20
+
     def test_one_block_map_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(tensor, "_pool", None)
         threads = threading.active_count()
@@ -427,7 +462,7 @@ class TestRowBlockPool:
         rng = np.random.default_rng(92)
         q, k, v = rng.normal(size=(3, 2, 10, 4)).astype(np.float32)
         with RecordingPool(2) as pool:
-            monkeypatch.setattr(tensor, "_pool", pool)
+            use_pool(monkeypatch, pool)
             monkeypatch.setattr(tensor, "_ATTENTION_BLOCK_BYTES", 2 * 2 * 10 * 4 * 3)
             want = self_attention(Tensor(q), Tensor(k), Tensor(v), 2, 0.4, []).data
             assert pool.futures
