@@ -6,15 +6,7 @@ encoder and decoder, a synthetic segmentation benchmark, and a training
 CLI with ablation suites.
 """
 
-import os
-
-# ``tensor`` runs self-attention's row blocks on a thread per CPU, so each
-# BLAS call keeps to its calling thread unless the environment asks for more.
-# BLAS reads these when numpy is first imported: a program that imports
-# numpy before tsgseg keeps its own setting.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
+from . import cpus  # noqa: F401  (first: its BLAS and allocator policy precede numpy)
 from .tensor import ShapeError, Tensor
 from .module import Linear, LayerNorm, Mlp, Module, Parameter
 from .model import SegModel, build_model

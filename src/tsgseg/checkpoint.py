@@ -84,7 +84,8 @@ def load_model(path, model) -> None:
 
     The file and the model must carry the same parameter names; mismatches
     either way are named. Each value is copied once, cast to its array's
-    dtype; nothing is written unless every name, shape and array checks out.
+    dtype; nothing is written unless every name, shape and array checks out
+    and every value is finite.
     """
     stored = load_checkpoint(path)
     params = dict(model.named_parameters())
@@ -102,5 +103,7 @@ def load_model(path, model) -> None:
             )
         if not p.data.flags.writeable:
             raise CheckpointError(f"parameter {name!r}: its array is read-only")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"parameter {name!r}: holds a non-finite value")
     for name, arr in stored.items():
         np.copyto(params[name].data, arr)

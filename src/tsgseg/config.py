@@ -291,10 +291,12 @@ def format_config(cfg: RunConfig) -> str:
 
 
 def load_config_file(path) -> dict[str, str]:
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return parse_config_text(text)
+        return parse_config_text(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

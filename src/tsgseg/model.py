@@ -62,6 +62,7 @@ class SegModel(Module):
         """
         features, bundles = self.backbone(image, self.fusion.readers(forced_gates))
         refined, enc_gates = self.fusion(features, bundles, forced_gates=forced_gates)
+        del features, bundles  # the decoder reads only the fused features
         y, dec_gates, f_dec = self.decoder(refined, self.target_grid,
                                            forced_gates=forced_gates)
         return ForwardResult(scores=predict_scores(f_dec, y), encoder_gates=enc_gates,

@@ -157,6 +157,22 @@ class TestModelRoundtrip:
         for name, p in named:
             np.testing.assert_array_equal(p.data, before[name])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_parameter_named_and_nothing_written(self, tmp_path, bad):
+        # a checkpoint with one NaN loaded, and eval then scored the model
+        cfg = helpers.tiny_model_config()
+        arrays = {name: p.data.copy() for name, p in build_model(cfg, seed=3).named_parameters()}
+        first, later = sorted(arrays)[len(arrays) // 2], sorted(arrays)[-1]
+        arrays[first].flat[-1] = arrays[later].flat[0] = bad
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, arrays)
+        model = build_model(cfg, seed=9)
+        before = {name: p.data.copy() for name, p in model.named_parameters()}
+        with pytest.raises(CheckpointError, match=f"{first!r}.*non-finite"):
+            load_model(path, model)
+        for name, p in model.named_parameters():
+            np.testing.assert_array_equal(p.data, before[name])
+
     def test_double_precision_load_widens(self, tmp_path):
         cfg = helpers.tiny_model_config()
         path = tmp_path / "model.ckpt"

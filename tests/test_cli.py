@@ -207,6 +207,26 @@ class TestErrors:
         assert line.startswith("tsgseg: error: ") and "line 1: steps" in line
         assert not (tmp_path / "run").exists()
 
+    def test_train_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"steps = 1\n# \xff\n")
+        line = self.run_error(capsys, ["train", "--config", str(path),
+                                       "--out", str(tmp_path / "run")])
+        assert line.startswith(f"tsgseg: error: {path}: not UTF-8 text")
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_on_config_that_is_not_utf8(self, tmp_path, tiny_run, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "model.ckpt").write_bytes((tiny_run / "model.ckpt").read_bytes())
+        text = (tiny_run / "config.resolved").read_bytes()
+        (run / "config.resolved").write_bytes(text[:10] + b"\xff" + text[11:])
+        line = self.run_error(capsys, ["eval", "--ckpt", str(run / "model.ckpt"),
+                                       "--data", str(tmp_path),
+                                       "--report", str(tmp_path / "report.csv")])
+        assert line.startswith(f"tsgseg: error: {run / 'config.resolved'}: not UTF-8 text")
+        assert not (tmp_path / "report.csv").exists()
+
     def test_negative_train_seed(self, tmp_path, capsys):
         line = self.run_error(capsys, ["train", "--seed", "-1",
                                        "--out", str(tmp_path / "run")])

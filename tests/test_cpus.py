@@ -1,8 +1,11 @@
-"""The allocator policy ``tensor`` sets at import: glibc's mmap and trim
-thresholds fixed, so activations freed between ops and steps are reused
-instead of being faulted back in, and one allocator arena, so the threads
-self-attention runs its row blocks on reuse that memory too."""
+"""The CPU policy ``cpus`` sets when ``tsgseg`` is imported, before numpy
+loads: one BLAS thread per calling thread unless the environment names a
+count; glibc's mmap and trim thresholds fixed, so activations freed between
+ops and steps are reused instead of being faulted back in, and one allocator
+arena, so the threads self-attention runs its row blocks on reuse that
+memory too; and the pool those row blocks run on."""
 
+import json
 import os
 import pathlib
 import platform
@@ -10,14 +13,16 @@ import resource
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
 
-from tsgseg import tensor
+from tsgseg import cpus
 from tsgseg.config import resolve_config
+from tsgseg.cpus import _set_allocator_policy
 from tsgseg.model import build_model
-from tsgseg.tensor import Tensor, _set_allocator_policy, no_grad
+from tsgseg.tensor import Tensor, no_grad
 
 GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
 # (param, value) pairs from malloc.h: M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1,
@@ -66,12 +71,73 @@ class TestPolicy:
             raise AssertionError("loaded a C library off Linux")
 
         monkeypatch.setattr(sys, "platform", "darwin")
-        monkeypatch.setattr(tensor.ctypes, "CDLL", no_load)
+        monkeypatch.setattr(cpus.ctypes, "CDLL", no_load)
         assert _set_allocator_policy() is False
 
     @pytest.mark.skipif(not GLIBC, reason="needs glibc")
     def test_set_at_import_under_glibc(self):
-        assert tensor.ALLOCATOR_POLICY_SET is True
+        assert cpus.ALLOCATOR_POLICY_SET is True
+
+
+def test_policy_set_before_numpy_loads():
+    # cpus imports no numpy and tsgseg imports it first, so when numpy is
+    # first imported BLAS's thread defaults are in the environment and,
+    # under glibc, the allocator policy is set
+    script = textwrap.dedent("""
+        import json, os, sys
+
+        class AtNumpy:
+            seen = None
+
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" and AtNumpy.seen is None:
+                    cpus, frame, importers = sys.modules.get("tsgseg.cpus"), sys._getframe(), []
+                    while frame is not None:
+                        importers.append(frame.f_globals.get("__name__"))
+                        frame = frame.f_back
+                    AtNumpy.seen = {
+                        "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+                        "policy": getattr(cpus, "ALLOCATOR_POLICY_SET", None),
+                        "importers": importers,
+                    }
+                return None
+
+        sys.meta_path.insert(0, AtNumpy())
+        import tsgseg
+        print(json.dumps(AtNumpy.seen))
+    """)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert "tsgseg.cpus" not in seen["importers"]
+    assert seen["blas"] == "1"
+    assert seen["policy"] is GLIBC
+
+
+class TestPool:
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs sched_getaffinity")
+    def test_one_worker_per_cpu_this_process_may_run_on(self):
+        assert cpus._POOL_WORKERS == len(os.sched_getaffinity(0))
+
+    def test_blocks_yielded_in_order_on_this_machine(self, monkeypatch):
+        # with one CPU (``taskset -c 0``) the blocks run inline and no pool
+        # is made; with more they run on the pool
+        monkeypatch.setattr(cpus, "_pool", None)
+        threads = set()
+
+        def block(r):
+            threads.add(threading.get_ident())
+            return r * r
+
+        assert list(cpus._in_order(block, range(12), 1 << 10)) == [r * r for r in range(12)]
+        if cpus._POOL_WORKERS < 2:
+            assert threads == {threading.get_ident()} and cpus._pool is None
+        else:
+            assert threading.get_ident() not in threads and cpus._pool is not None
+            cpus._pool.shutdown()
 
 
 @pytest.mark.skipif(not GLIBC, reason="needs glibc")

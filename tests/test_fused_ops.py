@@ -31,7 +31,7 @@ from tsgseg.attention import (CROSS_GATED_KIND, CROSS_KIND, SELF_KIND, Attention
 from tsgseg.config import resolve_config
 from tsgseg.model import build_model
 from tsgseg.scale_gate import TsgHead
-from tsgseg import tensor
+from tsgseg import cpus, tensor
 from tsgseg.tensor import (ShapeError, Tensor, _accumulate_matmul, _Node, add,
                            attention_probs, cross_entropy, head_linear, linear, matmul, mul,
                            narrow, permute, reshape, scale, self_attention, softmax,
@@ -370,8 +370,8 @@ def fork_and_attend(q, k, v, conn):
 
 def use_pool(monkeypatch, pool):
     """Run the row blocks on ``pool``, with as many workers as it has."""
-    monkeypatch.setattr(tensor, "_pool", pool)
-    monkeypatch.setattr(tensor, "_POOL_WORKERS", pool._max_workers)
+    monkeypatch.setattr(cpus, "_pool", pool)
+    monkeypatch.setattr(cpus, "_POOL_WORKERS", pool._max_workers)
 
 
 class TestRowBlockPool:
@@ -422,7 +422,7 @@ class TestRowBlockPool:
                                                     (1 << 10, 17)])
     def test_blocks_in_flight_bounded_by_bytes(self, monkeypatch, block_bytes, ahead):
         # 16 workers, blocks of 1 KiB to 8 MiB against 8 MiB in flight
-        monkeypatch.setattr(tensor, "_ATTENTION_THREAD_BYTES", 8 << 20)
+        monkeypatch.setattr(cpus, "_ATTENTION_THREAD_BYTES", 8 << 20)
         lock, running, most = threading.Lock(), [0], [0]
 
         def block(r):
@@ -436,7 +436,7 @@ class TestRowBlockPool:
 
         with RecordingPool(16) as pool:
             use_pool(monkeypatch, pool)
-            assert list(tensor._in_order(block, range(24), block_bytes)) == list(range(24))
+            assert list(cpus._in_order(block, range(24), block_bytes)) == list(range(24))
         assert 2 <= most[0] <= ahead
 
     @pytest.mark.parametrize("size, batch, bound", [(128, 4, 75), (256, 1, 80)])
@@ -447,12 +447,12 @@ class TestRowBlockPool:
             assert desk_step_peak(size, batch) < bound * 2**20
 
     def test_one_block_map_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(tensor, "_pool", None)
+        monkeypatch.setattr(cpus, "_pool", None)
         threads = threading.active_count()
         values, _ = self.case.run(blocked_self_attention, (2,), 2, np.float32)
         assert values[0].shape == (2, self.case.N, self.case.D)
         assert threading.active_count() == threads
-        assert tensor._pool is None
+        assert cpus._pool is None
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork of a threaded process
