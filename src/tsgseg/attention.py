@@ -14,8 +14,9 @@ A self-attention layer is one ``self_attention`` node that never holds its
 map: it also computes the projection of every gate integrator declared to
 read the map, and its bundle carries those projections plus the queries and
 keys, from which the map itself is formed only when read. A cross-attention
-map is one ``attention_probs`` node: the logits are never kept, only the
-probabilities, which are the gates' evidence.
+map is ``softmax(matmul(scale(q, c), k))`` over plain ops: it is classes x
+patches, small enough that nothing is gained by fusing the softmax into the
+product, and the logits are freed once the softmax has run.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .module import LayerNorm, Linear, Mlp, Module
-from .tensor import (ShapeError, Tensor, attention_probs, concat, matmul, narrow, permute,
-                     reshape, self_attention)
+from .tensor import (ShapeError, Tensor, concat, matmul, narrow, permute, reshape, scale,
+                     self_attention, softmax)
 
 # Which axis of each stored map was softmax-normalized.
 SELF_KIND = "self"            # N x N, rows sum to 1 (axis 1, over keys)
@@ -93,8 +94,8 @@ class AttentionBundle:
         """The (..., heads, R, K) maps; formed from ``factors`` on first read."""
         if self._stacked is None:
             q, k, heads, c = self.factors
-            self._stacked = attention_probs(_split_heads(q, heads),
-                                            _split_heads(k, heads, keys=True), c)
+            self._stacked = softmax(matmul(scale(_split_heads(q, heads), c),
+                                           _split_heads(k, heads, keys=True)), -1)
         return self._stacked
 
     @property
@@ -189,11 +190,11 @@ class MultiheadCrossAttention(_Attention):
         q, k, v = self._project(queries, memory)
         q, k = _split_heads(q, cfg.heads), _split_heads(k, cfg.heads, keys=True)
         c = 1.0 / math.sqrt(cfg.head_dim)
-        att = attention_probs(q, k, c, axis=-1)
+        att = softmax(matmul(scale(q, c), k), -1)
         out = self.wo(concat_heads(matmul(att, _split_heads(v, cfg.heads))))
         gated = None
-        if gate_softmax:  # the logits are cheap to form twice
-            gated = AttentionBundle(attention_probs(q, k, c, axis=-2), softmax_axis=0,
+        if gate_softmax:  # logits of its own: a shared product would reorder q's grad sums
+            gated = AttentionBundle(softmax(matmul(scale(q, c), k), -2), softmax_axis=0,
                                     kind=CROSS_GATED_KIND)
         return out, AttentionBundle(att, softmax_axis=1, kind=CROSS_KIND), gated
 

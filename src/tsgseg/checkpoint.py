@@ -35,21 +35,25 @@ def save_checkpoint(path, named_arrays: dict[str, np.ndarray]) -> None:
             fh.write(arr.tobytes())
 
 
+def _error(path, msg: str) -> CheckpointError:
+    return CheckpointError(f"{path}: {msg}")
+
+
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Parse a checkpoint into read-only views of the file's bytes. Every
-    header length is checked against the bytes left before any allocation."""
+    header length is checked against the bytes left before any allocation.
+    Every error starts with ``path``."""
     with open(path, "rb") as fh:
         data = memoryview(fh.read())
     if data[:len(MAGIC)] != MAGIC:
-        raise CheckpointError(
-            f"bad magic {bytes(data[:len(MAGIC)])!r}: not a checkpoint or unsupported version"
-        )
+        raise _error(path, f"bad magic {bytes(data[:len(MAGIC)])!r}: not a checkpoint or "
+                           f"unsupported version")
     pos = len(MAGIC)
 
     def take(n: int, what: str) -> memoryview:
         nonlocal pos
         if n > len(data) - pos:
-            raise CheckpointError(f"truncated checkpoint while reading {what}")
+            raise _error(path, f"truncated checkpoint while reading {what}")
         pos += n
         return data[pos - n:pos]
 
@@ -62,16 +66,16 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         try:
             name = str(take(name_len, "name"), "utf-8")
         except UnicodeDecodeError as exc:
-            raise CheckpointError(f"parameter name is not UTF-8: {exc}") from None
+            raise _error(path, f"parameter name is not UTF-8: {exc}") from None
         if name in out:
-            raise CheckpointError(f"parameter {name!r} is stored twice")
+            raise _error(path, f"parameter {name!r} is stored twice")
         (rank,) = u64s(1, f"rank of {name}")
         dims = u64s(rank, f"dims of {name}")
         raw = take(4 * math.prod(dims), f"values of {name}")
         try:
             out[name] = np.frombuffer(raw, dtype="<f4").reshape(dims)
         except (ValueError, OverflowError) as exc:  # empty arrays with huge dims
-            raise CheckpointError(f"bad dims {dims} of {name}: {exc}") from None
+            raise _error(path, f"bad dims {dims} of {name}: {exc}") from None
     return out
 
 
@@ -85,25 +89,24 @@ def load_model(path, model) -> None:
     The file and the model must carry the same parameter names; mismatches
     either way are named. Each value is copied once, cast to its array's
     dtype; nothing is written unless every name, shape and array checks out
-    and every value is finite.
+    and every value is finite. Every error starts with ``path``.
     """
     stored = load_checkpoint(path)
     params = dict(model.named_parameters())
     unknown = sorted(set(stored) - set(params))
     if unknown:
-        raise CheckpointError(f"checkpoint has unknown parameters: {unknown}")
+        raise _error(path, f"checkpoint has unknown parameters: {unknown}")
     missing = sorted(set(params) - set(stored))
     if missing:
-        raise CheckpointError(f"checkpoint is missing parameters: {missing}")
+        raise _error(path, f"checkpoint is missing parameters: {missing}")
     for name, arr in stored.items():
         p = params[name]
         if arr.shape != p.shape:
-            raise CheckpointError(
-                f"parameter {name!r}: checkpoint shape {arr.shape} vs model {p.shape}"
-            )
+            raise _error(path, f"parameter {name!r}: checkpoint shape {arr.shape} vs "
+                               f"model {p.shape}")
         if not p.data.flags.writeable:
-            raise CheckpointError(f"parameter {name!r}: its array is read-only")
+            raise _error(path, f"parameter {name!r}: its array is read-only")
         if not np.isfinite(arr).all():
-            raise CheckpointError(f"parameter {name!r}: holds a non-finite value")
+            raise _error(path, f"parameter {name!r}: holds a non-finite value")
     for name, arr in stored.items():
         np.copyto(params[name].data, arr)

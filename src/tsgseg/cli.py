@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .checkpoint import CheckpointError
-from .config import ConfigError, load_config_file, resolve_config
+from .config import ConfigError, max_base_seed, read_config, resolve_config, sample_seed
 from .netpbm import NetpbmError
-from .segbench import generate, sample_seed, save_sample
+from .segbench import generate, save_sample
 from .train import SUITES, ablate, dump_gates, evaluate_checkpoint, train_run
 
 
@@ -72,11 +73,13 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             parser.error(f"gen-data: --seed must be >= 0, got {args.seed}")
         if args.count < 1:
             parser.error(f"gen-data: --count must be >= 1, got {args.count}")
-        overrides = load_config_file(args.config) if args.config else {}
-        cfg = resolve_config(overrides=overrides)
+        if args.seed > max_base_seed(args.count):
+            parser.error(f"gen-data: --seed must be <= {max_base_seed(args.count)} for "
+                         f"--count {args.count}, got {args.seed}")
+        cfg = read_config(args.config) if args.config else resolve_config()
         if cfg.num_classes > 256:
-            parser.error(f"gen-data: labels are stored as 8-bit PGM, so num_classes "
-                         f"must be <= 256, got {cfg.num_classes}")
+            parser.error(f"gen-data: {args.config}: labels are stored as 8-bit PGM, so "
+                         f"num_classes must be <= 256, got {cfg.num_classes}")
         os.makedirs(args.out, exist_ok=True)
         for i in range(args.count):
             save_sample(args.out, i, generate(sample_seed(args.seed, i), cfg))
@@ -84,10 +87,9 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "train":
-        overrides = load_config_file(args.config) if args.config else {}
+        cfg = read_config(args.config) if args.config else resolve_config()
         if args.seed is not None:
-            overrides["seed"] = args.seed
-        cfg = resolve_config(overrides=overrides)
+            cfg = replace(cfg, seed=args.seed)
         _, summary = train_run(cfg, args.out)
         report = summary["report"]
         print(f"final loss {summary['final_loss']:.4f}  "

@@ -33,6 +33,19 @@ PRESETS = ("desk",)
 # for every block after the first.
 FUSION_KINDS = ("tsg", "fpn", "none", "single")
 DECODER_FUSIONS = ("tsg", "sum")
+# Sample i of a dataset with base seed s is drawn from the Philox generator
+# keyed by sample_seed(s, i), and a Philox key must be below 2**128.
+_SAMPLE_BITS = 20
+
+
+def sample_seed(base_seed: int, index: int) -> int:
+    """Disjoint per-sample seed stream for a dataset keyed by a base seed."""
+    return (int(base_seed) << _SAMPLE_BITS) + index
+
+
+def max_base_seed(count: int) -> int:
+    """The largest base seed whose samples 0 .. count - 1 all have keys."""
+    return (2**128 - count) >> _SAMPLE_BITS
 
 
 @dataclass(frozen=True)
@@ -96,6 +109,10 @@ class RunConfig:
                     "poly_power"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
+        samples = self.train_samples + self.val_samples
+        if self.data_seed > max_base_seed(samples):
+            raise ConfigError(f"data_seed must be at most {max_base_seed(samples)} for "
+                              f"{samples} samples, got {self.data_seed}")
         if self.mlp_ratio <= 0:
             raise ConfigError(f"mlp_ratio must be positive, got {self.mlp_ratio}")
         if not len(self.stage_dims) == len(self.stage_heads) == len(self.stage_blocks):
@@ -297,6 +314,16 @@ def load_config_file(path) -> dict[str, str]:
         return parse_config_text(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def read_config(path) -> RunConfig:
+    """The RunConfig the config file at ``path`` describes; an error in the
+    file's text or values starts with ``path``."""
+    values = load_config_file(path)
+    try:
+        return resolve_config(overrides=values)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, sample_seed  # noqa: F401 (re-exported)
 from .netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 
 BUCKETS = ("small", "medium", "large")
@@ -180,11 +180,6 @@ def generate(seed: int, cfg: RunConfig) -> SegSample:
         "objects": objects, "dropped": dropped,
     }
     return SegSample(image=image, labels=labels, meta=meta)
-
-
-def sample_seed(base_seed: int, index: int) -> int:
-    """Disjoint per-sample seed stream for a dataset keyed by a base seed."""
-    return (int(base_seed) << 20) + index
 
 
 def id_map(meta: dict) -> np.ndarray:

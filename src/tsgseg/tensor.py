@@ -77,7 +77,6 @@ __all__ = [
     "matmul",
     "transpose",
     "softmax",
-    "attention_probs",
     "layernorm",
     "gelu",
     "linear",
@@ -386,12 +385,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(data, nodes, backward)
 
 
-def _normalize_exp_(x: np.ndarray, axis: int) -> None:
-    """Turn max-shifted logits ``x`` into probabilities along ``axis``, in place."""
-    np.exp(x, out=x)
-    x /= x.sum(axis=axis, keepdims=True)
-
-
 def _softmax_backward_(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
     """Overwrite ``g``, the grad of softmax output ``p``, with the grad of the
     softmax input: ``(g - sum(g * p, axis)) * p``."""
@@ -407,10 +400,10 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     """Normalized exponentials along ``axis``, max-shifted for stability."""
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    # in place after the first subtraction: attention maps are the largest
-    # arrays the model makes
+    # one new array: the shifted copy is exponentiated and normalized in place
     data = x.data - x.data.max(axis=axis, keepdims=True)
-    _normalize_exp_(data, axis)
+    np.exp(data, out=data)
+    data /= data.sum(axis=axis, keepdims=True)
 
     (nx,) = nodes = _nodes(x)
     if not any(nodes):
@@ -418,50 +411,6 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 
     def backward(g):
         _accumulate(nx, _softmax_backward_(g, data, axis))
-
-    return _record(data, nodes, backward)
-
-
-def attention_probs(q: Tensor, k: Tensor, c: float, axis: int = -1) -> Tensor:
-    """Attention probabilities ``softmax(c * q @ k)`` along ``axis`` (-1 or -2).
-
-    ``q`` is (..., N_q, d) and ``k`` is (..., d, N_k), keys already
-    transposed; leading axes broadcast. ``q`` is scaled before the product,
-    which costs N_q x d, not N_q x N_k. The logits are normalized in the
-    buffer the product makes, so only the probabilities are kept, and the
-    backward pass turns the incoming grad into the logit grad in place
-    before the two products.
-    """
-    if axis not in (-1, -2):
-        raise ShapeError(f"attention_probs: axis must be -1 or -2, got {axis}")
-    if q.ndim < 2 or k.ndim < 2 or q.shape[-1] != k.shape[-2]:
-        raise ShapeError(f"attention_probs: cannot multiply {q.shape} x {k.shape}")
-    c = float(c)
-    qs = q.data * c
-    try:
-        data = qs @ k.data
-    except ValueError:
-        raise ShapeError(
-            f"attention_probs: leading axes of {q.shape} and {k.shape} do not broadcast")
-    data -= data.max(axis=axis, keepdims=True)
-    _normalize_exp_(data, axis)
-
-    nq, nk = nodes = _nodes(q, k)
-    if not any(nodes):
-        return Tensor(data)
-    q_shape, k_shape = q.shape, k.shape
-    k_data = k.data if nq is not None else None
-    if nk is None:
-        qs = None
-
-    def backward(g):
-        g = _softmax_backward_(g, data, axis)
-        if nq is not None:
-            dq = g @ np.swapaxes(k_data, -1, -2)
-            dq *= c
-            _accumulate(nq, _unbroadcast(dq, q_shape))
-        if nk is not None:
-            _accumulate(nk, _unbroadcast(np.swapaxes(qs, -1, -2) @ g, k_shape))
 
     return _record(data, nodes, backward)
 
@@ -700,8 +649,8 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, c: float,
     ``p_h @ v_h`` side by side, then for each reader ``head_linear(p, w, b)``.
     Both are row-local, so the map is formed one block of query rows at a
     time, with a row's heads side by side, and dropped. A block takes the
-    steps of ``attention_probs``, ``matmul`` and ``head_linear`` on its rows
-    with their operand layouts, so where BLAS rounds a block of rows as it
+    steps of ``softmax(matmul(scale(q, c), k))``, ``matmul`` and
+    ``head_linear`` on its rows with their operand layouts, so where BLAS rounds a block of rows as it
     rounds the whole product, the result is theirs bit for bit. The closure
     keeps ``c * q``, k, v, the weights and each map row's max and sum of
     exponentials, from which backward forms the map again with the same
@@ -739,8 +688,8 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, c: float,
     shift, total = np.empty((2,) + lead + (n, heads, 1), qs.dtype)
 
     def probs(rows: slice, first: bool) -> np.ndarray:
-        """The (..., rows, H, N) block of the map, as ``attention_probs``
-        forms it; ``first`` records the rows' max and sum."""
+        """The (..., rows, H, N) block of the map, as ``softmax`` forms it
+        from the logits; ``first`` records the rows' max and sum."""
         p = np.empty(lead + (len(range(n)[rows]), heads, n), qs.dtype)
         np.matmul(qs[..., rows, :], kt, out=np.swapaxes(p, -2, -3))
         if first:

@@ -14,9 +14,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .checkpoint import load_model, save_model
-from .config import (ConfigError, RunConfig, format_config, load_config_file,
-                     resolve_config)
+from .checkpoint import CheckpointError, load_model, save_model
+from .config import ConfigError, RunConfig, format_config, read_config, resolve_config
 from .decoder import labels_to_mask
 from .model import SegModel, build_model, check_precision
 from .netpbm import read_ppm, write_pgm
@@ -210,9 +209,12 @@ def _load_run_model(ckpt_path) -> tuple[SegModel, RunConfig]:
         raise FileNotFoundError(
             f"no config.resolved next to {ckpt_path}; cannot rebuild the model"
         )
-    cfg = resolve_config(overrides=load_config_file(cfg_path))
+    cfg = read_config(cfg_path)
     model = build_model(cfg, seed=cfg.seed)
-    load_model(ckpt_path, model)
+    try:
+        load_model(ckpt_path, model)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{exc}; the model was built from {cfg_path}") from None
     return model, cfg
 
 
@@ -257,7 +259,7 @@ def dump_gates(ckpt_path, sample_path, out_dir) -> list[str]:
     if cfg.decoder_fusion != "tsg" or cfg.decoder_blocks < 2:
         raise ConfigError("model has no gated decoder fusion; nothing to dump")
     image = read_ppm(sample_path).astype(np.float64) / 255.0
-    _check_image_size(cfg, image, "sample")
+    _check_image_size(cfg, image, str(sample_path))
     with no_grad():
         res = model(Tensor(image, dtype=cfg.dtype))
     os.makedirs(out_dir, exist_ok=True)

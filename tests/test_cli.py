@@ -8,6 +8,7 @@ import contextlib
 import io
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -364,7 +365,7 @@ class TestErrors:
         line = self.run_error(capsys, ["gates", "--ckpt", str(tiny_run / "model.ckpt"),
                                        "--sample", str(sample),
                                        "--out", str(tmp_path / "gates")])
-        assert line == "tsgseg: error: sample is 16x24, model expects 16x16"
+        assert line == f"tsgseg: error: {sample} is 16x24, model expects 16x16"
         assert not (tmp_path / "gates").exists()
 
     def test_gates_without_gated_decoder(self, tmp_path, capsys):
@@ -378,6 +379,87 @@ class TestErrors:
                                        "--out", str(tmp_path / "gates")])
         assert line == "tsgseg: error: model has no gated decoder fusion; nothing to dump"
         assert not (tmp_path / "gates").exists()
+
+    def copied_run(self, tmp_path, tiny_run, edit=None, ckpt=None):
+        """A copy of ``tiny_run`` with ``edit`` applied to its config text
+        and ``ckpt`` as its checkpoint bytes."""
+        run = tmp_path / "copy"
+        run.mkdir()
+        text = (tiny_run / "config.resolved").read_text()
+        (run / "config.resolved").write_text(edit(text) if edit else text)
+        (run / "model.ckpt").write_bytes(ckpt or (tiny_run / "model.ckpt").read_bytes())
+        return run
+
+    def test_eval_on_config_value_out_of_range(self, tmp_path, tiny_run, capsys):
+        run = self.copied_run(tmp_path, tiny_run,
+                              lambda t: re.sub(r"^steps = \d+$", "steps = 0", t, flags=re.M))
+        line = self.eval_error(capsys, run, tmp_path / "data")
+        assert line == (f"tsgseg: error: {run / 'config.resolved'}: "
+                        f"steps must be positive, got 0")
+
+    def test_train_config_value_out_of_range(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("steps = 0\n")
+        line = self.run_error(capsys, ["train", "--config", str(path),
+                                       "--out", str(tmp_path / "run")])
+        assert line == f"tsgseg: error: {path}: steps must be positive, got 0"
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_train_seed_with_config(self, tmp_path, tiny_config_file, capsys):
+        # the flag's value is not the file's: its error does not name the file
+        line = self.run_error(capsys, ["train", "--config", tiny_config_file, "--seed", "-1",
+                                       "--out", str(tmp_path / "run")])
+        assert line == "tsgseg: error: seed must be non-negative, got -1"
+
+    def test_eval_on_truncated_checkpoint(self, tmp_path, tiny_run, capsys):
+        ckpt = (tiny_run / "model.ckpt").read_bytes()[:300]
+        run = self.copied_run(tmp_path, tiny_run, ckpt=ckpt)
+        line = self.eval_error(capsys, run, tmp_path / "data")
+        assert line.startswith(f"tsgseg: error: {run / 'model.ckpt'}: truncated checkpoint "
+                               f"while reading ")
+
+    def test_gates_on_checkpoint_of_bad_magic(self, tmp_path, tiny_run, capsys):
+        run = self.copied_run(tmp_path, tiny_run, ckpt=b"XXXXXXXX")
+        sample = tmp_path / "sample.ppm"
+        write_ppm(str(sample), np.zeros((16, 16, 3), dtype=np.uint8))
+        line = self.run_error(capsys, ["gates", "--ckpt", str(run / "model.ckpt"),
+                                       "--sample", str(sample),
+                                       "--out", str(tmp_path / "gates")])
+        assert line.startswith(f"tsgseg: error: {run / 'model.ckpt'}: bad magic "
+                               f"b'XXXXXXXX'")
+
+    def test_eval_on_checkpoint_of_another_model(self, tmp_path, tiny_run, capsys):
+        # the checkpoint is sound, but config.resolved describes another model
+        run = self.copied_run(tmp_path, tiny_run,
+                              lambda t: t.replace("num_classes = 4\n", "num_classes = 6\n"))
+        line = self.eval_error(capsys, run, tmp_path / "data")
+        assert line.startswith(f"tsgseg: error: {run / 'model.ckpt'}: parameter ")
+        assert "checkpoint shape" in line
+        assert line.endswith(f"; the model was built from {run / 'config.resolved'}")
+
+    def test_gen_data_seed_beyond_sample_keys(self, tmp_path, capsys):
+        # sample 0's key would be seed << 20, and a Philox key is below 2**128
+        out = tmp_path / "data"
+        line = self.run_error(capsys, ["gen-data", "--seed", str(2**128 - 1), "--count", "1",
+                                       "--out", str(out)])
+        assert line == (f"tsgseg: error: gen-data: --seed must be <= {2**108 - 1} for "
+                        f"--count 1, got {2**128 - 1}")
+        assert not out.exists()
+
+    def test_gen_data_largest_seed(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["gen-data", "--seed", str(2**108 - 1), "--count", "1",
+                     "--out", str(out)]) == 0
+        assert load_sample(str(out), 0).meta["seed"] == 2**128 - 2**20
+
+    def test_train_config_data_seed_beyond_sample_keys(self, tmp_path, capsys):
+        path = tmp_path / "big.cfg"
+        path.write_text(f"data_seed = {2**108}\n")
+        line = self.run_error(capsys, ["train", "--config", str(path),
+                                       "--out", str(tmp_path / "run")])
+        assert line == (f"tsgseg: error: {path}: data_seed must be at most {2**108 - 1} "
+                        f"for 250 samples, got {2**108}")
+        assert not (tmp_path / "run").exists()
 
     def test_other_errors_keep_their_traceback(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):

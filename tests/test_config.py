@@ -14,9 +14,11 @@ from tsgseg.config import (
     dataset_config,
     format_config,
     load_config_file,
+    max_base_seed,
     model_config,
     parse_config_text,
     resolve_config,
+    sample_seed,
 )
 from tsgseg.model import build_model
 from tsgseg.segbench import generate
@@ -149,12 +151,24 @@ class TestResolve:
         ("size_mix", {"size_mix": (float("nan"), 0.5, 0.5)}),
         ("size_mix", {"size_mix": (0.5, float("inf"), 0.5)}),
         ("single_stage", {"single_stage": 2}),
+        ("data_seed", {"data_seed": 2**108}),
+        ("data_seed", {"data_seed": 2**108 - 1, "train_samples": 2**20}),
     ])
     def test_bad_value_named(self, key, overrides):
         with pytest.raises(ConfigError, match=key):
             resolve_config("desk", overrides)
         with pytest.raises(ConfigError, match=key):
             dataclasses.replace(RunConfig(), **overrides)
+
+    @pytest.mark.parametrize("count", [2, 250, 2**20, 2**20 + 1, 3 << 20])
+    def test_largest_base_seed_keys_every_sample(self, count):
+        # the largest base seed's last sample has a Philox key; one more has not
+        top = max_base_seed(count)
+        np.random.Philox(key=sample_seed(top, count - 1))
+        with pytest.raises(ValueError, match="2\\*\\*128"):
+            np.random.Philox(key=sample_seed(top + 1, count - 1))
+        assert resolve_config("desk", {"data_seed": top, "train_samples": count - 1,
+                                       "val_samples": 1}).data_seed == top
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -1,12 +1,12 @@
 """The fused attention ops against the unfused formulation they replace.
 
-``attention_probs`` is ``softmax(scale(q, c) @ k)`` kept as one node,
 ``head_linear`` is ``linear(concat_heads(stack))`` without the concatenated
-copy, and ``self_attention`` is ``attention_probs``, ``matmul`` and one
-``head_linear`` per reader, formed in blocks of query rows without keeping
-the map. Forward values are checked against the loop oracles, in float64
+copy, and ``self_attention`` is ``softmax(matmul(scale(q, c), k))``,
+``matmul`` and one ``head_linear`` per reader, formed in blocks of query
+rows without keeping the map. The cross maps are that softmax over plain
+ops. Forward values are checked against the loop oracles, in float64
 (rtol 1e-12) and float32 (rtol 1e-5); gradients against finite differences
-and against the unfused graph. The in-place softmax backwards are checked
+and against the unfused graph. The in-place softmax backward is checked
 where a shared or non-contiguous grad could be corrupted. ``self_attention``
 gives the same bits with its row blocks on a thread pool as inline.
 """
@@ -26,14 +26,14 @@ import pytest
 import helpers
 import oracles
 from tsgseg.attention import (CROSS_GATED_KIND, CROSS_KIND, SELF_KIND, AttentionBundle,
-                              MultiheadCrossAttention, MultiheadSelfAttention, _split_heads,
-                              concat_heads)
+                              MhaConfig, MultiheadCrossAttention, MultiheadSelfAttention,
+                              _split_heads, concat_heads)
 from tsgseg.config import resolve_config
 from tsgseg.model import build_model
 from tsgseg.scale_gate import TsgHead
 from tsgseg import cpus, tensor
 from tsgseg.tensor import (ShapeError, Tensor, _accumulate_matmul, _Node, add,
-                           attention_probs, cross_entropy, head_linear, linear, matmul, mul,
+                           cross_entropy, head_linear, linear, matmul, mul,
                            narrow, permute, reshape, scale, self_attention, softmax,
                            transpose, tsum, upsample_bilinear)
 from tsgseg.train import VARIANTS
@@ -56,14 +56,22 @@ def qk_operands(rng, lead, nq, nk, d, dtype):
     return q, k
 
 
+def map_probs(q: Tensor, k: Tensor, c: float, axis: int = -1) -> Tensor:
+    """``softmax(c * q @ k)`` along ``axis``, as the cross layer forms its
+    maps and a self-attention bundle its ``stacked``."""
+    return softmax(matmul(scale(q, c), k), axis)
+
+
 class TestAttentionProbs:
+    """The attention probabilities the bundles hold, formed from plain ops."""
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("axis", [-1, -2])
     def test_matches_oracle_with_batch_and_head_axes(self, dtype, axis):
         rng = np.random.default_rng(70)
         c = 1.0 / math.sqrt(4)
         q, k = qk_operands(rng, (2, 3), 5, 7, 4, dtype)
-        out = attention_probs(Tensor(q), Tensor(k), c, axis=axis)
+        out = map_probs(Tensor(q), Tensor(k), c, axis=axis)
         assert out.shape == (2, 3, 5, 7) and out.dtype == dtype
         for b in range(2):
             for h in range(3):
@@ -77,42 +85,31 @@ class TestAttentionProbs:
         q0, k0 = qk_operands(rng, (2, 2), 3, 4, 2, np.float64)
         w = Tensor(rng.normal(size=(2, 2, 3, 4)))
         c = 0.7
-        check_grad(lambda t: tsum(mul(attention_probs(t, Tensor(k0), c, axis), w)), q0)
-        check_grad(lambda t: tsum(mul(attention_probs(Tensor(q0), t, c, axis), w)), k0)
-
-    @pytest.mark.parametrize("axis", [-1, -2])
-    def test_gradients_match_unfused_graph(self, axis):
-        rng = np.random.default_rng(72)
-        q0, k0 = qk_operands(rng, (2, 2), 5, 6, 3, np.float64)
-        w = Tensor(rng.normal(size=(2, 2, 5, 6)))
-        c = 1.0 / math.sqrt(3)
-
-        def grads(fused):
-            q, k = Tensor(q0, requires_grad=True), Tensor(k0, requires_grad=True)
-            p = (attention_probs(q, k, c, axis) if fused
-                 else softmax(matmul(scale(q, c), k), axis))
-            tsum(mul(p, w)).backward()
-            return p.data, q.grad, k.grad
-
-        for fused, ref in zip(grads(True), grads(False)):
-            assert_rel_close(fused, ref, np.float64)
+        check_grad(lambda t: tsum(mul(map_probs(t, Tensor(k0), c, axis), w)), q0)
+        check_grad(lambda t: tsum(mul(map_probs(Tensor(q0), t, c, axis), w)), k0)
 
     def test_leading_axes_broadcast_and_reduce(self):
-        # one query set against a batch of keys: q's grad sums over the batch
-        rng = np.random.default_rng(73)
-        q0 = rng.normal(size=(3, 2))
-        k0 = rng.normal(size=(4, 2, 5))
-        w = Tensor(rng.normal(size=(4, 3, 5)))
-        assert attention_probs(Tensor(q0), Tensor(k0), 1.0).shape == (4, 3, 5)
-        check_grad(lambda t: tsum(mul(attention_probs(t, Tensor(k0), 1.0), w)), q0)
+        # one set of (C, d) class queries against a (B, N, d) batch of
+        # memories, as in the first decoder block: the queries' grad is the
+        # sum of the grads each memory alone gives them
+        attn = MultiheadCrossAttention(MhaConfig(heads=2, model_dim=4),
+                                       np.random.default_rng(73))
+        rng = np.random.default_rng(74)
+        q0, memory = rng.normal(size=(3, 4)), rng.normal(size=(2, 6, 4))
+        w_out, w_att, w_gate = (rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 2, 3, 6)),
+                                rng.normal(size=(2, 2, 3, 6)))
 
-    def test_shape_errors(self):
-        with pytest.raises(ShapeError, match="attention_probs"):
-            attention_probs(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 4))), 1.0)
-        with pytest.raises(ShapeError, match="attention_probs"):
-            attention_probs(Tensor(np.zeros((2, 3, 2))), Tensor(np.zeros((3, 2, 4))), 1.0)
-        with pytest.raises(ShapeError, match="axis"):
-            attention_probs(Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 4))), 1.0, axis=0)
+        def q_grad(mem, *ws):
+            q = Tensor(q0, requires_grad=True)
+            out, bundle, gated = attn(q, Tensor(mem), gate_softmax=True)
+            loss = (tsum(mul(out, Tensor(ws[0]))) + tsum(mul(bundle.stacked, Tensor(ws[1])))
+                    + tsum(mul(gated.stacked, Tensor(ws[2]))))
+            loss.backward()
+            return q.grad
+
+        batched = q_grad(memory, w_out, w_att, w_gate)
+        summed = sum(q_grad(memory[i], w_out[i], w_att[i], w_gate[i]) for i in range(2))
+        np.testing.assert_allclose(batched, summed, rtol=1e-12, atol=1e-14)
 
 
 def unfused_projection(stack: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -203,7 +200,7 @@ class TestHeadLinear:
 
 def explicit_self_attention(q, k, v, heads, c, readers):
     """``self_attention`` as separate nodes that keep the whole map."""
-    p = attention_probs(_split_heads(q, heads), _split_heads(k, heads, keys=True), c)
+    p = map_probs(_split_heads(q, heads), _split_heads(k, heads, keys=True), c)
     out = concat_heads(matmul(p, _split_heads(v, heads)))
     return [out] + [head_linear(p, w, b) for w, b in readers]
 
@@ -487,18 +484,20 @@ def parent_softmax_grad(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
 
 
 def probs(kind: str, x: Tensor, axis: int) -> Tensor:
-    """A softmax of ``x`` along ``axis``, as ``softmax`` or as ``attention_probs``
-    (x @ I with c = 1 has the same logits)."""
+    """A softmax of ``x`` along ``axis``, as ``softmax`` or as the cross maps
+    form it (x @ I with c = 1 has the same logits)."""
     if kind == "softmax":
         return softmax(x, axis)
-    return attention_probs(x, Tensor(np.eye(x.shape[-1])), 1.0, axis)
+    return map_probs(x, Tensor(np.eye(x.shape[-1])), 1.0, axis)
 
 
 class TestInPlaceBackward:
-    """The softmax backwards overwrite the grad they receive. That grad must
-    be their own node's, whatever the consumers of the output did with it."""
+    """The softmax backward overwrites the grad it receives, and in a cross
+    map the scale backward overwrites the one the product hands it. That
+    grad must be its own node's, whatever the consumers of the output did
+    with it."""
 
-    @pytest.mark.parametrize("kind", ["softmax", "attention_probs"])
+    @pytest.mark.parametrize("kind", ["softmax", "cross_map"])
     @pytest.mark.parametrize("axis", [-1, -2])
     def test_output_with_several_consumers(self, kind, axis):
         rng = np.random.default_rng(77)
@@ -517,7 +516,7 @@ class TestInPlaceBackward:
         np.testing.assert_allclose(m.grad, np.einsum("bij,bik->jk", s.data, w2),
                                    rtol=1e-12, atol=1e-14)
 
-    @pytest.mark.parametrize("kind", ["softmax", "attention_probs"])
+    @pytest.mark.parametrize("kind", ["softmax", "cross_map"])
     def test_sum_of_two_softmaxes(self, kind):
         # add hands one operand its own grad and the other a copy; if both
         # got the same array, the first backward would corrupt the second
@@ -531,7 +530,7 @@ class TestInPlaceBackward:
         np.testing.assert_allclose(y.grad, parent_softmax_grad(w0, t.data, -2),
                                    rtol=1e-12, atol=1e-14)
 
-    @pytest.mark.parametrize("kind", ["softmax", "attention_probs"])
+    @pytest.mark.parametrize("kind", ["softmax", "cross_map"])
     @pytest.mark.parametrize("axis", [-1, -2])
     def test_non_contiguous_incoming_grad(self, kind, axis):
         # permute's backward hands its input a transposed view of its grad

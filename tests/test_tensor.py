@@ -18,7 +18,6 @@ from tsgseg.tensor import (
     _interp_axis_weights,
     _weight_pair,
     add,
-    attention_probs,
     concat,
     cross_entropy,
     gelu,
@@ -732,8 +731,6 @@ RECORDING_OPS = {
                {0: {1}, 1: {0}}),
     "transpose": (lambda rng: [rng.normal(size=(2, 3, 4))], transpose, {}),
     "softmax": (lambda rng: [rng.normal(size=(3, 4))], lambda x: softmax(x, axis=0), {}),
-    "attention_probs": (lambda rng: [rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4, 5))],
-                        lambda q, k: attention_probs(q, k, 0.5), {1: {0}}),
     "layernorm": (IN_PLACE_OPS["layernorm"][0], layernorm, {1: {0}}),
     "gelu": (lambda rng: [rng.normal(size=(3, 4))], gelu, {0: {0}}),
     "linear": (IN_PLACE_OPS["linear"][0], linear, {0: {1}, 1: {0}}),
@@ -831,8 +828,8 @@ class TestOneDtype:
     recording on and under no_grad, whichever operand differs."""
 
     def test_multi_operand_ops(self):
-        assert MULTI_OPERAND_OPS == ["add", "attention_probs", "concat", "head_linear",
-                                     "layernorm", "linear", "matmul", "mul", "self_attention"]
+        assert MULTI_OPERAND_OPS == ["add", "concat", "head_linear", "layernorm", "linear",
+                                     "matmul", "mul", "self_attention"]
 
     @pytest.mark.parametrize("recording", [True, False])
     @pytest.mark.parametrize("op", MULTI_OPERAND_OPS)
