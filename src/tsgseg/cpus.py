@@ -2,16 +2,22 @@
 imports no numpy, so its BLAS thread defaults and allocator policy are set
 before numpy loads BLAS and allocates.
 
-Threads: the row blocks of a self-attention map of more than one block run
-on a pool with one thread per CPU the process may run on, made by the first
-such map; nothing sets another count. The blocks in flight at once hold at
-most about ``_ATTENTION_THREAD_BYTES`` between them, so a step's memory does
-not grow with the number of CPUs. A forward block writes only its own
-rows of the output; a backward block writes its own rows of q's grad and
-returns its terms of the k, v and integrator-weight grads, which the calling
-thread adds in block order, so a result has the same bits on any number of
-CPUs. Pool threads run numpy only: every op, node and grad is made and
-touched on the calling thread.
+Threads: ``_in_order`` runs independent blocks of work on one worker per
+CPU the process may run on; nothing sets another count. The calling thread
+is a worker: it runs the first block of each group it sends out, and a pool
+of the other workers, made by the first call that needs it, runs the rest.
+Self-attention sends it the row blocks of a map of more than one block, and
+``predict_labels`` its chunks of images. A call made inside a running block
+of a pooled call runs inline, so a chunk's row blocks never queue behind
+another chunk. The blocks in flight at once hold at most about
+``_ATTENTION_THREAD_BYTES`` between them, so memory does not grow with the
+number of CPUs. A forward block writes only its own rows of the output; a
+backward block writes its own rows of q's grad and returns its terms of the
+k, v and integrator-weight grads, which the calling thread adds in block
+order; a chunk returns its labels. So a result has the same bits on any
+number of CPUs. Every op, node and grad of a graph is made and touched on
+the calling thread: a row block runs numpy only, and a chunk runs inside
+the caller's ``no_grad``.
 """
 
 import ctypes
@@ -75,17 +81,20 @@ def _set_allocator_policy(libc=None) -> bool:
 
 ALLOCATOR_POLICY_SET = _set_allocator_policy()
 
-# The blocks running at once on the pool hold at most about this many bytes
-# of temporaries between them, whatever the number of CPUs (at least two
+# The blocks running at once hold at most about this many bytes of
+# temporaries between them, whatever the number of CPUs (at least two
 # blocks).
 _ATTENTION_THREAD_BYTES = 16 << 20
 
-# The pool: one worker per CPU the process may run on, made under the lock
-# by the first map of more than one block, and never on one CPU. A forked
-# child makes its own, as the parent's worker threads are not in it.
+# One worker per CPU the process may run on: the calling thread and a pool
+# of the others, made under the lock by the first call of more than one
+# block, and never on one CPU. A forked child makes its own, as the
+# parent's pool threads are not in it. A thread running a block of a pooled
+# call has ``_running.block`` set, and runs its own calls inline.
 _POOL_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1)
 _pool, _pool_lock = None, threading.Lock()
+_running = threading.local()
 
 
 def _forget_pool() -> None:
@@ -97,33 +106,45 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _marked(block):
+    """``block`` run with this thread marked as running a block."""
+    def run(r):
+        _running.block = True
+        try:
+            return block(r)
+        finally:
+            _running.block = False
+    return run
+
+
 def _in_order(block, starts: range, block_bytes: int):
     """Yield ``block(r)`` for each ``r`` of ``starts``, in order.
 
-    One block, or one worker, runs inline on the calling thread. Otherwise
-    the blocks run on the pool, with as many submitted and not yet yielded
-    as the workers + 1 and ``_ATTENTION_THREAD_BYTES`` allow, ``block_bytes``
-    being a running block's temporaries, and never fewer than two. An error
-    raised in a block reaches the caller once no other block of the call is
-    still running.
+    One block, one worker, or a call made inside a block of a pooled call
+    runs inline on the calling thread. Otherwise the blocks go out in groups
+    of as many as the workers and ``_ATTENTION_THREAD_BYTES`` allow,
+    ``block_bytes`` being a running block's temporaries, and never fewer
+    than two: the calling thread runs a group's first block and the pool
+    the rest. An error raised in a block reaches the caller once no other
+    block of the call is still running.
     """
     global _pool
-    if len(starts) < 2 or _POOL_WORKERS < 2:
+    if len(starts) < 2 or _POOL_WORKERS < 2 or getattr(_running, "block", False):
         yield from map(block, starts)
         return
     with _pool_lock:
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_POOL_WORKERS, thread_name_prefix="tsgseg-rows")
-    pool, pending = _pool, []
-    ahead = min(_POOL_WORKERS + 1, max(2, _ATTENTION_THREAD_BYTES // block_bytes))
+            _pool = ThreadPoolExecutor(_POOL_WORKERS - 1, thread_name_prefix="tsgseg")
+    pool, block, pending = _pool, _marked(block), []
+    size = min(_POOL_WORKERS, max(2, _ATTENTION_THREAD_BYTES // block_bytes))
     try:
-        for r in starts:
-            pending.append(pool.submit(block, r))
-            if len(pending) >= ahead:
+        for i in range(0, len(starts), size):
+            first, *rest = starts[i:i + size]
+            pending = [pool.submit(block, r) for r in rest]
+            yield block(first)
+            while pending:
                 yield pending.pop(0).result()
-        while pending:
-            yield pending.pop(0).result()
     finally:
         for future in pending:
             if not future.cancel():

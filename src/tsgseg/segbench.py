@@ -36,8 +36,11 @@ MAX_RETRIES = 10  # placement attempts per object before it is dropped
 
 @dataclass
 class SegSample:
+    """One scene. ``labels`` holds integers in [0, C) of the source's dtype:
+    int64 from ``generate``, and the PGM's uint8 from ``load_sample``."""
+
     image: np.ndarray  # H x W x 3 float64 in [0, 1]
-    labels: np.ndarray  # H x W int64 in [0, C)
+    labels: np.ndarray  # H x W, int64 or uint8
     meta: dict = field(default_factory=dict)
 
 
@@ -200,7 +203,9 @@ def confusion_matrix(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.n
     if p.size and (p.min() < 0 or p.max() >= num_classes or g.min() < 0
                    or g.max() >= num_classes):
         raise ValueError("labels outside [0, num_classes)")
-    counts = np.bincount(g * num_classes + p, minlength=num_classes * num_classes)
+    # in int64: from 17 classes on, a uint8 label map's g * C + p would wrap
+    counts = np.bincount(g.astype(np.int64) * num_classes + p,
+                         minlength=num_classes * num_classes)
     return counts.reshape(num_classes, num_classes)
 
 
@@ -257,7 +262,7 @@ def save_sample(out_dir: str, index: int, sample: SegSample) -> None:
 def load_sample(dir_path: str, index: int) -> SegSample:
     stem = os.path.join(dir_path, f"sample_{index:04d}")
     image = read_ppm(stem + ".ppm").astype(np.float64) / 255.0
-    labels = read_pgm(stem + ".pgm").astype(np.int64)
+    labels = read_pgm(stem + ".pgm")
     with open(stem + ".json") as fh:
         try:
             meta = json.load(fh)

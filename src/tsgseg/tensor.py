@@ -248,6 +248,10 @@ def _accumulate_matmul(node: _Node | None, x: np.ndarray, y: np.ndarray,
         _accumulate(node, _unbroadcast(x @ y, shape))
 
 
+# One flag for the process, not one per thread: ``predict_labels`` runs its
+# chunks on the CPU pool's threads as well as the calling thread, all inside
+# the caller's ``no_grad``, which the caller leaves only once every chunk has
+# ended. Self-attention's pool threads run numpy only and read no flag.
 _grad_enabled = True
 
 

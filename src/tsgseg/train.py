@@ -8,6 +8,7 @@ byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 from dataclasses import replace
@@ -17,13 +18,13 @@ import numpy as np
 from .checkpoint import CheckpointError, load_model, save_model
 from .config import ConfigError, RunConfig, format_config, read_config, resolve_config
 from .decoder import labels_to_mask
-from .model import SegModel, build_model, check_precision
+from .cpus import _in_order
+from .model import ForwardResult, SegModel, build_model, check_precision
 from .netpbm import read_ppm, write_pgm
 from .optim import AdamW, poly_lr
 from .segbench import (
     BUCKETS,
     SegSample,
-    confusion_matrix,
     count_samples,
     generate,
     iou_from_confusion,
@@ -72,18 +73,36 @@ def _images(samples: list[SegSample], dtype) -> Tensor:
     return Tensor(np.stack([s.image for s in samples]), dtype=dtype)
 
 
-def _chunks(items: list) -> list[list]:
-    return [items[lo:lo + EVAL_CHUNK] for lo in range(0, len(items), EVAL_CHUNK)]
+# A no-grad forward's numpy allocations peak at about this many values per
+# image pixel (a desk model, batch 4: 63 at 64 px and 58 at 128 px in
+# float32), which bounds the chunks ``predict_labels`` scores at once.
+_FORWARD_VALUES_PER_PIXEL = 64
+
+
+def _finite(result: ForwardResult) -> ForwardResult:
+    """``result``; ``FloatingPointError`` unless its class scores are finite."""
+    if not np.isfinite(result.scores.data).all():
+        raise FloatingPointError("the model's class scores are not finite")
+    return result
 
 
 def predict_labels(model: SegModel, samples: list[SegSample]) -> np.ndarray:
     """Each sample's (N,) patch labels: the highest-scoring class, ties to the
     lowest class index. Images are scored at the model's precision,
-    EVAL_CHUNK at a time, without recording a graph."""
+    EVAL_CHUNK at a time, without recording a graph; the chunks run on the
+    CPUs ``cpus`` gives, and their labels are kept in chunk order. Raises
+    ``FloatingPointError`` where a chunk's scores are not finite."""
     dtype = model.cfg.dtype
+
+    def labels(lo: int) -> np.ndarray:
+        images = _images(samples[lo:lo + EVAL_CHUNK], dtype)
+        return np.argmax(_finite(model(images)).scores.data, axis=-1)
+
+    chunk_bytes = (EVAL_CHUNK * model.cfg.height * model.cfg.width
+                   * _FORWARD_VALUES_PER_PIXEL * np.dtype(dtype).itemsize)
     with no_grad():
-        return np.concatenate([np.argmax(model(_images(chunk, dtype)).scores.data, axis=-1)
-                               for chunk in _chunks(samples)])
+        return np.concatenate(list(_in_order(labels, range(0, len(samples), EVAL_CHUNK),
+                                             chunk_bytes)))
 
 
 def patch_accuracy(model: SegModel, samples, labels_flat, dtype) -> float:
@@ -108,19 +127,21 @@ def evaluate_model(model: SegModel, samples: list[SegSample], dtype) -> dict:
         if sample.meta.get("num_classes", c) != c:
             raise ConfigError(
                 f"sample {i} has {sample.meta['num_classes']} classes, model has {c}")
-        top = int(sample.labels.max())
-        if top >= c:
-            raise ConfigError(f"sample {i} has label {top}, model has {c} classes")
-    total = np.zeros((c, c), dtype=np.int64)
-    per_bucket = {b: np.zeros((c, c), dtype=np.int64) for b in BUCKETS}
+        for label in (int(sample.labels.min()), int(sample.labels.max())):
+            if not 0 <= label < c:
+                raise ConfigError(f"sample {i} has label {label}, model has {c} classes")
+    # one confusion per owner of a pixel: no size bucket, then each of BUCKETS
+    # (the topmost object's), so one bincount per sample counts them all
+    counts = np.zeros((1 + len(BUCKETS), c, c), dtype=np.int64)
     for sample, labels in zip(samples, predict_labels(model, samples)):
         mask = labels_to_mask(labels, model.target_grid, sample.labels.shape)
-        total += confusion_matrix(mask, sample.labels, c)
-        for bucket, bmask in bucket_masks(sample.meta).items():
-            if bmask.any():
-                per_bucket[bucket] += confusion_matrix(
-                    mask[bmask], sample.labels[bmask], c
-                )
+        owner = np.zeros(mask.shape, dtype=np.int64)
+        for i, bmask in enumerate(bucket_masks(sample.meta).values(), start=1):
+            owner[bmask] = i
+        counts += np.bincount(((owner * c + sample.labels) * c + mask).ravel(),
+                              minlength=counts.size).reshape(counts.shape)
+    total = counts.sum(axis=0)
+    per_bucket = dict(zip(BUCKETS, counts[1:]))
     per_class, mean = iou_from_confusion(total)
     report = {"mIoU": mean, "per_class": per_class}
     for bucket, conf in per_bucket.items():
@@ -202,9 +223,12 @@ def train_run(cfg: RunConfig, out_dir) -> tuple[SegModel, dict]:
     return model, summary
 
 
+def _run_config_path(ckpt_path) -> str:
+    return os.path.join(os.path.dirname(os.path.abspath(ckpt_path)), "config.resolved")
+
+
 def _load_run_model(ckpt_path) -> tuple[SegModel, RunConfig]:
-    cfg_path = os.path.join(os.path.dirname(os.path.abspath(ckpt_path)),
-                            "config.resolved")
+    cfg_path = _run_config_path(ckpt_path)
     if not os.path.exists(cfg_path):
         raise FileNotFoundError(
             f"no config.resolved next to {ckpt_path}; cannot rebuild the model"
@@ -216,6 +240,17 @@ def _load_run_model(ckpt_path) -> tuple[SegModel, RunConfig]:
     except CheckpointError as exc:
         raise CheckpointError(f"{exc}; the model was built from {cfg_path}") from None
     return model, cfg
+
+
+@contextlib.contextmanager
+def _scored_by(ckpt_path):
+    """Turn non-finite class scores into a ``CheckpointError`` that names the
+    checkpoint and the config its model was built from."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        raise CheckpointError(f"{ckpt_path}: {exc}; the model was built from "
+                              f"{_run_config_path(ckpt_path)}") from None
 
 
 def _check_image_size(cfg: RunConfig, image: np.ndarray, name: str) -> None:
@@ -236,7 +271,8 @@ def evaluate_checkpoint(ckpt_path, data_dir, report_path) -> dict:
         (lh, lw), (h, w) = sample.labels.shape, sample.image.shape[:2]
         if (lh, lw) != (h, w):
             raise ConfigError(f"sample {i} label map is {lh}x{lw}, its image is {h}x{w}")
-    report = evaluate_model(model, samples, cfg.dtype)
+    with _scored_by(ckpt_path):
+        report = evaluate_model(model, samples, cfg.dtype)
     lines = ["metric,value", f"mIoU,{report['mIoU']!r}"]
     for c, iou in enumerate(report["per_class"]):
         lines.append(f"iou_class_{c},{'' if iou is None else repr(iou)}")
@@ -260,8 +296,8 @@ def dump_gates(ckpt_path, sample_path, out_dir) -> list[str]:
         raise ConfigError("model has no gated decoder fusion; nothing to dump")
     image = read_ppm(sample_path).astype(np.float64) / 255.0
     _check_image_size(cfg, image, str(sample_path))
-    with no_grad():
-        res = model(Tensor(image, dtype=cfg.dtype))
+    with no_grad(), _scored_by(ckpt_path):
+        res = _finite(model(Tensor(image, dtype=cfg.dtype)))
     os.makedirs(out_dir, exist_ok=True)
     gh, gw = model.target_grid
     written: list[str] = []

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from tsgseg.checkpoint import save_model
+from tsgseg.checkpoint import load_checkpoint, save_checkpoint, save_model
 from tsgseg.cli import main
 from tsgseg.config import format_config, resolve_config
 from tsgseg.model import build_model
@@ -436,6 +436,32 @@ class TestErrors:
         assert line.startswith(f"tsgseg: error: {run / 'model.ckpt'}: parameter ")
         assert "checkpoint shape" in line
         assert line.endswith(f"; the model was built from {run / 'config.resolved'}")
+
+    # the forward overflows, which numpy reports as a RuntimeWarning
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["eval", "gates"])
+    def test_checkpoint_whose_scores_overflow(self, tmp_path, tiny_run, tiny_config_file,
+                                              capsys, command):
+        # every value is finite, so load_model takes it, but a single
+        # precision forward overflows and the class scores are not finite
+        big = {name: a * np.float32(1e30)
+               for name, a in load_checkpoint(tiny_run / "model.ckpt").items()}
+        save_checkpoint(tmp_path / "big.ckpt", big)
+        run = self.copied_run(
+            tmp_path, tiny_run, lambda t: t.replace("precision = double", "precision = single"),
+            ckpt=(tmp_path / "big.ckpt").read_bytes())
+        data = tmp_path / "data"
+        assert main(["gen-data", "--seed", "5", "--count", "5",
+                     "--out", str(data), "--config", tiny_config_file]) == 0
+        if command == "eval":
+            line = self.eval_error(capsys, run, data)
+        else:
+            line = self.run_error(capsys, ["gates", "--ckpt", str(run / "model.ckpt"),
+                                           "--sample", str(data / "sample_0000.ppm"),
+                                           "--out", str(tmp_path / "gates")])
+            assert not (tmp_path / "gates").exists()
+        assert line == (f"tsgseg: error: {run / 'model.ckpt'}: the model's class scores "
+                        f"are not finite; the model was built from {run / 'config.resolved'}")
 
     def test_gen_data_seed_beyond_sample_keys(self, tmp_path, capsys):
         # sample 0's key would be seed << 20, and a Philox key is below 2**128

@@ -3,7 +3,9 @@ loads: one BLAS thread per calling thread unless the environment names a
 count; glibc's mmap and trim thresholds fixed, so activations freed between
 ops and steps are reused instead of being faulted back in, and one allocator
 arena, so the threads self-attention runs its row blocks on reuse that
-memory too; and the pool those row blocks run on."""
+memory too; and how ``_in_order`` runs blocks: on the calling thread
+and a pool of one thread fewer than the CPUs, with a call inside a block
+run inline."""
 
 import json
 import os
@@ -14,6 +16,8 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -124,7 +128,8 @@ class TestPool:
 
     def test_blocks_yielded_in_order_on_this_machine(self, monkeypatch):
         # with one CPU (``taskset -c 0``) the blocks run inline and no pool
-        # is made; with more they run on the pool
+        # is made; with more the calling thread runs some of them and a pool
+        # of one thread fewer than the CPUs the rest
         monkeypatch.setattr(cpus, "_pool", None)
         threads = set()
 
@@ -133,11 +138,56 @@ class TestPool:
             return r * r
 
         assert list(cpus._in_order(block, range(12), 1 << 10)) == [r * r for r in range(12)]
+        assert threading.get_ident() in threads
         if cpus._POOL_WORKERS < 2:
             assert threads == {threading.get_ident()} and cpus._pool is None
         else:
-            assert threading.get_ident() not in threads and cpus._pool is not None
+            assert len(threads) > 1 and cpus._pool._max_workers == cpus._POOL_WORKERS - 1
             cpus._pool.shutdown()
+
+    def test_call_inside_a_block_runs_inline(self, monkeypatch):
+        # two workers, and idle pool threads to spare so that a nested call
+        # that did submit would still finish; none may
+        submitted_by = []
+
+        class Pool(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                submitted_by.append(threading.get_ident())
+                return super().submit(fn, *args)
+
+        def outer(r):
+            return r, threading.get_ident(), list(cpus._in_order(inner, range(3), 1 << 10))
+
+        def inner(r):
+            return threading.get_ident()
+
+        with Pool(4) as pool:
+            monkeypatch.setattr(cpus, "_pool", pool)
+            monkeypatch.setattr(cpus, "_POOL_WORKERS", 2)
+            got = list(cpus._in_order(outer, range(6), 1 << 10))
+        assert [r for r, _, _ in got] == list(range(6))
+        assert all(inner_threads == [thread] * 3 for _, thread, inner_threads in got)
+        assert len({thread for _, thread, _ in got}) > 1
+        assert submitted_by == [threading.get_ident()] * 3  # one per group of two
+        # the mark goes with the block: a later call from the same thread pools
+        assert not getattr(cpus._running, "block", False)
+
+    def test_callers_error_waits_for_the_pools_block(self, monkeypatch):
+        ended = threading.Event()
+
+        def block(r):
+            if r == 0:
+                raise RuntimeError("first block failed")
+            time.sleep(0.05)
+            ended.set()
+            return r
+
+        with ThreadPoolExecutor(1) as pool:
+            monkeypatch.setattr(cpus, "_pool", pool)
+            monkeypatch.setattr(cpus, "_POOL_WORKERS", 2)
+            with pytest.raises(RuntimeError, match="first block failed"):
+                list(cpus._in_order(block, range(4), 1 << 10))
+            assert ended.is_set()
 
 
 @pytest.mark.skipif(not GLIBC, reason="needs glibc")

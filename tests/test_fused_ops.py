@@ -365,20 +365,22 @@ def fork_and_attend(q, k, v, conn):
     conn.send(self_attention(Tensor(q), Tensor(k), Tensor(v), 2, 0.4, []).data)
 
 
-def use_pool(monkeypatch, pool):
-    """Run the row blocks on ``pool``, with as many workers as it has."""
+def use_pool(monkeypatch, pool, workers=None):
+    """Run the row blocks on the calling thread and ``pool``: by default one
+    worker more than its threads, and inline with ``workers`` = 1."""
     monkeypatch.setattr(cpus, "_pool", pool)
-    monkeypatch.setattr(cpus, "_POOL_WORKERS", pool._max_workers)
+    monkeypatch.setattr(cpus, "_POOL_WORKERS", workers or pool._max_workers + 1)
 
 
 class TestRowBlockPool:
-    """The blocks of a map of more than one block run on a thread pool; a
-    pool of one worker runs them inline, and the two give the same bits."""
+    """The blocks of a map of more than one block run on the calling thread
+    and a thread pool; one worker runs them inline, and the two give the same
+    bits."""
 
     case = TestSelfAttention()
 
-    def run_on(self, monkeypatch, pool, readers, keep):
-        use_pool(monkeypatch, pool)
+    def run_on(self, monkeypatch, pool, readers, keep, workers=None):
+        use_pool(monkeypatch, pool, workers)
         # float32, 10 rows: forward blocks of 3, 3, 3 and 1 rows; backward's
         # are 1 row, or the kept 3-row blocks
         self.case.set_blocks(monkeypatch, (2,), np.float32, 3, keep)
@@ -389,7 +391,7 @@ class TestRowBlockPool:
     def test_pooled_blocks_match_inline_blocks(self, monkeypatch, readers, keep):
         switch = sys.getswitchinterval()
         with RecordingPool(1) as inline, RecordingPool(4) as pooled:
-            values, grads = self.run_on(monkeypatch, inline, readers, keep)
+            values, grads = self.run_on(monkeypatch, inline, readers, keep, workers=1)
             assert not inline.futures
             assert len(grads) == 3 + 2 * readers
             sys.setswitchinterval(1e-6)
@@ -400,13 +402,16 @@ class TestRowBlockPool:
                         assert np.array_equal(got, want)
             finally:
                 sys.setswitchinterval(switch)
-            assert len(pooled.futures) == 20 * (4 + (4 if keep else 10))
+            # 5 workers: the caller runs the first block of each group of 5
+            assert len(pooled.futures) == 20 * (3 + (3 if keep else 8))
 
     @pytest.mark.parametrize("fail_at", [2, 6])
     def test_block_error_reaches_the_caller(self, monkeypatch, fail_at):
-        # the forward submits 4 blocks, so the 6th is the backward's second
+        # 3 workers: the forward's 4 blocks go out as groups of 3 and 1, so
+        # the pool gets 2 of them, and the 6th block it gets is the
+        # backward's 6th of 10
         with RecordingPool(1) as inline, RecordingPool(2, fail_at) as failing:
-            want = self.run_on(monkeypatch, inline, 2, False)
+            want = self.run_on(monkeypatch, inline, 2, False, workers=1)
             with pytest.raises(RuntimeError, match="block failed"):
                 self.run_on(monkeypatch, failing, 2, False)
             assert all(f.done() for f in failing.futures)  # none still running
@@ -418,7 +423,8 @@ class TestRowBlockPool:
     @pytest.mark.parametrize("block_bytes, ahead", [(8 << 20, 2), (3 << 20, 2), (2 << 20, 4),
                                                     (1 << 10, 17)])
     def test_blocks_in_flight_bounded_by_bytes(self, monkeypatch, block_bytes, ahead):
-        # 16 workers, blocks of 1 KiB to 8 MiB against 8 MiB in flight
+        # 17 workers (the caller and 16 pool threads), blocks of 1 KiB to 8 MiB
+        # against 8 MiB in flight
         monkeypatch.setattr(cpus, "_ATTENTION_THREAD_BYTES", 8 << 20)
         lock, running, most = threading.Lock(), [0], [0]
 
@@ -439,7 +445,7 @@ class TestRowBlockPool:
     @pytest.mark.parametrize("size, batch, bound", [(128, 4, 75), (256, 1, 80)])
     def test_step_peak_with_16_workers(self, monkeypatch, size, batch, bound):
         # the bounds of TestAttentionMemory, with a worker for each of 16 CPUs
-        with ThreadPoolExecutor(16) as pool:
+        with ThreadPoolExecutor(15) as pool:
             use_pool(monkeypatch, pool)
             assert desk_step_peak(size, batch) < bound * 2**20
 

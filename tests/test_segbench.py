@@ -131,6 +131,17 @@ class TestConfusion:
         np.testing.assert_array_equal(confusion_matrix(pred, gt, 4),
                                       oracles.confusion(pred, gt, 4))
 
+    def test_uint8_labels_count_as_int64(self):
+        # a loaded sample's label map is the PGM's uint8: g * C + p must not
+        # wrap at 256
+        rng = np.random.default_rng(2)
+        pred = rng.integers(0, 200, size=(16, 16))
+        gt = rng.integers(0, 200, size=(16, 16))
+        want = confusion_matrix(pred, gt, 200)
+        np.testing.assert_array_equal(confusion_matrix(pred, gt.astype(np.uint8), 200), want)
+        np.testing.assert_array_equal(
+            confusion_matrix(pred.astype(np.uint8), gt.astype(np.uint8), 200), want)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             confusion_matrix(np.zeros((2, 2)), np.zeros((2, 3)), 2)
@@ -270,6 +281,7 @@ class TestStorage:
         save_sample(str(tmp_path), 1, generate(14, CFG))
         loaded = load_sample(str(tmp_path), 0)
         np.testing.assert_array_equal(loaded.labels, s.labels)
+        assert loaded.labels.dtype == np.uint8  # as the PGM stores them
         assert np.max(np.abs(loaded.image - s.image)) <= 0.5 / 255 + 1e-12
         assert loaded.meta == s.meta
         assert count_samples(str(tmp_path)) == 2

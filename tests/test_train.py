@@ -18,7 +18,15 @@ from tsgseg.config import ConfigError, format_config, load_config_file, resolve_
 from tsgseg.decoder import labels_to_mask
 from tsgseg.model import ForwardResult, build_model
 from tsgseg.netpbm import read_pgm
-from tsgseg.segbench import confusion_matrix, iou_from_confusion, sample_seed, save_sample
+from tsgseg.segbench import (
+    BUCKETS,
+    SegSample,
+    bucket_masks,
+    confusion_matrix,
+    iou_from_confusion,
+    sample_seed,
+    save_sample,
+)
 from tsgseg.tensor import Tensor, cross_entropy
 from tsgseg.train import (
     ABLATE_HEADER,
@@ -269,6 +277,28 @@ class TestEvaluate:
         report = evaluate_model(model, samples, np.float64)
         assert report["per_class"] == per_class
         assert report["mIoU"] == mean
+
+    def test_bucket_reports_match_per_bucket_confusions(self):
+        # each bucket's IoU from its own confusion over the bucket's pixels,
+        # for label maps as generated (int64) and as loaded (uint8)
+        cfg = tiny_config(val_samples=5)
+        model = build_model(cfg, seed=4)
+        rng = np.random.default_rng(1)
+        for p in model.parameters():
+            p.data = p.data + 0.2 * rng.standard_normal(p.shape)
+        samples = build_split(cfg, "val")
+        want = {b: np.zeros((cfg.num_classes,) * 2, dtype=np.int64) for b in BUCKETS}
+        for s, labels in zip(samples, predict_labels(model, samples)):
+            mask = labels_to_mask(labels, model.target_grid, s.labels.shape)
+            for b, bmask in bucket_masks(s.meta).items():
+                want[b] += confusion_matrix(mask[bmask], s.labels[bmask], cfg.num_classes)
+        loaded = [SegSample(s.image, s.labels.astype(np.uint8), s.meta) for s in samples]
+        for report in (evaluate_model(model, samples, np.float64),
+                       evaluate_model(model, loaded, np.float64)):
+            for b in BUCKETS:
+                assert report[b] == (iou_from_confusion(want[b])[1] if want[b].sum() else None)
+        assert evaluate_model(model, samples, np.float64) == \
+            evaluate_model(model, loaded, np.float64)
 
     def test_ties_go_to_lowest_class(self):
         # Each image's patch 0 scores all classes equally; patch 1 ties
