@@ -4,9 +4,9 @@ Both the token mixer in the encoder and the query/memory mixer in the
 decoder return an :class:`AttentionBundle` alongside their features, because
 downstream gating consumes the maps themselves. Both share one core: the
 query, key, value and output projections and the attention product. The
-cross-attention layer can additionally renormalize its logits over the
-class axis, producing a second bundle used only for gating; the feature
-path is unaffected.
+cross-attention layer can additionally normalize its logits over the class
+axis, producing a second bundle used only for gating; one logit product
+feeds both softmaxes, and the feature path is unaffected.
 
 All heads run as one product over a (..., heads, tokens, head_dim) stack, so
 a layer's graph size depends on neither its head count nor the batch size.
@@ -16,7 +16,7 @@ read the map, and its bundle carries those projections plus the queries and
 keys, from which the map itself is formed only when read. A cross-attention
 map is ``softmax(matmul(scale(q, c), k))`` over plain ops: it is classes x
 patches, small enough that nothing is gained by fusing the softmax into the
-product, and the logits are freed once the softmax has run.
+product, and the logits are freed once its softmaxes have run.
 """
 
 from __future__ import annotations
@@ -189,13 +189,12 @@ class MultiheadCrossAttention(_Attention):
         cfg = self.cfg
         q, k, v = self._project(queries, memory)
         q, k = _split_heads(q, cfg.heads), _split_heads(k, cfg.heads, keys=True)
-        c = 1.0 / math.sqrt(cfg.head_dim)
-        att = softmax(matmul(scale(q, c), k), -1)
+        logits = matmul(scale(q, 1.0 / math.sqrt(cfg.head_dim)), k)
+        att = softmax(logits, -1)
         out = self.wo(concat_heads(matmul(att, _split_heads(v, cfg.heads))))
         gated = None
-        if gate_softmax:  # logits of its own: a shared product would reorder q's grad sums
-            gated = AttentionBundle(softmax(matmul(scale(q, c), k), -2), softmax_axis=0,
-                                    kind=CROSS_GATED_KIND)
+        if gate_softmax:
+            gated = AttentionBundle(softmax(logits, -2), softmax_axis=0, kind=CROSS_GATED_KIND)
         return out, AttentionBundle(att, softmax_axis=1, kind=CROSS_KIND), gated
 
 

@@ -15,11 +15,9 @@ distribution over candidate scales. Evidence arrives in one of two forms:
 
 A self-attention layer computes the projection of every integrator declared
 to read its map (``tensor.self_attention``) and passes it in its bundle. A
-bundle built from explicit maps, and a cross bundle, is projected here by
-``head_linear``: one product per head against that head's K rows of the
-integrator weight, summed over heads. Either is the integrator applied to
-the (..., R, heads * K) concatenation, which is never built; leading axes
-are batch axes.
+bundle built from explicit maps, and a cross bundle, is projected here: its
+maps are laid out as the (..., R, heads * K) concatenation in one copy and
+the integrator is applied to that. Leading axes are batch axes.
 
 The integrated map goes through layernorm, a two-layer MLP and a softmax
 over the scale axis. The final MLP layer is zero-initialized so a fresh
@@ -33,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import CROSS_GATED_KIND, AttentionBundle
+from .attention import CROSS_GATED_KIND, AttentionBundle, concat_heads
 from .module import LayerNorm, Linear, Mlp, Module
-from .tensor import (ShapeError, Tensor, head_linear, mul, narrow, softmax, transpose,
+from .tensor import (ShapeError, Tensor, mul, narrow, permute, reshape, softmax,
                      upsample_bilinear)
 
 __all__ = ["ScaleGates", "TsgHead", "constant_gates", "gated_sum"]
@@ -107,7 +105,7 @@ class TsgHead(Module):
         total: Tensor | None = None
         for bundle, integrator in zip(bundles, integrators):
             if bundle.factors is None:
-                proj = head_linear(bundle.stacked, integrator.w, integrator.b)
+                proj = integrator(concat_heads(bundle.stacked))
             elif integrator in bundle.projections:
                 proj = bundle.projections[integrator]
             else:
@@ -124,17 +122,18 @@ class TsgHead(Module):
     def integrate_cross(self, bundle: AttentionBundle) -> Tensor:
         """Fuse a class-normalized cross bundle into an N x d_A map.
 
-        Head maps are transposed to patch-major layout before concatenation.
-        Bundles normalized over the patch axis are rejected: their rows
-        describe patch importance per class, not class evidence per patch.
+        The (..., heads, C, N) maps are laid out patch-major, as
+        (..., N, heads * C), in one copy. Bundles normalized over the patch
+        axis are rejected: their rows describe patch importance per class,
+        not class evidence per patch.
         """
         if bundle.kind != CROSS_GATED_KIND or bundle.softmax_axis != 0:
             raise ShapeError(
                 "integrate_cross: bundle must carry class-axis-normalized maps, "
                 f"got kind={bundle.kind!r} softmax_axis={bundle.softmax_axis}"
             )
-        integrator = self.integrators[0]
-        return head_linear(transpose(bundle.stacked), integrator.w, integrator.b)
+        t = permute(bundle.stacked, (2, 0, 1))
+        return self.integrators[0](reshape(t, t.shape[:-2] + (t.shape[-2] * t.shape[-1],)))
 
     def gate(self, a: Tensor) -> ScaleGates:
         """Predict gates from an integrated map: softmax(MLP(norm(a)))."""

@@ -80,7 +80,6 @@ __all__ = [
     "layernorm",
     "gelu",
     "linear",
-    "head_linear",
     "self_attention",
     "concat",
     "narrow",
@@ -589,56 +588,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(data, nodes, backward)
 
 
-def head_linear(stack: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``linear`` of a (..., H, R, K) head stack whose heads are concatenated
-    along the column axis, without building the (..., R, H*K) concatenation.
-
-    ``w`` is (H*K, d), read as H blocks of K rows: the result is
-    ``sum_h stack[..., h, :, :] @ w[h*K:(h+1)*K] + b``, shaped (..., R, d).
-    """
-    if stack.ndim < 3 or w.ndim != 2:
-        raise ShapeError(
-            f"head_linear: (..., H, R, K) stack and rank-2 w required, "
-            f"got {stack.shape}, {w.shape}")
-    heads, _, k = stack.shape[-3:]
-    d = w.shape[1]
-    if w.shape[0] != heads * k:
-        raise ShapeError(f"head_linear: {heads} heads x {k} columns do not match "
-                         f"w rows {w.shape}")
-    if b.shape != (d,):
-        raise ShapeError(f"head_linear: bias shape {b.shape} does not match w {w.shape}")
-    w_heads = w.data.reshape(heads, k, d)
-    data = (stack.data @ w_heads).sum(axis=-3)
-    data += b.data
-
-    ns, nw, nb = nodes = _nodes(stack, w, b)
-    if not any(nodes):
-        return Tensor(data)
-    s_shape = stack.shape
-    # the stack is kept only for w's gradient, and w only for the stack's
-    s_data = stack.data if nw is not None else None
-    if ns is None:
-        w_heads = None
-
-    def backward(g):
-        g_heads = np.expand_dims(g, -3)
-        if ns is not None:
-            _accumulate_matmul(ns, g_heads, np.swapaxes(w_heads, -1, -2), s_shape)
-        if nw is not None:
-            gw = np.swapaxes(s_data, -1, -2) @ g_heads
-            _accumulate(nw, gw.reshape(-1, heads * k, d).sum(axis=0))
-        _accumulate(nb, g.reshape(-1, d).sum(axis=0))
-
-    return _record(data, nodes, backward)
-
-
 # ``self_attention`` forms its map in blocks of query rows of at most about
 # _ATTENTION_BLOCK_BYTES, and keeps the blocks of a map of at most
 # _ATTENTION_KEEP_BYTES for backward rather than forming them again. A
-# 128x128 batch-4 stage-1 block is then 64 rows. 32-row blocks ran faster,
-# but OpenBLAS rounds their p @ v differently from the whole product's (a
-# small-matrix kernel), and a forward that rounds differently moves the
-# seeded quality guards by percents (ROADMAP item 1).
+# 128x128 batch-4 stage-1 block is then 64 rows. On the thread pool of a
+# 2-CPU host, float32 128x128 batch-4 training steps took 209-217 ms with 2
+# MiB blocks, against 225-285 ms with 512 KiB, 1 MiB, 4 MiB or 8 MiB ones.
 _ATTENTION_BLOCK_BYTES, _ATTENTION_KEEP_BYTES = 2 << 20, 4 << 20
 
 def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, c: float,
@@ -650,13 +605,12 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, c: float,
     [h*d, (h+1)*d); head h's map is ``p_h = softmax(c * q_h @ k_h^T)`` over
     keys. Each ``(w, b)`` of ``readers`` is an integrator with ``w`` of
     (H*N, d_j). The result is (..., N, H*d + sum_j d_j): the heads' outputs
-    ``p_h @ v_h`` side by side, then for each reader ``head_linear(p, w, b)``.
-    Both are row-local, so the map is formed one block of query rows at a
-    time, with a row's heads side by side, and dropped. A block takes the
-    steps of ``softmax(matmul(scale(q, c), k))``, ``matmul`` and
-    ``head_linear`` on its rows with their operand layouts, so where BLAS rounds a block of rows as it
-    rounds the whole product, the result is theirs bit for bit. The closure
-    keeps ``c * q``, k, v, the weights and each map row's max and sum of
+    ``p_h @ v_h`` side by side, then for each reader the evidence
+    ``[p_1 ... p_H] @ w + b``. Both are row-local, so the map is formed one
+    block of query rows at a time and dropped. A block holds a row's heads
+    side by side, which is the head concatenation, so each reader's evidence
+    is one product of the block's rows with ``w``. The closure keeps
+    ``c * q``, k, v, the weights and each map row's max and sum of
     exponentials, from which backward forms the map again with the same
     bits, in blocks of half the rows; a small map's blocks are kept instead.
     A map of more than one block has its blocks run on the thread pool.
@@ -679,7 +633,9 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, c: float,
         """The (..., H, N, d) view of a (..., N, H*d) array."""
         return a.reshape(a.shape[:-1] + (heads, d)).swapaxes(-2, -3)
 
-    # laid out as ``permute`` lays them out: small products round by layout
+    # copied so each head is contiguous: with strided views of q, k and v, a
+    # float32 128x128 batch-4 training step was slower in 4 of 4 rounds on 2
+    # CPUs (270-287 ms against 257-277 ms)
     qs = np.ascontiguousarray(heads_view(q.data * c))
     kt = np.ascontiguousarray(heads_view(k.data).swapaxes(-1, -2))  # (..., H, d, N)
     vh = np.ascontiguousarray(heads_view(v.data))
@@ -718,11 +674,7 @@ def self_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, c: float,
         p = probs(rows, True)
         np.matmul(np.swapaxes(p, -2, -3), vh, out=att[..., rows, :])
         for w, (_, b), e in zip(ws, readers, evidence(data, rows)):
-            # head by head and summed in head order, as ``head_linear``
-            x = None
-            for h in range(heads):
-                y = p[..., h, :].reshape(-1, n) @ w[h * n:(h + 1) * n]
-                x = y if x is None else np.add(x, y, out=x)
+            x = p.reshape(-1, heads * n) @ w
             x += b.data
             e[...] = x.reshape(e.shape)
         return p if keep else None

@@ -1,4 +1,5 @@
-"""Shared glue for the test suite: parameter extraction and tiny builders.
+"""Shared glue for the test suite: parameter extraction, tiny builders and
+the per-dtype tolerance of a value checked against a float64 oracle.
 
 The oracle functions take plain numpy arrays; these helpers pull the arrays
 out of package modules so both sides compute from identical numbers.
@@ -12,6 +13,16 @@ from tsgseg.attention import DecoderBlock, EncoderBlock
 from tsgseg.config import RunConfig
 from tsgseg.module import LayerNorm, Linear, Mlp, Module
 from tsgseg.scale_gate import TsgHead
+
+
+RTOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+
+def assert_rel_close(actual, expected, dtype):
+    """``actual`` within the dtype's rtol of ``expected``, relative to its
+    largest entry, so entries near zero do not need a separate bound."""
+    tol = RTOL[dtype] * max(1.0, float(np.max(np.abs(expected))))
+    np.testing.assert_allclose(actual, expected, rtol=RTOL[dtype], atol=tol)
 
 
 def lin_params(layer: Linear) -> dict:

@@ -1,8 +1,7 @@
-"""The fused attention ops against the unfused formulation they replace.
+"""The fused attention op against the unfused formulation it replaces.
 
-``head_linear`` is ``linear(concat_heads(stack))`` without the concatenated
-copy, and ``self_attention`` is ``softmax(matmul(scale(q, c), k))``,
-``matmul`` and one ``head_linear`` per reader, formed in blocks of query
+``self_attention`` is ``softmax(matmul(scale(q, c), k))``, ``matmul`` and
+one ``linear(concat_heads(p), w, b)`` per reader, formed in blocks of query
 rows without keeping the map. The cross maps are that softmax over plain
 ops. Forward values are checked against the loop oracles, in float64
 (rtol 1e-12) and float32 (rtol 1e-5); gradients against finite differences
@@ -33,21 +32,13 @@ from tsgseg.model import build_model
 from tsgseg.scale_gate import TsgHead
 from tsgseg import cpus, tensor
 from tsgseg.tensor import (ShapeError, Tensor, _accumulate_matmul, _Node, add,
-                           cross_entropy, head_linear, linear, matmul, mul,
-                           narrow, permute, reshape, scale, self_attention, softmax,
-                           transpose, tsum, upsample_bilinear)
+                           cross_entropy, linear, matmul, mul, narrow, permute,
+                           reshape, scale, self_attention, softmax, tsum,
+                           upsample_bilinear)
 from tsgseg.train import VARIANTS
 
+from helpers import assert_rel_close
 from test_tensor import check_grad
-
-RTOL = {np.float64: 1e-12, np.float32: 1e-5}
-
-
-def assert_rel_close(actual, expected, dtype):
-    """``actual`` within the dtype's rtol of ``expected``, relative to its
-    largest entry, so entries near zero do not need a separate bound."""
-    tol = RTOL[dtype] * max(1.0, float(np.max(np.abs(expected))))
-    np.testing.assert_allclose(actual, expected, rtol=RTOL[dtype], atol=tol)
 
 
 def qk_operands(rng, lead, nq, nk, d, dtype):
@@ -112,97 +103,11 @@ class TestAttentionProbs:
         np.testing.assert_allclose(batched, summed, rtol=1e-12, atol=1e-14)
 
 
-def unfused_projection(stack: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return linear(concat_heads(stack), w, b)
-
-
-class TestHeadLinear:
-    # (batch, heads, rows, cols, d_a): integrate_self's N x N maps and
-    # integrate_cross's transposed C x N maps (rows N, cols C)
-    SHAPES = {"self": (2, 2, 16, 16, 6), "cross": (2, 3, 16, 5, 6)}
-
-    def operands(self, kind, dtype, bias, seed=74):
-        rng = np.random.default_rng(seed)
-        batch, heads, rows, cols, d_a = self.SHAPES[kind]
-        maps = rng.uniform(size=(batch, heads, rows, cols)).astype(dtype)
-        w = Tensor(rng.normal(size=(heads * cols, d_a)).astype(dtype), requires_grad=True)
-        b = (Tensor(rng.normal(size=d_a).astype(dtype), requires_grad=True) if bias
-             else Tensor(np.zeros(d_a, dtype=dtype)))
-        return maps, w, b
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("bias", [True, False])
-    def test_self_shape_matches_oracle(self, dtype, bias):
-        maps, w, b = self.operands("self", dtype, bias)
-        out = head_linear(Tensor(maps), w, b)
-        assert out.shape == (2, 16, 6) and out.dtype == dtype
-        params = [{"w": w.data.astype(np.float64), "b": b.data.astype(np.float64)}]
-        for i in range(maps.shape[0]):
-            heads = [m.astype(np.float64) for m in maps[i]]
-            assert_rel_close(out.data[i], oracles.integrate_self_maps([heads], params),
-                             dtype)
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("bias", [True, False])
-    def test_cross_shape_matches_oracle(self, dtype, bias):
-        # the cross bundle holds C x N maps; the integrator reads them N x C
-        patch_major, w, b = self.operands("cross", dtype, bias)
-        class_major = np.ascontiguousarray(np.swapaxes(patch_major, -1, -2))
-        out = head_linear(transpose(Tensor(class_major)), w, b)
-        p = {"w": w.data.astype(np.float64), "b": b.data.astype(np.float64)}
-        for i in range(class_major.shape[0]):
-            heads = [m.astype(np.float64) for m in class_major[i]]
-            assert_rel_close(out.data[i], oracles.integrate_cross_maps(heads, p), dtype)
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("bias", [True, False])
-    @pytest.mark.parametrize("kind", ["self", "cross"])
-    def test_gradients_match_unfused_projection(self, dtype, bias, kind):
-        maps, _, _ = self.operands(kind, dtype, bias)
-        batch, _, rows, _, d_a = self.SHAPES[kind]
-        upstream = np.random.default_rng(75).normal(size=(batch, rows, d_a))
-
-        def grads(project):
-            _, w, b = self.operands(kind, dtype, bias)
-            stack = Tensor(maps, requires_grad=True)
-            out = project(stack, w, b)
-            tsum(mul(out, Tensor(upstream.astype(dtype)))).backward()
-            return out.data, stack.grad, w.grad, b.grad
-
-        fused, ref = grads(head_linear), grads(unfused_projection)
-        for a, r in zip(fused[:3], ref[:3]):
-            assert_rel_close(a, r, dtype)
-        if bias:
-            assert_rel_close(fused[3], ref[3], dtype)
-        else:
-            assert fused[3] is None and ref[3] is None
-
-    def test_gradients_vs_finite_differences(self):
-        rng = np.random.default_rng(76)
-        s0 = rng.uniform(size=(2, 2, 3, 4))
-        w0 = rng.normal(size=(8, 3))
-        b0 = rng.normal(size=3)
-        up = Tensor(rng.normal(size=(2, 3, 3)))
-        check_grad(lambda t: tsum(mul(head_linear(t, Tensor(w0), Tensor(b0)), up)), s0)
-        check_grad(lambda t: tsum(mul(head_linear(Tensor(s0), t, Tensor(b0)), up)), w0)
-        check_grad(lambda t: tsum(mul(head_linear(Tensor(s0), Tensor(w0), t), up)), b0)
-
-    def test_shape_errors(self):
-        stack = Tensor(np.zeros((2, 3, 4)))
-        with pytest.raises(ShapeError, match="head_linear"):
-            head_linear(Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 2))),
-                        Tensor(np.zeros(2)))
-        with pytest.raises(ShapeError, match="head_linear"):
-            head_linear(stack, Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
-        with pytest.raises(ShapeError, match="bias"):
-            head_linear(stack, Tensor(np.zeros((8, 2))), Tensor(np.zeros(3)))
-
-
 def explicit_self_attention(q, k, v, heads, c, readers):
     """``self_attention`` as separate nodes that keep the whole map."""
     p = map_probs(_split_heads(q, heads), _split_heads(k, heads, keys=True), c)
     out = concat_heads(matmul(p, _split_heads(v, heads)))
-    return [out] + [head_linear(p, w, b) for w, b in readers]
+    return [out] + [linear(concat_heads(p), w, b) for w, b in readers]
 
 
 def blocked_self_attention(q, k, v, heads, c, readers):
@@ -719,10 +624,10 @@ class TestBlockedAccumulation:
     """A second contribution to a product-shaped grad is added into the
     grad in place; the sum is bit for bit grad + x @ y."""
 
-    # (4, 2, 1024, 1024) grads, taking g @ v^T from a matrix product,
-    # g_heads @ w_heads^T from head_linear (the (B, 1, N, d) grad broadcast
-    # over (H, d, K)), and a right operand's grad, which reads its left
-    # operand transposed.
+    # (4, 2, 1024, 1024) grads, taking g @ v^T from a matrix product, a
+    # (B, 1, N, d) left operand broadcast over an unbatched (H, d, K) right
+    # one, and a right operand's grad, which reads its left operand
+    # transposed.
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_shape, x_t, y_shape, y_t", [
         ((4, 2, 1024, 16), False, (4, 2, 1024, 16), True),

@@ -15,6 +15,7 @@ from tsgseg.attention import (
     MultiheadCrossAttention,
     MultiheadSelfAttention,
 )
+from tsgseg import tensor
 from tsgseg.scale_gate import ScaleGates, TsgHead, gated_sum
 from tsgseg.tensor import ShapeError, Tensor, mul, tsum
 
@@ -39,6 +40,16 @@ def random_gated_bundle(rng, classes: int, rows: int, heads: int):
     maps = [Tensor(oracles.softmax2d(rng.normal(size=(classes, rows)), axis=0))
             for _ in range(heads)]
     return AttentionBundle(maps=maps, softmax_axis=0, kind=CROSS_GATED_KIND)
+
+
+def integration_head(rng, width: int, dtype, bias: bool) -> TsgHead:
+    """A one-source head of d_A 6 over ``width`` columns, at ``dtype``; with
+    ``bias`` its integrator's bias is random, else zero."""
+    head = TsgHead([width], d_a=6, hidden=4, num_scales=2, rng=rng)
+    head.cast(dtype)
+    if bias:
+        head.integrators[0].b.data = rng.normal(size=6).astype(dtype)
+    return head
 
 
 class TestIntegrateSelf:
@@ -74,21 +85,58 @@ class TestIntegrateSelf:
         with pytest.raises(ShapeError, match="bundle list is empty"):
             head.integrate_self([])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_batched_maps_match_oracle(self, dtype, bias):
+        # a (batch, heads, N, N) stack, each image projected as the oracle's
+        # linear over its head-concatenated maps
+        rng = np.random.default_rng(74)
+        head = integration_head(rng, 2 * 16, dtype, bias)
+        maps = rng.uniform(size=(2, 2, 16, 16)).astype(dtype)
+        got = head.integrate_self([AttentionBundle(Tensor(maps), softmax_axis=1,
+                                                   kind=SELF_KIND)])
+        assert got.shape == (2, 16, 6) and got.dtype == dtype
+        params = [{k: v.astype(np.float64)
+                   for k, v in helpers.lin_params(head.integrators[0]).items()}]
+        for i in range(2):
+            ref = oracles.integrate_self_maps([list(maps[i].astype(np.float64))], params)
+            helpers.assert_rel_close(got.data[i], ref, dtype)
+
     def test_self_attention_bundle_carries_its_readers_projections(self):
         # a layer's bundle holds the projection of each integrator it was
-        # told reads its map; integrate_self uses it and refuses the others
-        rng = np.random.default_rng(4)
-        head = TsgHead([2 * 5, 2 * 5], d_a=3, hidden=4, num_scales=2, rng=rng)
-        attn = MultiheadSelfAttention(MhaConfig(2, 4), rng)
-        x = Tensor(rng.normal(size=(3, 5, 4)))
-        _, bundle = attn(x, [head.integrators[1]])
-        assert list(bundle.projections) == [head.integrators[1]]
+        # told reads its map; integrate_self uses it and refuses the others.
+        # A map of one block is projected as the explicit map is, bit for bit.
+        for dtype in (np.float64, np.float32):
+            rng = np.random.default_rng(4)
+            head = TsgHead([2 * 5, 2 * 5], d_a=3, hidden=4, num_scales=2, rng=rng)
+            attn = MultiheadSelfAttention(MhaConfig(2, 4), rng)
+            head.cast(dtype)
+            attn.cast(dtype)
+            x = Tensor(rng.normal(size=(3, 5, 4)), dtype=dtype)
+            _, bundle = attn(x, [head.integrators[1]])
+            assert list(bundle.projections) == [head.integrators[1]]
+            explicit = AttentionBundle(bundle.stacked, softmax_axis=1, kind=SELF_KIND)
+            got = head.integrate_self([bundle]).data
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, head.integrate_self([explicit]).data)
+            _, unread = attn(x)
+            with pytest.raises(ShapeError, match="no projection"):
+                head.integrate_self([unread])
+
+    def test_multi_block_projection_matches_explicit_map(self, monkeypatch):
+        # a float32 16-token map formed in 8 blocks of 2 query rows
+        rng = np.random.default_rng(8)
+        head = TsgHead([2 * 16], d_a=3, hidden=4, num_scales=2, rng=rng)
+        attn = MultiheadSelfAttention(MhaConfig(2, 8), rng)
+        head.cast(np.float32)
+        attn.cast(np.float32)
+        x = Tensor(rng.normal(size=(3, 16, 8)), dtype=np.float32)
+        row_bytes = 3 * 2 * 16 * 4
+        monkeypatch.setattr(tensor, "_ATTENTION_BLOCK_BYTES", 2 * row_bytes)
+        _, bundle = attn(x, head.integrators)
         explicit = AttentionBundle(bundle.stacked, softmax_axis=1, kind=SELF_KIND)
-        np.testing.assert_allclose(head.integrate_self([bundle]).data,
-                                   head.integrate_self([explicit]).data, rtol=1e-12)
-        _, unread = attn(x)
-        with pytest.raises(ShapeError, match="no projection"):
-            head.integrate_self([unread])
+        helpers.assert_rel_close(head.integrate_self([bundle]).data,
+                                 head.integrate_self([explicit]).data, np.float32)
 
     def test_row_mismatch_rejected(self):
         rng = np.random.default_rng(3)
@@ -153,6 +201,25 @@ class TestIntegrateCross:
             [m.data for m in b.maps], helpers.lin_params(head.integrators[0]))
         assert got.shape == (6, 5)
         np.testing.assert_allclose(got, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_batched_maps_match_oracle(self, dtype, bias):
+        # (batch, heads, C, N) class-normalized maps, each image projected as
+        # the oracle's linear over its transposed, head-concatenated maps
+        rng = np.random.default_rng(74)
+        head = integration_head(rng, 3 * 5, dtype, bias)
+        logits = rng.normal(size=(2, 3, 5, 16))
+        maps = np.exp(logits) / np.exp(logits).sum(axis=-2, keepdims=True)
+        bundle = AttentionBundle(Tensor(maps, dtype=dtype), softmax_axis=0,
+                                 kind=CROSS_GATED_KIND)
+        got = head.integrate_cross(bundle)
+        assert got.shape == (2, 16, 6) and got.dtype == dtype
+        p = {k: v.astype(np.float64)
+             for k, v in helpers.lin_params(head.integrators[0]).items()}
+        for i in range(2):
+            heads = list(bundle.stacked.data[i].astype(np.float64))
+            helpers.assert_rel_close(got.data[i], oracles.integrate_cross_maps(heads, p), dtype)
 
     def test_patch_normalized_bundle_rejected(self):
         rng = np.random.default_rng(6)

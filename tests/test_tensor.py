@@ -21,7 +21,6 @@ from tsgseg.tensor import (
     concat,
     cross_entropy,
     gelu,
-    head_linear,
     layernorm,
     linear,
     matmul,
@@ -734,8 +733,6 @@ RECORDING_OPS = {
     "layernorm": (IN_PLACE_OPS["layernorm"][0], layernorm, {1: {0}}),
     "gelu": (lambda rng: [rng.normal(size=(3, 4))], gelu, {0: {0}}),
     "linear": (IN_PLACE_OPS["linear"][0], linear, {0: {1}, 1: {0}}),
-    "head_linear": (lambda rng: [rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(15, 6)),
-                                 rng.normal(size=6)], head_linear, {0: {1}, 1: {0}}),
     "concat": (lambda rng: [rng.normal(size=(2, 3)), rng.normal(size=(2, 4))],
                lambda a, b: concat([a, b], axis=1), {}),
     "narrow": (lambda rng: [rng.normal(size=(3, 5))], lambda x: narrow(x, 1, 1, 3), {}),
@@ -828,8 +825,8 @@ class TestOneDtype:
     recording on and under no_grad, whichever operand differs."""
 
     def test_multi_operand_ops(self):
-        assert MULTI_OPERAND_OPS == ["add", "concat", "head_linear", "layernorm", "linear",
-                                     "matmul", "mul", "self_attention"]
+        assert MULTI_OPERAND_OPS == ["add", "concat", "layernorm", "linear", "matmul", "mul",
+                                     "self_attention"]
 
     @pytest.mark.parametrize("recording", [True, False])
     @pytest.mark.parametrize("op", MULTI_OPERAND_OPS)
