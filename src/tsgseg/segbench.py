@@ -36,12 +36,20 @@ MAX_RETRIES = 10  # placement attempts per object before it is dropped
 
 @dataclass
 class SegSample:
-    """One scene. ``labels`` holds integers in [0, C) of the source's dtype:
-    int64 from ``generate``, and the PGM's uint8 from ``load_sample``."""
+    """One scene, its arrays in the source's dtypes: from ``generate`` a
+    float64 image in [0, 1] and int64 labels, from ``load_sample`` the PPM's
+    8-bit pixels and the PGM's uint8 labels. ``labels`` holds integers in
+    [0, C); ``pixel_values`` gives either image as float64 in [0, 1]."""
 
-    image: np.ndarray  # H x W x 3 float64 in [0, 1]
+    image: np.ndarray  # H x W x 3, float64 or uint8
     labels: np.ndarray  # H x W, int64 or uint8
     meta: dict = field(default_factory=dict)
+
+
+def pixel_values(image: np.ndarray) -> np.ndarray:
+    """An image's float64 values in [0, 1]: 8-bit pixels over 255, and a
+    float image as it is."""
+    return image.astype(np.float64) / 255.0 if image.dtype == np.uint8 else image
 
 
 def class_color(cls: int, num_classes: int) -> tuple[float, float, float]:
@@ -250,8 +258,13 @@ def patch_labels(labels: np.ndarray, patch: int, num_classes: int) -> np.ndarray
 
 
 def save_sample(out_dir: str, index: int, sample: SegSample) -> None:
+    """Write the sample's PPM, PGM and JSON files; 8-bit pixels are written
+    as they are, and float pixels in [0, 1] rounded to 8 bits."""
     stem = os.path.join(out_dir, f"sample_{index:04d}")
-    write_ppm(stem + ".ppm", np.round(sample.image * 255.0).astype(np.uint8))
+    image = sample.image
+    if image.dtype != np.uint8:
+        image = np.round(image * 255.0).astype(np.uint8)
+    write_ppm(stem + ".ppm", image)
     if sample.labels.max() > 255:
         raise ValueError("labels do not fit an 8-bit PGM")
     write_pgm(stem + ".pgm", sample.labels.astype(np.uint8))
@@ -261,7 +274,7 @@ def save_sample(out_dir: str, index: int, sample: SegSample) -> None:
 
 def load_sample(dir_path: str, index: int) -> SegSample:
     stem = os.path.join(dir_path, f"sample_{index:04d}")
-    image = read_ppm(stem + ".ppm").astype(np.float64) / 255.0
+    image = read_ppm(stem + ".ppm")
     labels = read_pgm(stem + ".pgm")
     with open(stem + ".json") as fh:
         try:

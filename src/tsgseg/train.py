@@ -18,7 +18,7 @@ import numpy as np
 from .checkpoint import CheckpointError, load_model, save_model
 from .config import ConfigError, RunConfig, format_config, read_config, resolve_config
 from .decoder import labels_to_mask
-from .cpus import _in_order
+from .cpus import _in_order, per_worker
 from .model import ForwardResult, SegModel, build_model, check_precision
 from .netpbm import read_ppm, write_pgm
 from .optim import AdamW, poly_lr
@@ -31,6 +31,7 @@ from .segbench import (
     load_sample,
     bucket_masks,
     patch_labels,
+    pixel_values,
     sample_seed,
 )
 from .tensor import Tensor, cross_entropy, no_grad
@@ -42,8 +43,9 @@ class TrainAbort(RuntimeError):
 
 METRICS_HEADER = "step,lr,loss,mIoU"
 ABLATE_HEADER = "model,seed,mIoU,small,medium,large"
-# Images per forward when scoring without gradients: a whole batch per
-# graph, small enough that evaluation never holds more than a training step.
+# The fewest images per forward when scoring without gradients: a whole
+# batch per graph. At 128 px a forward's score bits depend on how many
+# images it scores, so no chunk there may fall below this.
 EVAL_CHUNK = 4
 
 
@@ -66,17 +68,30 @@ def _param_norm_table(model: SegModel) -> str:
 
 
 def _images(samples: list[SegSample], dtype) -> Tensor:
-    """One (B, H, W, 3) batch; samples of different sizes cannot share one."""
+    """One (B, H, W, 3) batch of the samples' ``pixel_values``; samples of
+    different sizes cannot share one."""
     sizes = sorted({s.image.shape for s in samples})
     if len(sizes) > 1:
         raise ValueError(f"images of sizes {sizes} cannot be scored together")
-    return Tensor(np.stack([s.image for s in samples]), dtype=dtype)
+    return Tensor(np.stack([pixel_values(s.image) for s in samples]), dtype=dtype)
 
 
 # A no-grad forward's numpy allocations peak at about this many values per
 # image pixel (a desk model, batch 4: 63 at 64 px and 58 at 128 px in
-# float32), which bounds the chunks ``predict_labels`` scores at once.
+# float32), which sizes the chunks ``predict_labels`` scores.
 _FORWARD_VALUES_PER_PIXEL = 64
+
+
+def _image_bytes(cfg: RunConfig) -> int:
+    return cfg.height * cfg.width * _FORWARD_VALUES_PER_PIXEL * np.dtype(cfg.dtype).itemsize
+
+
+def images_per_forward(cfg: RunConfig) -> int:
+    """Images ``predict_labels`` scores per forward at the config's size and
+    precision: as many as one worker's share of the CPU byte budget holds
+    (``cpus.per_worker``), and never fewer than EVAL_CHUNK; at 128 px that
+    is EVAL_CHUNK on any number of CPUs."""
+    return per_worker(_image_bytes(cfg), EVAL_CHUNK)
 
 
 def _finite(result: ForwardResult) -> ForwardResult:
@@ -88,21 +103,21 @@ def _finite(result: ForwardResult) -> ForwardResult:
 
 def predict_labels(model: SegModel, samples: list[SegSample]) -> np.ndarray:
     """Each sample's (N,) patch labels: the highest-scoring class, ties to the
-    lowest class index. Images are scored at the model's precision,
-    EVAL_CHUNK at a time, without recording a graph; the chunks run on the
-    CPUs ``cpus`` gives, and their labels are kept in chunk order. Raises
-    ``FloatingPointError`` where a chunk's scores are not finite."""
-    dtype = model.cfg.dtype
+    lowest class index. A sample's image is float64 in [0, 1] (generated)
+    or 8-bit (loaded), and is scored at the model's precision, in chunks of
+    ``images_per_forward`` images, without recording a graph; the chunks
+    run on the CPUs ``cpus`` gives, and their labels are kept in chunk
+    order. Raises ``FloatingPointError`` where a chunk's scores are not
+    finite."""
+    dtype, chunk = model.cfg.dtype, images_per_forward(model.cfg)
 
     def labels(lo: int) -> np.ndarray:
-        images = _images(samples[lo:lo + EVAL_CHUNK], dtype)
+        images = _images(samples[lo:lo + chunk], dtype)
         return np.argmax(_finite(model(images)).scores.data, axis=-1)
 
-    chunk_bytes = (EVAL_CHUNK * model.cfg.height * model.cfg.width
-                   * _FORWARD_VALUES_PER_PIXEL * np.dtype(dtype).itemsize)
     with no_grad():
-        return np.concatenate(list(_in_order(labels, range(0, len(samples), EVAL_CHUNK),
-                                             chunk_bytes)))
+        return np.concatenate(list(_in_order(labels, range(0, len(samples), chunk),
+                                             chunk * _image_bytes(model.cfg))))
 
 
 def patch_accuracy(model: SegModel, samples, labels_flat, dtype) -> float:
@@ -294,7 +309,7 @@ def dump_gates(ckpt_path, sample_path, out_dir) -> list[str]:
     model, cfg = _load_run_model(ckpt_path)
     if cfg.decoder_fusion != "tsg" or cfg.decoder_blocks < 2:
         raise ConfigError("model has no gated decoder fusion; nothing to dump")
-    image = read_ppm(sample_path).astype(np.float64) / 255.0
+    image = pixel_values(read_ppm(sample_path))
     _check_image_size(cfg, image, str(sample_path))
     with no_grad(), _scored_by(ckpt_path):
         res = _finite(model(Tensor(image, dtype=cfg.dtype)))

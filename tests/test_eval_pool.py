@@ -1,9 +1,9 @@
-"""``predict_labels`` scores its chunks of images on the calling thread and
-the CPU pool, keeps their labels in chunk order, and gives the labels of
-one chunk after another on one thread. A chunk's self-attention row blocks
-run inline on the chunk's thread: at 128 px a map has several, and with two
-workers, one of them busy with the other chunk, a row block queued on the
-pool would never run.
+"""``predict_labels`` scores its chunks of ``images_per_forward`` images on
+the calling thread and the CPU pool, keeps their labels in chunk order, and
+gives the labels of one chunk after another on one thread. A chunk's
+self-attention row blocks run inline on the chunk's thread: at 128 px a map
+has several, and with two workers, one of them busy with the other chunk, a
+row block queued on the pool would never run.
 
 The pooled runs are made in a fresh interpreter under a timeout, so a
 deadlock fails the test instead of hanging the suite."""
@@ -24,24 +24,30 @@ from tsgseg.config import resolve_config
 from tsgseg.model import build_model
 from tsgseg.segbench import generate, sample_seed
 from tsgseg.tensor import Tensor, no_grad
-from tsgseg.train import EVAL_CHUNK, predict_labels
+from tsgseg.train import EVAL_CHUNK, images_per_forward, predict_labels
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
+def desk_config(size: int, precision: str):
+    return resolve_config("desk", {"height": size, "width": size, "precision": precision})
+
+
 def desk_case(size: int, precision: str, count: int):
     """An untrained desk model and ``count`` generated images of ``size`` px."""
-    cfg = resolve_config("desk", {"height": size, "width": size, "precision": precision})
+    cfg = desk_config(size, precision)
     return build_model(cfg, seed=0), [generate(sample_seed(3, i), cfg) for i in range(count)]
 
 
 def test_labels_on_this_machine():
-    # with one CPU (``taskset -c 0``) every chunk runs inline
-    model, samples = desk_case(64, "single", 2 * EVAL_CHUNK + 1)
+    # two full chunks and a partial one; with one CPU (``taskset -c 0``)
+    # every chunk, 16 images here, runs inline
+    chunk = images_per_forward(desk_config(64, "single"))
+    model, samples = desk_case(64, "single", 2 * chunk + 1)
     with no_grad():
-        want = [np.argmax(model(Tensor(np.stack([s.image for s in samples[lo:lo + EVAL_CHUNK]]),
+        want = [np.argmax(model(Tensor(np.stack([s.image for s in samples[lo:lo + chunk]]),
                                        dtype=np.float32)).scores.data, axis=-1)
-                for lo in range(0, len(samples), EVAL_CHUNK)]
+                for lo in range(0, len(samples), chunk)]
     np.testing.assert_array_equal(predict_labels(model, samples), np.concatenate(want))
 
 
@@ -55,9 +61,11 @@ def test_scores_that_are_not_finite_raise():
 
 
 def test_more_workers_than_cpus_give_the_inline_labels(monkeypatch):
-    # float32 64 px maps are one row block each, so no chunk makes a nested
-    # call and this runs in-process: 4 workers, threads switched often, and
-    # the upsampling weights formed afresh by whichever chunk asks first
+    # 4 workers score float32 64 px chunks of 4, whose maps are one row
+    # block each, so no chunk makes a nested call and this runs in-process:
+    # threads switched often, and the upsampling weights formed afresh by
+    # whichever chunk asks first; the inline labels come from one chunk of
+    # 16 and a partial one of 2
     model, samples = desk_case(64, "single", 4 * EVAL_CHUNK + 2)
     monkeypatch.setattr(cpus, "_POOL_WORKERS", 1)
     want = predict_labels(model, samples)
@@ -79,11 +87,14 @@ POOLED = textwrap.dedent("""
     import numpy as np
     from tsgseg import cpus
     from tsgseg.model import SegModel
-    from tsgseg.train import predict_labels
-    from test_eval_pool import desk_case
+    from tsgseg.train import images_per_forward, predict_labels
+    from test_eval_pool import desk_case, desk_config
 
     size, precision = int(sys.argv[1]), sys.argv[2]
-    model, samples = desk_case(size, precision, 8)
+    cpus._POOL_WORKERS = 2  # the caller and a pool of one thread
+    chunk = images_per_forward(desk_config(size, precision))
+    # one full chunk and one partial chunk
+    model, samples = desk_case(size, precision, chunk + chunk // 2)
     cpus._POOL_WORKERS = 1
     inline = predict_labels(model, samples)
 
@@ -94,9 +105,9 @@ POOLED = textwrap.dedent("""
         return forward(self, image, forced_gates)
 
     SegModel.__call__ = recorded
-    cpus._POOL_WORKERS = 2  # the caller and a pool of one thread
+    cpus._POOL_WORKERS = 2
     pooled = predict_labels(model, samples)
-    print(json.dumps({"equal": bool(np.array_equal(pooled, inline)),
+    print(json.dumps({"equal": bool(np.array_equal(pooled, inline)), "chunk": chunk,
                       "chunks": len(threads), "threads": len(set(threads)),
                       "pool": cpus._pool._max_workers}))
 """)
@@ -109,4 +120,7 @@ def test_two_workers_give_the_inline_labels(size, precision):
     proc = subprocess.run([sys.executable, "-c", POOLED, str(size), precision], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"equal": True, "chunks": 2, "threads": 2, "pool": 1}
+    # two workers score 8 float32 64 px images per forward, and 4 otherwise
+    chunk = 8 if (size, precision) == (64, "single") else EVAL_CHUNK
+    assert json.loads(proc.stdout) == {"equal": True, "chunk": chunk, "chunks": 2,
+                                       "threads": 2, "pool": 1}

@@ -22,6 +22,7 @@ from tsgseg.segbench import (
     load_sample,
     object_mask,
     patch_labels,
+    pixel_values,
     sample_seed,
     save_sample,
 )
@@ -282,9 +283,21 @@ class TestStorage:
         loaded = load_sample(str(tmp_path), 0)
         np.testing.assert_array_equal(loaded.labels, s.labels)
         assert loaded.labels.dtype == np.uint8  # as the PGM stores them
-        assert np.max(np.abs(loaded.image - s.image)) <= 0.5 / 255 + 1e-12
+        assert loaded.image.dtype == np.uint8  # as the PPM stores them
+        np.testing.assert_array_equal(loaded.image, np.round(s.image * 255))
+        assert np.max(np.abs(pixel_values(loaded.image) - s.image)) <= 0.5 / 255 + 1e-12
         assert loaded.meta == s.meta
         assert count_samples(str(tmp_path)) == 2
+
+    def test_saving_a_loaded_sample_writes_the_same_files(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        save_sample(str(first), 0, generate(13, CFG))
+        save_sample(str(second), 0, load_sample(str(first), 0))
+        for ext in (".ppm", ".pgm", ".json"):
+            name = "sample_0000" + ext
+            assert (second / name).read_bytes() == (first / name).read_bytes(), ext
 
     def test_count_includes_five_digit_indices(self, tmp_path):
         s = generate(13, CFG)

@@ -259,15 +259,16 @@ class TestEvaluate:
             evaluate_model(model, samples, np.float64)
 
     def test_chunked_scoring_matches_one_image_at_a_time(self):
-        # Five images span a full chunk and a partial one; the pooled
+        # The images span a full chunk and a partial one; the pooled
         # confusion must equal the one built from unbatched forwards.
-        cfg = tiny_config(val_samples=5)
+        chunk = train_module.images_per_forward(tiny_config())
+        cfg = tiny_config(val_samples=chunk + 1)
         model = build_model(cfg, seed=4)
         rng = np.random.default_rng(0)
         for p in model.parameters():  # break the uniform fresh-model scores
             p.data = p.data + 0.2 * rng.standard_normal(p.shape)
         samples = build_split(cfg, "val")
-        assert len(samples) > train_module.EVAL_CHUNK
+        assert chunk >= train_module.EVAL_CHUNK
         conf = np.zeros((cfg.num_classes,) * 2, dtype=np.int64)
         for s in samples:
             labels = np.argmax(model(Tensor(s.image)).scores.data, axis=-1)
