@@ -7,8 +7,7 @@ CPU the process may run on; nothing sets another count. The calling thread
 is a worker: it runs the first block of each group it sends out, and a pool
 of the other workers, made by the first call that needs it, runs the rest.
 Self-attention sends it the row blocks of a map of more than one block, and
-``predict_labels`` its chunks of images, each chunk as many images as
-``per_worker`` gives. A call made inside a running block
+``predict_labels`` its chunks of images. A call made inside a running block
 of a pooled call runs inline, so a chunk's row blocks never queue behind
 another chunk. The blocks in flight at once hold at most about
 ``_ATTENTION_THREAD_BYTES`` between them, so memory does not grow with the
@@ -105,12 +104,6 @@ def _forget_pool() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
-
-
-def per_worker(item_bytes: int, floor: int) -> int:
-    """Items of ``item_bytes`` each that one worker's share of
-    ``_ATTENTION_THREAD_BYTES`` holds, and never fewer than ``floor``."""
-    return max(floor, _ATTENTION_THREAD_BYTES // (_POOL_WORKERS * item_bytes))
 
 
 def _marked(block):

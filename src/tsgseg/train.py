@@ -18,7 +18,7 @@ import numpy as np
 from .checkpoint import CheckpointError, load_model, save_model
 from .config import ConfigError, RunConfig, format_config, read_config, resolve_config
 from .decoder import labels_to_mask
-from .cpus import _in_order, per_worker
+from .cpus import _in_order
 from .model import ForwardResult, SegModel, build_model, check_precision
 from .netpbm import read_ppm, write_pgm
 from .optim import AdamW, poly_lr
@@ -43,9 +43,11 @@ class TrainAbort(RuntimeError):
 
 METRICS_HEADER = "step,lr,loss,mIoU"
 ABLATE_HEADER = "model,seed,mIoU,small,medium,large"
-# The fewest images per forward when scoring without gradients: a whole
-# batch per graph. At 128 px a forward's score bits depend on how many
-# images it scores, so no chunk there may fall below this.
+# Images per forward when scoring without gradients where twice as many do
+# not fit ``_EVAL_CHUNK_BYTES`` (``images_per_forward``), a whole batch per
+# graph, and always past the last full chunk, so that every image gets the
+# scores chunks of 4 give it: a forward's score bits can depend on how many
+# images it scores.
 EVAL_CHUNK = 4
 
 
@@ -80,6 +82,13 @@ def _images(samples: list[SegSample], dtype) -> Tensor:
 # image pixel (a desk model, batch 4: 63 at 64 px and 58 at 128 px in
 # float32), which sizes the chunks ``predict_labels`` scores.
 _FORWARD_VALUES_PER_PIXEL = 64
+# A chunk of 2 * EVAL_CHUNK images is scored where its forward fits this:
+# 8 float32 64 px images. Two threads that score at once take turns at each
+# numpy call, so fewer calls per image score faster: on 2 CPUs 64 such
+# images took 265-301 ms in chunks of 4 and 187-225 ms in chunks of 8. Two
+# such chunks fill ``cpus._ATTENTION_THREAD_BYTES``, so on more than 2 CPUs
+# two are in flight where up to four chunks of 4 were.
+_EVAL_CHUNK_BYTES = 8 << 20
 
 
 def _image_bytes(cfg: RunConfig) -> int:
@@ -87,11 +96,13 @@ def _image_bytes(cfg: RunConfig) -> int:
 
 
 def images_per_forward(cfg: RunConfig) -> int:
-    """Images ``predict_labels`` scores per forward at the config's size and
-    precision: as many as one worker's share of the CPU byte budget holds
-    (``cpus.per_worker``), and never fewer than EVAL_CHUNK; at 128 px that
-    is EVAL_CHUNK on any number of CPUs."""
-    return per_worker(_image_bytes(cfg), EVAL_CHUNK)
+    """Images ``predict_labels`` scores per full forward at the config's
+    image size and precision, on any number of CPUs: 2 * EVAL_CHUNK where
+    they fit ``_EVAL_CHUNK_BYTES`` (float32 up to 64 px, float64 up to 32
+    px), and EVAL_CHUNK otherwise."""
+    if 2 * EVAL_CHUNK * _image_bytes(cfg) <= _EVAL_CHUNK_BYTES:
+        return 2 * EVAL_CHUNK
+    return EVAL_CHUNK
 
 
 def _finite(result: ForwardResult) -> ForwardResult:
@@ -104,19 +115,23 @@ def _finite(result: ForwardResult) -> ForwardResult:
 def predict_labels(model: SegModel, samples: list[SegSample]) -> np.ndarray:
     """Each sample's (N,) patch labels: the highest-scoring class, ties to the
     lowest class index. A sample's image is float64 in [0, 1] (generated)
-    or 8-bit (loaded), and is scored at the model's precision, in chunks of
-    ``images_per_forward`` images, without recording a graph; the chunks
-    run on the CPUs ``cpus`` gives, and their labels are kept in chunk
-    order. Raises ``FloatingPointError`` where a chunk's scores are not
-    finite."""
-    dtype, chunk = model.cfg.dtype, images_per_forward(model.cfg)
+    or 8-bit (loaded), and is scored at the model's precision without
+    recording a graph, in chunks of ``images_per_forward`` images; those
+    past the last full chunk go in chunks of EVAL_CHUNK, since a forward's
+    bits can depend on its image count (at 16 px 5 images in one forward
+    score otherwise than 4 and 1). The chunks run on the CPUs ``cpus``
+    gives, and their labels are kept in chunk order. Raises
+    ``FloatingPointError`` where a chunk's scores are not finite."""
+    dtype, chunk, n = model.cfg.dtype, images_per_forward(model.cfg), len(samples)
+    starts = [*range(0, n - n % chunk, chunk), *range(n - n % chunk, n, EVAL_CHUNK)]
+    ends = starts[1:] + [n]
 
-    def labels(lo: int) -> np.ndarray:
-        images = _images(samples[lo:lo + chunk], dtype)
+    def labels(i: int) -> np.ndarray:
+        images = _images(samples[starts[i]:ends[i]], dtype)
         return np.argmax(_finite(model(images)).scores.data, axis=-1)
 
     with no_grad():
-        return np.concatenate(list(_in_order(labels, range(0, len(samples), chunk),
+        return np.concatenate(list(_in_order(labels, range(len(starts)),
                                              chunk * _image_bytes(model.cfg))))
 
 

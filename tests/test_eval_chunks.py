@@ -1,11 +1,12 @@
 """The bits that larger evaluation chunks rely on.
 
-``predict_labels`` scores as many images per forward as
-``images_per_forward`` gives: at 64 px 4, 8 or 16, by CPU count and
-precision. A forward over k images must give each image the class scores a
-forward over that image alone gives, so the chunk size never moves a
-report. And a loaded sample's 8-bit pixels must reach the model as the
-float64 values ``load_sample`` used to hold."""
+``predict_labels`` scores ``images_per_forward`` images per full forward:
+8 float32 images up to 64 px and float64 ones up to 32 px, 4 otherwise, on
+any number of CPUs. The images past the last full chunk go in chunks of 4,
+as they always did. So each image must get the class scores that chunks
+of 4 give it, and at 64 px those of a forward over the image alone. And a
+loaded sample's 8-bit pixels must reach the model as the float64 values
+``load_sample`` used to hold."""
 
 import functools
 
@@ -14,28 +15,28 @@ import pytest
 
 from tsgseg import cpus
 from tsgseg.config import resolve_config
-from tsgseg.model import build_model
+from tsgseg.model import SegModel, build_model
 from tsgseg.segbench import SegSample, generate, pixel_values, sample_seed
 from tsgseg.tensor import Tensor, no_grad
-from tsgseg.train import _images, images_per_forward
+from tsgseg.train import EVAL_CHUNK, _images, images_per_forward, predict_labels
 
 
-@pytest.mark.parametrize("workers, chunks", [
-    (1, [16, 8, 4, 4]), (2, [8, 4, 4, 4]), (4, [4, 4, 4, 4]), (16, [4, 4, 4, 4])])
-def test_images_per_forward_by_cpu_count(monkeypatch, workers, chunks):
-    # [64 px float32, 64 px float64, 128 px float32, 128 px float64]; no
-    # machine scores fewer than 4 images per forward, and 128 px always 4
+@pytest.mark.parametrize("workers", [1, 2, 4, 16])
+def test_images_per_forward_is_the_same_on_any_cpu_count(monkeypatch, workers):
+    # 16, 32, 64 and 128 px, each in float32 and float64
     monkeypatch.setattr(cpus, "_POOL_WORKERS", workers)
     assert [images_per_forward(resolve_config("desk", {"height": size, "width": size,
                                                         "precision": precision}))
-            for size in (64, 128) for precision in ("single", "double")] == chunks
+            for size in (16, 32, 64, 128)
+            for precision in ("single", "double")] == [8, 8, 8, 8, 8, 4, 4, 4]
 
 
 @functools.lru_cache(maxsize=None)
-def scored_case(precision: str):
+def scored_case(size: int, precision: str):
     """A desk model with its weights moved off their initial values, 16
-    generated 64 px images, and each image's scores from a forward of one."""
-    cfg = resolve_config("desk", {"precision": precision, "height": 64, "width": 64})
+    generated images of ``size`` px, and each image's scores from a forward
+    of one."""
+    cfg = resolve_config("desk", {"precision": precision, "height": size, "width": size})
     model = build_model(cfg, seed=0)
     rng = np.random.default_rng(5)
     for p in model.parameters():  # break the near-uniform fresh-model scores
@@ -47,14 +48,41 @@ def scored_case(precision: str):
     return model, images, alone
 
 
+def chunk_scores(model, images, k: int) -> np.ndarray:
+    with no_grad():
+        return np.concatenate([model(Tensor(images[lo:lo + k], dtype=model.cfg.dtype))
+                               .scores.data for lo in range(0, len(images), k)])
+
+
 @pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
 @pytest.mark.parametrize("precision", ["single", "double"])
 def test_k_image_forwards_score_as_one_image_forwards(precision, k):
-    model, images, alone = scored_case(precision)
-    with no_grad():
-        scores = np.concatenate([model(Tensor(images[lo:lo + k], dtype=model.cfg.dtype))
-                                 .scores.data for lo in range(0, len(images), k)])
-    assert np.array_equal(scores, alone)
+    model, images, alone = scored_case(64, precision)
+    assert np.array_equal(chunk_scores(model, images, k), alone)
+
+
+@pytest.mark.parametrize("size, precision, forwards", [
+    (16, "single", [8, 4, 1]), (16, "double", [8, 4, 1]), (32, "double", [8, 4, 2]),
+    (64, "single", [8, 4, 2]), (64, "double", [4, 4, 4, 2])])
+def test_predict_labels_scores_as_chunks_of_four(monkeypatch, size, precision, forwards):
+    # a full chunk and a partial one; at 16 px one forward over the 5 images
+    # past the full chunk of 8 would score otherwise than 4 and 1 do
+    model, images, _ = scored_case(size, precision)
+    images = images[:sum(forwards)]
+    want = chunk_scores(model, images, EVAL_CHUNK)
+    seen, forward = [], SegModel.__call__
+
+    def recorded(self, image, forced_gates=None):
+        result = forward(self, image, forced_gates)
+        seen.append(result.scores.data)
+        return result
+
+    monkeypatch.setattr(cpus, "_POOL_WORKERS", 1)  # chunks in order
+    monkeypatch.setattr(SegModel, "__call__", recorded)
+    predict_labels(model, [SegSample(image, np.zeros(image.shape[:2], np.int64))
+                           for image in images])
+    assert [len(scores) for scores in seen] == forwards
+    assert np.array_equal(np.concatenate(seen), want)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -41,7 +41,7 @@ def desk_case(size: int, precision: str, count: int):
 
 def test_labels_on_this_machine():
     # two full chunks and a partial one; with one CPU (``taskset -c 0``)
-    # every chunk, 16 images here, runs inline
+    # every chunk runs inline
     chunk = images_per_forward(desk_config(64, "single"))
     model, samples = desk_case(64, "single", 2 * chunk + 1)
     with no_grad():
@@ -61,12 +61,11 @@ def test_scores_that_are_not_finite_raise():
 
 
 def test_more_workers_than_cpus_give_the_inline_labels(monkeypatch):
-    # 4 workers score float32 64 px chunks of 4, whose maps are one row
-    # block each, so no chunk makes a nested call and this runs in-process:
-    # threads switched often, and the upsampling weights formed afresh by
-    # whichever chunk asks first; the inline labels come from one chunk of
-    # 16 and a partial one of 2
-    model, samples = desk_case(64, "single", 4 * EVAL_CHUNK + 2)
+    # float32 32 px chunks of 8 have maps of one row block each, so no
+    # chunk makes a nested call and this runs in-process: 4 workers (two
+    # chunks in flight), threads switched often, and the upsampling weights
+    # formed afresh by whichever chunk asks first
+    model, samples = desk_case(32, "single", 4 * EVAL_CHUNK + 2)
     monkeypatch.setattr(cpus, "_POOL_WORKERS", 1)
     want = predict_labels(model, samples)
     switch = sys.getswitchinterval()
@@ -91,7 +90,6 @@ POOLED = textwrap.dedent("""
     from test_eval_pool import desk_case, desk_config
 
     size, precision = int(sys.argv[1]), sys.argv[2]
-    cpus._POOL_WORKERS = 2  # the caller and a pool of one thread
     chunk = images_per_forward(desk_config(size, precision))
     # one full chunk and one partial chunk
     model, samples = desk_case(size, precision, chunk + chunk // 2)
@@ -105,7 +103,7 @@ POOLED = textwrap.dedent("""
         return forward(self, image, forced_gates)
 
     SegModel.__call__ = recorded
-    cpus._POOL_WORKERS = 2
+    cpus._POOL_WORKERS = 2  # the caller and a pool of one thread
     pooled = predict_labels(model, samples)
     print(json.dumps({"equal": bool(np.array_equal(pooled, inline)), "chunk": chunk,
                       "chunks": len(threads), "threads": len(set(threads)),
@@ -120,7 +118,7 @@ def test_two_workers_give_the_inline_labels(size, precision):
     proc = subprocess.run([sys.executable, "-c", POOLED, str(size), precision], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # two workers score 8 float32 64 px images per forward, and 4 otherwise
+    # 8 float32 64 px images per full forward, and 4 otherwise
     chunk = 8 if (size, precision) == (64, "single") else EVAL_CHUNK
     assert json.loads(proc.stdout) == {"equal": True, "chunk": chunk, "chunks": 2,
                                        "threads": 2, "pool": 1}
